@@ -25,10 +25,11 @@ pub struct ExpConfig {
     pub out_dir: PathBuf,
     /// Reduced sweep for CI / `cargo bench`.
     pub quick: bool,
-    /// Worker threads for the seed-matrix targets (`baseline`, `regress`,
-    /// `simperf`). Matrix cells are independent deterministic simulations
-    /// (one fresh `Gpu` each), merged in fixed cell order — so any job
-    /// count produces byte-identical reports.
+    /// Worker threads for the sweep targets (`baseline`, `simperf`,
+    /// `chaos`, `cluster`, `tuner`, `requests`). Sweep points are
+    /// independent deterministic simulations (one fresh `Gpu` each), merged
+    /// in fixed point order — so any job count produces byte-identical
+    /// reports.
     pub jobs: usize,
     /// Worker threads for `simperf`'s tenant-parallel serve axis (the
     /// multi-thread point; 1 thread is always measured too). Lanes are
@@ -36,6 +37,9 @@ pub struct ExpConfig {
     /// any thread count produces byte-identical outcomes — simperf fails
     /// if they ever diverge.
     pub serve_threads: usize,
+    /// Gated targets write their committed `BENCH_*.json` golden instead
+    /// of checking the fresh run against it.
+    pub record: bool,
 }
 
 impl ExpConfig {
@@ -53,6 +57,7 @@ impl ExpConfig {
             quick: false,
             jobs: 1,
             serve_threads: 4,
+            record: false,
         }
     }
 
@@ -68,6 +73,7 @@ impl ExpConfig {
             quick: true,
             jobs: 1,
             serve_threads: 4,
+            record: false,
         }
     }
 

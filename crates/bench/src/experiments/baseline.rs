@@ -1,17 +1,18 @@
-//! The `baseline` target: a deterministic performance baseline for
-//! regression trajectories.
+//! The `baseline` target: a deterministic performance baseline over a
+//! fixed seed matrix.
 //!
 //! Runs a *fixed* seed matrix — independent of `--quick`, so the output is
-//! canonical — and writes `BENCH_baseline.json` next to the usual
-//! experiment files: Q/s, translations per lookup, and per-phase time
-//! shares for every (strategy, R size) point. The simulator is
-//! deterministic and the JSON writer formats floats deterministically, so
-//! the same toolchain produces a byte-identical file on every run — CI
-//! runs the target twice and byte-diffs the outputs, and future PRs diff
-//! their baseline against this one to see exactly which phase moved.
+//! canonical — and gates it against the committed `BENCH_baseline.json`:
+//! Q/s, translations per lookup, and per-phase time shares for every
+//! (strategy, R size) point. The simulator is deterministic and the JSON
+//! writer formats floats deterministically, so the same toolchain
+//! produces a byte-identical file on every run; `--record` rewrites the
+//! golden, and its diff shows exactly which phase moved.
 
 use crate::config::ExpConfig;
-use crate::output::{num, num6, Experiment};
+use crate::experiments::par_map;
+use crate::gate::{self, GateSpec, Tol};
+use crate::output::{num, num6, r6, Experiment};
 use serde::Serialize;
 use serde_json::json;
 use windex_core::prelude::*;
@@ -81,18 +82,36 @@ pub(crate) struct Baseline {
     pub(crate) entries: Vec<BaselineEntry>,
 }
 
-/// Round to 6 decimals so the recorded trajectory is stable against
-/// last-bit float jitter from benign refactors.
-fn r6(v: f64) -> f64 {
-    (v * 1e6).round() / 1e6
-}
+/// The committed golden and its tolerances: exact for discrete outcomes
+/// (windows, result tuples, retries) and labels, 2% relative for
+/// throughput-like metrics, 0.02 absolute for phase shares.
+const GATE: GateSpec = GateSpec {
+    file: "BENCH_baseline.json",
+    schema: SCHEMA_VERSION,
+    default: Tol::Exact,
+    fields: &[
+        ("queries_per_second", Tol::Rel(0.02)),
+        ("translations_per_lookup", Tol::Rel(0.02)),
+        ("tlb_misses", Tol::Rel(0.02)),
+        ("ic_bytes_total", Tol::Rel(0.02)),
+        ("share_partition", Tol::Abs(0.02)),
+        ("share_lookup", Tol::Abs(0.02)),
+        ("share_other", Tol::Abs(0.02)),
+    ],
+};
 
 /// Run one matrix cell on a fresh `Gpu`. Cells are independent
 /// deterministic simulations, which is what makes the parallel harness
 /// safe: any scheduling of cells produces the same per-cell result.
 /// Also returns the cell's simulated memory-system accesses (L1 + TLB
 /// lookups), the work unit the `simperf` target normalizes by.
-fn run_cell(spec: &GpuSpec, r: &Relation, s: &Relation, gib: f64, st: JoinStrategy) -> CellResult {
+fn run_cell(
+    spec: &GpuSpec,
+    r: &Relation,
+    s: &Relation,
+    gib: f64,
+    st: JoinStrategy,
+) -> (BaselineEntry, u64) {
     let mut gpu = Gpu::new(spec.clone());
     let rep = QueryExecutor::new()
         .run(&mut gpu, r, s, st)
@@ -114,51 +133,6 @@ fn run_cell(spec: &GpuSpec, r: &Relation, s: &Relation, gib: f64, st: JoinStrate
         retries: rep.retries,
     };
     (entry, accesses)
-}
-
-type CellResult = (BaselineEntry, u64);
-
-/// Scatter the cells over `jobs` scoped worker threads (atomic work
-/// stealing) and merge the results back in fixed cell order. Workers only
-/// decide *when* a cell runs, never *what* it computes, so the merged
-/// vector is identical for every job count.
-fn run_cells_parallel(
-    jobs: usize,
-    spec: &GpuSpec,
-    inputs: &[(f64, Relation, Relation)],
-    cells: &[(usize, JoinStrategy)],
-) -> Vec<CellResult> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<CellResult>> = vec![None; cells.len()];
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..jobs)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= cells.len() {
-                            break;
-                        }
-                        let (input, st) = cells[i];
-                        let (gib, r, s) = &inputs[input];
-                        mine.push((i, run_cell(spec, r, s, *gib, st)));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        for w in workers {
-            for (i, result) in w.join().expect("baseline worker panicked") {
-                slots[i] = Some(result);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every cell was claimed by a worker"))
-        .collect()
 }
 
 /// Compute the seed matrix with `jobs` workers, also returning the total
@@ -183,17 +157,11 @@ pub(crate) fn compute_counted(jobs: usize) -> (Baseline, u64) {
     let cells: Vec<(usize, JoinStrategy)> = (0..inputs.len())
         .flat_map(|input| strategies().into_iter().map(move |st| (input, st)))
         .collect();
-    let results = if jobs <= 1 {
-        cells
-            .iter()
-            .map(|&(input, st)| {
-                let (gib, r, s) = &inputs[input];
-                run_cell(&spec, r, s, *gib, st)
-            })
-            .collect()
-    } else {
-        run_cells_parallel(jobs, &spec, &inputs, &cells)
-    };
+    let results = par_map(jobs, cells.len(), |i| {
+        let (input, st) = cells[i];
+        let (gib, r, s) = &inputs[input];
+        run_cell(&spec, r, s, *gib, st)
+    });
     let accesses = results.iter().map(|(_, a)| a).sum();
     let entries = results.into_iter().map(|(e, _)| e).collect();
     (
@@ -208,38 +176,18 @@ pub(crate) fn compute_counted(jobs: usize) -> (Baseline, u64) {
     )
 }
 
-pub(crate) fn compute() -> Baseline {
-    compute_counted(1).0
-}
-
-/// [`compute`] with a worker count; byte-identical output for any `jobs`.
-pub(crate) fn compute_with_jobs(jobs: usize) -> Baseline {
+/// The seed matrix computed with `jobs` workers; byte-identical output for
+/// any `jobs`.
+fn compute(jobs: usize) -> Baseline {
     compute_counted(jobs).0
 }
 
-/// The canonical serialization of a computed matrix — what
-/// `BENCH_baseline.json` contains, byte-for-byte.
-fn to_json(data: &Baseline) -> String {
-    let mut text = serde_json::to_string_pretty(data).expect("baseline serializes");
-    text.push('\n');
-    text
-}
-
-/// The canonical baseline serialization, computed serially.
-pub fn baseline_json() -> String {
-    to_json(&compute())
-}
-
 /// The `baseline` target: renders the matrix as an experiment table and
-/// writes the canonical `BENCH_baseline.json` into `cfg.out_dir`.
-pub fn baseline(cfg: &ExpConfig) -> Experiment {
-    let data = compute_with_jobs(cfg.jobs);
-    let path = cfg.out_dir.join("BENCH_baseline.json");
-    let write =
-        std::fs::create_dir_all(&cfg.out_dir).and_then(|()| std::fs::write(&path, to_json(&data)));
-    if let Err(e) = write {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    }
+/// gates it against the committed `BENCH_baseline.json` (or records it).
+/// `Err` (→ nonzero exit) on any tolerance violation.
+pub fn baseline(cfg: &ExpConfig) -> Result<Experiment, String> {
+    let data = compute(cfg.jobs);
+    let gate_note = gate::check_or_record(&GATE, &data, cfg.record)?;
     let rows = data
         .entries
         .iter()
@@ -257,7 +205,7 @@ pub fn baseline(cfg: &ExpConfig) -> Experiment {
             ]
         })
         .collect();
-    Experiment {
+    Ok(Experiment {
         id: "baseline".into(),
         title: "Perf baseline: Q/s, translations/lookup, per-phase shares (fixed matrix)".into(),
         columns: vec![
@@ -273,13 +221,10 @@ pub fn baseline(cfg: &ExpConfig) -> Experiment {
         ],
         rows,
         notes: vec![
-            "fixed seed matrix, independent of --quick: canonical regression trajectory".into(),
-            format!(
-                "also written as BENCH_baseline.json (schema v{SCHEMA_VERSION}); \
-                 same toolchain => byte-identical, enforced by CI"
-            ),
+            "fixed seed matrix, independent of --quick: canonical perf trajectory".into(),
+            gate_note,
         ],
-    }
+    })
 }
 
 #[cfg(test)]
@@ -287,37 +232,44 @@ mod tests {
     use super::*;
 
     #[test]
-    fn baseline_is_byte_deterministic() {
-        assert_eq!(baseline_json(), baseline_json());
-    }
-
-    #[test]
     fn parallel_jobs_are_byte_identical_to_serial() {
-        let serial = to_json(&compute_with_jobs(1));
-        let parallel = to_json(&compute_with_jobs(4));
+        let serial = gate::canonical(&compute(1));
+        assert_eq!(serial, gate::canonical(&compute(1)), "runs must repeat");
+        let parallel = gate::canonical(&compute(4));
         assert_eq!(serial, parallel, "--jobs must not change the report");
     }
 
     #[test]
     fn baseline_matches_committed_file() {
-        // The regression gate diffs with tolerance bands; this golden test
-        // holds the canonical artifact to *byte* identity, so any engine
-        // change that moves a counter — even inside the bands — must
-        // regenerate BENCH_baseline.json deliberately.
+        // The gate diffs with tolerance bands; this golden test holds the
+        // canonical artifact to *byte* identity, so any engine change that
+        // moves a counter — even inside the bands — must re-record
+        // BENCH_baseline.json deliberately.
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
         let committed =
             std::fs::read_to_string(path).expect("committed BENCH_baseline.json at the repo root");
         assert_eq!(
-            baseline_json(),
+            gate::canonical(&compute(1)),
             committed,
             "fresh baseline differs from committed BENCH_baseline.json; \
-             regenerate with `experiments baseline` if intentional"
+             re-record with `experiments baseline --record` if intentional"
         );
     }
 
     #[test]
+    fn gate_flags_drift_and_accepts_self() {
+        let b = compute(1);
+        let mut drifted = b.clone();
+        drifted.entries[3].windows += 1;
+        gate::assert_flags_drift(&GATE, &b, &drifted, "entries[3].windows");
+        let mut drifted = b.clone();
+        drifted.entries[0].queries_per_second *= 1.5;
+        gate::assert_flags_drift(&GATE, &b, &drifted, "entries[0].queries_per_second");
+    }
+
+    #[test]
     fn baseline_covers_the_matrix_with_sane_shares() {
-        let data = compute();
+        let data = compute(1);
         assert_eq!(data.entries.len(), R_GIB.len() * strategies().len());
         for e in &data.entries {
             assert!(e.queries_per_second > 0.0, "{}", e.strategy);

@@ -15,25 +15,25 @@
 //! order — so the report and `BENCH_chaos.json` are byte-identical across
 //! runs and for any `--jobs` count.
 //!
-//! When a committed `BENCH_chaos.json` exists (override the path with
-//! `WINDEX_CHAOS`), the fresh KPIs are gated against it: discrete
-//! outcomes (completed, shed, recoveries, retries, breaker trips,
-//! availability) must match exactly; continuous ones (goodput, p99,
-//! MTTR, retained share) get a 2% relative band for benign cost-model
-//! churn. A missing committed file is a warning — the recording run.
-//! Independently of any committed file, the device-loss scenario must
+//! The fresh KPIs are gated against the committed `BENCH_chaos.json`:
+//! discrete outcomes (completed, shed, recoveries, retries, breaker trips,
+//! availability) must match exactly; continuous ones (goodput, p99, MTTR,
+//! retained share) get a 2% relative band for benign cost-model churn.
+//! Independently of the committed file, the device-loss scenario must
 //! answer every request (availability 1.0) with at least one finite
 //! recovery, or the target fails.
 
 use crate::config::ExpConfig;
-use crate::output::{num, num6, Experiment};
+use crate::experiments::par_map;
+use crate::gate::{self, GateSpec, Tol};
+use crate::output::{num, num6, r6, Experiment};
 use serde::Serialize;
-use serde_json::{json, Value};
+use serde_json::json;
 use windex_serve::prelude::*;
 use windex_sim::ChaosScenario;
 
 /// Format-version marker for `BENCH_chaos.json`.
-pub(crate) const SCHEMA_VERSION: u32 = 1;
+const SCHEMA_VERSION: u32 = 1;
 
 /// Seed for every scenario's chaos schedule.
 const CHAOS_SEED: u64 = 99;
@@ -43,11 +43,18 @@ const CHAOS_SEED: u64 = 99;
 /// covering every scenario's fault windows (all inside the first 60 ms).
 const TRACE_REQUESTS: usize = 256;
 
-/// Relative tolerance for continuous KPIs against the committed file.
-const REL_TOL: f64 = 0.02;
-
-/// Where the committed reference lives unless `WINDEX_CHAOS` overrides.
-const DEFAULT_CHAOS_PATH: &str = "BENCH_chaos.json";
+/// The committed golden: every KPI exact except the continuous ones.
+const GATE: GateSpec = GateSpec {
+    file: "BENCH_chaos.json",
+    schema: SCHEMA_VERSION,
+    default: Tol::Exact,
+    fields: &[
+        ("mttr_total_s", Tol::Rel(0.02)),
+        ("goodput_rps", Tol::Rel(0.02)),
+        ("p99_s", Tol::Rel(0.02)),
+        ("goodput_retained", Tol::Rel(0.02)),
+    ],
+};
 
 /// One scenario's resilience KPIs.
 #[derive(Debug, Clone, Serialize)]
@@ -80,12 +87,6 @@ struct ChaosBench {
     chaos_seed: u64,
     trace_requests: usize,
     scenarios: Vec<ChaosPoint>,
-}
-
-/// Round to 6 decimals: canonical on-disk float form, keeps the gate from
-/// chasing last-bit jitter from benign refactors.
-fn r6(v: f64) -> f64 {
-    (v * 1e6).round() / 1e6
 }
 
 /// The serving relation: 1 paper-GiB of dense sorted keys at paper scale
@@ -162,41 +163,11 @@ fn compute(jobs: usize) -> ChaosBench {
     let r = chaos_relation();
     let trace = chaos_trace(&r);
     let scenarios = ChaosScenario::ALL;
-    let mut points: Vec<Option<ChaosPoint>> = if jobs <= 1 {
-        scenarios
-            .iter()
-            .map(|&sc| Some(run_scenario(&r, &trace, sc)))
-            .collect()
-    } else {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<ChaosPoint>> = vec![None; scenarios.len()];
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..jobs)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= scenarios.len() {
-                                break;
-                            }
-                            mine.push((i, run_scenario(&r, &trace, scenarios[i])));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for w in workers {
-                for (i, p) in w.join().expect("chaos worker panicked") {
-                    slots[i] = Some(p);
-                }
-            }
-        });
-        slots
-    };
-    let calm_goodput = points[0].as_ref().expect("calm scenario ran").goodput_rps;
-    for p in points.iter_mut().flatten() {
+    let mut points = par_map(jobs, scenarios.len(), |i| {
+        run_scenario(&r, &trace, scenarios[i])
+    });
+    let calm_goodput = points[0].goodput_rps;
+    for p in &mut points {
         p.goodput_retained = if calm_goodput > 0.0 {
             r6(p.goodput_rps / calm_goodput)
         } else {
@@ -207,10 +178,7 @@ fn compute(jobs: usize) -> ChaosBench {
         schema: SCHEMA_VERSION,
         chaos_seed: CHAOS_SEED,
         trace_requests: TRACE_REQUESTS,
-        scenarios: points
-            .into_iter()
-            .map(|p| p.expect("scenario ran"))
-            .collect(),
+        scenarios: points,
     }
 }
 
@@ -244,147 +212,12 @@ fn check_invariants(bench: &ChaosBench) -> Result<(), String> {
     Ok(())
 }
 
-fn field<'v>(entry: &'v Value, key: &str) -> Result<&'v Value, String> {
-    entry
-        .get(key)
-        .ok_or_else(|| format!("chaos entry missing field '{key}'"))
-}
-
-fn f64_field(entry: &Value, key: &str) -> Result<f64, String> {
-    field(entry, key)?
-        .as_f64()
-        .ok_or_else(|| format!("chaos field '{key}' is not a number"))
-}
-
-fn u64_field(entry: &Value, key: &str) -> Result<u64, String> {
-    field(entry, key)?
-        .as_u64()
-        .ok_or_else(|| format!("chaos field '{key}' is not an unsigned integer"))
-}
-
-/// Whether `fresh` is within `tol` of `committed`, relatively.
-fn rel_close(fresh: f64, committed: f64, tol: f64) -> bool {
-    if committed == 0.0 {
-        fresh == 0.0
-    } else {
-        ((fresh - committed) / committed).abs() <= tol
-    }
-}
-
-/// Diff one fresh point against its committed counterpart; returns the
-/// violated metrics as human-readable strings.
-fn diff_point(fresh: &ChaosPoint, committed: &Value) -> Result<Vec<String>, String> {
-    let mut out = Vec::new();
-    let mut exact_u64 = |key: &str, have: u64| -> Result<(), String> {
-        let want = u64_field(committed, key)?;
-        if have != want {
-            out.push(format!("{key}: committed {want}, fresh {have}"));
-        }
-        Ok(())
-    };
-    exact_u64("completed", fresh.completed as u64)?;
-    exact_u64("shed", fresh.shed as u64)?;
-    exact_u64("recoveries", fresh.recoveries)?;
-    exact_u64("retries", fresh.retries)?;
-    exact_u64("breaker_opens", fresh.breaker_opens)?;
-    let availability = f64_field(committed, "availability")?;
-    if fresh.availability != availability {
-        out.push(format!(
-            "availability: committed {availability}, fresh {}",
-            fresh.availability
-        ));
-    }
-    for (key, have) in [
-        ("mttr_total_s", fresh.mttr_total_s),
-        ("goodput_rps", fresh.goodput_rps),
-        ("p99_s", fresh.p99_s),
-        ("goodput_retained", fresh.goodput_retained),
-    ] {
-        let want = f64_field(committed, key)?;
-        if !rel_close(have, want, REL_TOL) {
-            out.push(format!(
-                "{key}: committed {want}, fresh {have} (>{:.0}% off)",
-                REL_TOL * 100.0
-            ));
-        }
-    }
-    Ok(out)
-}
-
-/// Gate the fresh bench against a committed file, if one exists.
-fn gate(fresh: &ChaosBench, path: &str) -> Result<String, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(_) => {
-            return Ok(format!(
-                "no committed reference at '{path}'; gate skipped (recording run)"
-            ))
-        }
-    };
-    let root: Value =
-        serde_json::from_str(&text).map_err(|e| format!("'{path}' is not JSON: {e}"))?;
-    let schema = u64_field(&root, "schema")?;
-    if schema != u64::from(SCHEMA_VERSION) {
-        return Err(format!(
-            "chaos schema v{schema} != expected v{SCHEMA_VERSION}; \
-             regenerate with `experiments chaos`"
-        ));
-    }
-    let committed = field(&root, "scenarios")?
-        .as_array()
-        .ok_or("chaos 'scenarios' is not an array")?;
-    if committed.len() != fresh.scenarios.len() {
-        return Err(format!(
-            "committed file has {} scenarios, fresh run has {}",
-            committed.len(),
-            fresh.scenarios.len()
-        ));
-    }
-    let mut violations = Vec::new();
-    for (f, c) in fresh.scenarios.iter().zip(committed) {
-        let name = field(c, "scenario")?
-            .as_str()
-            .ok_or("chaos field 'scenario' is not a string")?;
-        if name != f.scenario {
-            return Err(format!(
-                "scenario order mismatch: committed '{name}', fresh '{}'",
-                f.scenario
-            ));
-        }
-        for v in diff_point(f, c)? {
-            violations.push(format!("[{}] {v}", f.scenario));
-        }
-    }
-    if violations.is_empty() {
-        Ok(format!(
-            "gate: {} scenarios within tolerance of '{path}' — ok",
-            fresh.scenarios.len()
-        ))
-    } else {
-        Err(format!(
-            "chaos KPI drift vs '{path}':\n  {}",
-            violations.join("\n  ")
-        ))
-    }
-}
-
 /// The `chaos` target. `Err` (→ nonzero exit) on invariant or gate
 /// violations.
 pub fn chaos(cfg: &ExpConfig) -> Result<Experiment, String> {
     let bench = compute(cfg.jobs);
     check_invariants(&bench)?;
-
-    let path = std::env::var("WINDEX_CHAOS").unwrap_or_else(|_| DEFAULT_CHAOS_PATH.to_string());
-    let gate_note = gate(&bench, &path)?;
-
-    let out_path = cfg.out_dir.join("BENCH_chaos.json");
-    let mut text = serde_json::to_string_pretty(&bench).expect("chaos bench serializes");
-    text.push('\n');
-    let write =
-        std::fs::create_dir_all(&cfg.out_dir).and_then(|()| std::fs::write(&out_path, text));
-    if let Err(e) = write {
-        eprintln!("warning: could not write {}: {e}", out_path.display());
-    }
+    let gate_note = gate::check_or_record(&GATE, &bench, cfg.record)?;
 
     let rows = bench
         .scenarios
@@ -433,7 +266,6 @@ pub fn chaos(cfg: &ExpConfig) -> Result<Experiment, String> {
              rebuild"
                 .into(),
             gate_note,
-            "also written as BENCH_chaos.json (gated against the committed copy)".into(),
         ],
     })
 }
@@ -493,21 +325,8 @@ mod tests {
     #[test]
     fn gate_flags_drift_and_accepts_self() {
         let b = bench();
-        let dir = std::env::temp_dir().join("windex-chaos-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("chaos.json");
-        let text = serde_json::to_string_pretty(&b).unwrap();
-        std::fs::write(&path, &text).unwrap();
-        // Self-comparison passes.
-        gate(&b, path.to_str().unwrap()).expect("self gate passes");
-        // A perturbed discrete KPI fails.
         let mut drifted = b.clone();
-        drifted.scenarios[0].completed += 1;
-        std::fs::write(&path, serde_json::to_string_pretty(&drifted).unwrap()).unwrap();
-        let err = gate(&b, path.to_str().unwrap()).unwrap_err();
-        assert!(err.contains("completed"), "{err}");
-        // Missing file is a recording run, not a failure.
-        let note = gate(&b, "/nonexistent/chaos.json").unwrap();
-        assert!(note.contains("recording run"));
+        drifted.scenarios[4].completed -= 1;
+        gate::assert_flags_drift(&GATE, &b, &drifted, "scenarios[4].completed");
     }
 }

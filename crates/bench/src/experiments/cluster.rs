@@ -17,23 +17,23 @@
 //! `BENCH_cluster.json` are byte-identical across runs and for any
 //! `--jobs` count.
 //!
-//! When a committed `BENCH_cluster.json` exists (override the path with
-//! `WINDEX_CLUSTER`), the fresh KPIs are gated against it: discrete
-//! outcomes (completed, shed, cross-shard counts and bytes, failovers,
-//! re-shards, alive GPUs, availability) must match exactly; continuous
-//! ones (Q/s, keys/s, speedup, MTTR, makespan) get a 2% relative band for
-//! benign cost-model churn. A missing committed file is a warning — the
-//! recording run.
+//! The fresh KPIs are gated against the committed `BENCH_cluster.json`:
+//! discrete outcomes (completed, shed, cross-shard counts and bytes,
+//! failovers, re-shards, alive GPUs, availability) must match exactly;
+//! continuous ones (Q/s, keys/s, speedup, MTTR, makespan) get a 2%
+//! relative band for benign cost-model churn.
 
 use crate::config::ExpConfig;
-use crate::output::{num, num6, Experiment};
+use crate::experiments::par_map;
+use crate::gate::{self, GateSpec, Tol};
+use crate::output::{num, num6, r6, Experiment};
 use serde::Serialize;
 use serde_json::{json, Value};
 use windex_serve::prelude::*;
 use windex_sim::ChaosScenario;
 
 /// Format-version marker for `BENCH_cluster.json`.
-pub(crate) const SCHEMA_VERSION: u32 = 1;
+const SCHEMA_VERSION: u32 = 1;
 
 /// GPU counts swept by the scaling matrix.
 const GPU_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -65,11 +65,19 @@ const LOST_GPU: usize = 1;
 /// GPUs in the recovery clusters.
 const RECOVERY_GPUS: usize = 4;
 
-/// Relative tolerance for continuous KPIs against the committed file.
-const REL_TOL: f64 = 0.02;
-
-/// Where the committed reference lives unless `WINDEX_CLUSTER` overrides.
-const DEFAULT_CLUSTER_PATH: &str = "BENCH_cluster.json";
+/// The committed golden: every KPI exact except the continuous ones.
+const GATE: GateSpec = GateSpec {
+    file: "BENCH_cluster.json",
+    schema: SCHEMA_VERSION,
+    default: Tol::Exact,
+    fields: &[
+        ("completed_rps", Tol::Rel(0.02)),
+        ("keys_per_second", Tol::Rel(0.02)),
+        ("speedup_vs_1gpu", Tol::Rel(0.02)),
+        ("virtual_makespan_s", Tol::Rel(0.02)),
+        ("mttr_total_s", Tol::Rel(0.02)),
+    ],
+};
 
 /// A priced inter-GPU fabric in the sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,12 +147,6 @@ struct ClusterBench {
     recovery_requests: usize,
     scaling: Vec<ScalePoint>,
     recovery: Vec<RecoveryPoint>,
-}
-
-/// Round to 6 decimals: canonical on-disk float form, keeps the gate from
-/// chasing last-bit jitter from benign refactors.
-fn r6(v: f64) -> f64 {
-    (v * 1e6).round() / 1e6
 }
 
 /// The served relation: 1 paper-GiB of dense sorted keys at paper scale
@@ -272,7 +274,7 @@ fn compute(jobs: usize) -> ClusterBench {
         .flat_map(|&s| LINKS.iter().map(move |&l| (s, l)))
         .collect();
     let total = scale_axes.len() + recovery_axes.len();
-    let run_task = |i: usize| -> TaskResult {
+    let results = par_map(jobs, total, |i| {
         if i < scale_axes.len() {
             let (link, gpus) = scale_axes[i];
             TaskResult::Scale(run_scale_point(&r, &scale_trace, gpus, link))
@@ -280,41 +282,11 @@ fn compute(jobs: usize) -> ClusterBench {
             let (sharded, link) = recovery_axes[i - scale_axes.len()];
             TaskResult::Recovery(run_recovery_point(&r, &recovery_trace, sharded, link))
         }
-    };
-    let slots: Vec<Option<TaskResult>> = if jobs <= 1 {
-        (0..total).map(|i| Some(run_task(i))).collect()
-    } else {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<TaskResult>> = (0..total).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..jobs)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= total {
-                                break;
-                            }
-                            mine.push((i, run_task(i)));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for w in workers {
-                for (i, p) in w.join().expect("cluster worker panicked") {
-                    slots[i] = Some(p);
-                }
-            }
-        });
-        slots
-    };
+    });
     let mut scaling = Vec::new();
     let mut recovery = Vec::new();
-    for slot in slots {
-        match slot.expect("sweep point ran") {
+    for result in results {
+        match result {
             TaskResult::Scale(p) => scaling.push(p),
             TaskResult::Recovery(p) => recovery.push(p),
         }
@@ -456,202 +428,12 @@ fn check_invariants(bench: &ClusterBench) -> Result<(), String> {
     Ok(())
 }
 
-fn field<'v>(entry: &'v Value, key: &str) -> Result<&'v Value, String> {
-    entry
-        .get(key)
-        .ok_or_else(|| format!("cluster entry missing field '{key}'"))
-}
-
-fn f64_field(entry: &Value, key: &str) -> Result<f64, String> {
-    field(entry, key)?
-        .as_f64()
-        .ok_or_else(|| format!("cluster field '{key}' is not a number"))
-}
-
-fn u64_field(entry: &Value, key: &str) -> Result<u64, String> {
-    field(entry, key)?
-        .as_u64()
-        .ok_or_else(|| format!("cluster field '{key}' is not an unsigned integer"))
-}
-
-/// Whether `fresh` is within `tol` of `committed`, relatively.
-fn rel_close(fresh: f64, committed: f64, tol: f64) -> bool {
-    if committed == 0.0 {
-        fresh == 0.0
-    } else {
-        ((fresh - committed) / committed).abs() <= tol
-    }
-}
-
-/// Diff one fresh scaling point against its committed counterpart.
-fn diff_scale(fresh: &ScalePoint, committed: &Value) -> Result<Vec<String>, String> {
-    let mut out = Vec::new();
-    for (key, have) in [
-        ("gpus", fresh.gpus as u64),
-        ("completed", fresh.completed as u64),
-        ("shed", fresh.shed as u64),
-        ("cross_shard_bytes", fresh.cross_shard_bytes),
-    ] {
-        let want = u64_field(committed, key)?;
-        if have != want {
-            out.push(format!("{key}: committed {want}, fresh {have}"));
-        }
-    }
-    let frac = f64_field(committed, "cross_shard_fraction")?;
-    if fresh.cross_shard_fraction != frac {
-        out.push(format!(
-            "cross_shard_fraction: committed {frac}, fresh {}",
-            fresh.cross_shard_fraction
-        ));
-    }
-    for (key, have) in [
-        ("completed_rps", fresh.completed_rps),
-        ("keys_per_second", fresh.keys_per_second),
-        ("speedup_vs_1gpu", fresh.speedup_vs_1gpu),
-        ("virtual_makespan_s", fresh.virtual_makespan_s),
-    ] {
-        let want = f64_field(committed, key)?;
-        if !rel_close(have, want, REL_TOL) {
-            out.push(format!(
-                "{key}: committed {want}, fresh {have} (>{:.0}% off)",
-                REL_TOL * 100.0
-            ));
-        }
-    }
-    Ok(out)
-}
-
-/// Diff one fresh recovery point against its committed counterpart.
-fn diff_recovery(fresh: &RecoveryPoint, committed: &Value) -> Result<Vec<String>, String> {
-    let mut out = Vec::new();
-    for (key, have) in [
-        ("alive_gpus", fresh.alive_gpus as u64),
-        ("completed", fresh.completed as u64),
-        ("shed", fresh.shed as u64),
-        ("failovers", fresh.failovers as u64),
-        ("reshards", fresh.reshards as u64),
-    ] {
-        let want = u64_field(committed, key)?;
-        if have != want {
-            out.push(format!("{key}: committed {want}, fresh {have}"));
-        }
-    }
-    let availability = f64_field(committed, "availability")?;
-    if fresh.availability != availability {
-        out.push(format!(
-            "availability: committed {availability}, fresh {}",
-            fresh.availability
-        ));
-    }
-    let mttr = f64_field(committed, "mttr_total_s")?;
-    if !rel_close(fresh.mttr_total_s, mttr, REL_TOL) {
-        out.push(format!(
-            "mttr_total_s: committed {mttr}, fresh {} (>{:.0}% off)",
-            fresh.mttr_total_s,
-            REL_TOL * 100.0
-        ));
-    }
-    Ok(out)
-}
-
-/// Gate the fresh bench against a committed file, if one exists.
-fn gate(fresh: &ClusterBench, path: &str) -> Result<String, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(_) => {
-            return Ok(format!(
-                "no committed reference at '{path}'; gate skipped (recording run)"
-            ))
-        }
-    };
-    let root: Value =
-        serde_json::from_str(&text).map_err(|e| format!("'{path}' is not JSON: {e}"))?;
-    let schema = u64_field(&root, "schema")?;
-    if schema != u64::from(SCHEMA_VERSION) {
-        return Err(format!(
-            "cluster schema v{schema} != expected v{SCHEMA_VERSION}; \
-             regenerate with `experiments cluster`"
-        ));
-    }
-    let scaling = field(&root, "scaling")?
-        .as_array()
-        .ok_or("cluster 'scaling' is not an array")?;
-    let recovery = field(&root, "recovery")?
-        .as_array()
-        .ok_or("cluster 'recovery' is not an array")?;
-    if scaling.len() != fresh.scaling.len() || recovery.len() != fresh.recovery.len() {
-        return Err(format!(
-            "committed file has {}+{} points, fresh run has {}+{}",
-            scaling.len(),
-            recovery.len(),
-            fresh.scaling.len(),
-            fresh.recovery.len()
-        ));
-    }
-    let mut violations = Vec::new();
-    for (f, c) in fresh.scaling.iter().zip(scaling) {
-        let link = field(c, "link")?
-            .as_str()
-            .ok_or("cluster field 'link' is not a string")?;
-        if link != f.link {
-            return Err(format!(
-                "scaling order mismatch: committed '{link}', fresh '{}'",
-                f.link
-            ));
-        }
-        for v in diff_scale(f, c)? {
-            violations.push(format!("[{} x{}] {v}", f.link, f.gpus));
-        }
-    }
-    for (f, c) in fresh.recovery.iter().zip(recovery) {
-        let placement = field(c, "placement")?
-            .as_str()
-            .ok_or("cluster field 'placement' is not a string")?;
-        let link = field(c, "link")?
-            .as_str()
-            .ok_or("cluster field 'link' is not a string")?;
-        if placement != f.placement || link != f.link {
-            return Err(format!(
-                "recovery order mismatch: committed '{placement}'/'{link}', \
-                 fresh '{}'/'{}'",
-                f.placement, f.link
-            ));
-        }
-        for v in diff_recovery(f, c)? {
-            violations.push(format!("[recovery {} {}] {v}", f.placement, f.link));
-        }
-    }
-    if violations.is_empty() {
-        Ok(format!(
-            "gate: {} scaling + {} recovery points within tolerance of '{path}' — ok",
-            fresh.scaling.len(),
-            fresh.recovery.len()
-        ))
-    } else {
-        Err(format!(
-            "cluster KPI drift vs '{path}':\n  {}",
-            violations.join("\n  ")
-        ))
-    }
-}
-
 /// The `cluster` target. `Err` (→ nonzero exit) on invariant or gate
 /// violations.
 pub fn cluster(cfg: &ExpConfig) -> Result<Experiment, String> {
     let bench = compute(cfg.jobs);
     check_invariants(&bench)?;
-
-    let path = std::env::var("WINDEX_CLUSTER").unwrap_or_else(|_| DEFAULT_CLUSTER_PATH.to_string());
-    let gate_note = gate(&bench, &path)?;
-
-    let out_path = cfg.out_dir.join("BENCH_cluster.json");
-    let mut text = serde_json::to_string_pretty(&bench).expect("cluster bench serializes");
-    text.push('\n');
-    let write =
-        std::fs::create_dir_all(&cfg.out_dir).and_then(|()| std::fs::write(&out_path, text));
-    if let Err(e) = write {
-        eprintln!("warning: could not write {}: {e}", out_path.display());
-    }
+    let gate_note = gate::check_or_record(&GATE, &bench, cfg.record)?;
 
     let mut rows: Vec<Vec<Value>> = bench
         .scaling
@@ -716,7 +498,6 @@ pub fn cluster(cfg: &ExpConfig) -> Result<Experiment, String> {
                  replicated fails over — both at availability 1.0 with finite MTTR"
             ),
             gate_note,
-            "also written as BENCH_cluster.json (gated against the committed copy)".into(),
         ],
     })
 }
@@ -767,17 +548,11 @@ mod tests {
     #[test]
     fn gate_flags_drift_and_accepts_self() {
         let b = bench();
-        let dir = std::env::temp_dir().join("windex-cluster-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cluster.json");
-        std::fs::write(&path, serde_json::to_string_pretty(&b).unwrap()).unwrap();
-        gate(&b, path.to_str().unwrap()).expect("self gate passes");
         let mut drifted = b.clone();
         drifted.scaling[0].completed += 1;
-        std::fs::write(&path, serde_json::to_string_pretty(&drifted).unwrap()).unwrap();
-        let err = gate(&b, path.to_str().unwrap()).unwrap_err();
-        assert!(err.contains("completed"), "{err}");
-        let note = gate(&b, "/nonexistent/cluster.json").unwrap();
-        assert!(note.contains("recording run"));
+        gate::assert_flags_drift(&GATE, &b, &drifted, "scaling[0].completed");
+        let mut drifted = b.clone();
+        drifted.recovery[1].mttr_total_s *= 1.1;
+        gate::assert_flags_drift(&GATE, &b, &drifted, "recovery[1].mttr_total_s");
     }
 }

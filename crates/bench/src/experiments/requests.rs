@@ -27,22 +27,22 @@
 //!   straggler-merge wait than the NVLink-peer fabric, and on the
 //!   host-staged cluster the merge stage dominates the non-queue tail.
 //!
-//! When a committed `BENCH_requests.json` exists (override the path with
-//! `WINDEX_REQUESTS`), the fresh KPIs are gated against it: discrete
-//! outcomes (completed, shed, span-tree counts, reconciliation flags)
-//! must match exactly; continuous ones (p99s per stage) get a 2% relative
-//! band for benign cost-model churn. A missing committed file is a
-//! warning — the recording run.
+//! The fresh KPIs are gated against the committed `BENCH_requests.json`:
+//! discrete outcomes (completed, shed, span-tree counts, reconciliation
+//! flags) must match exactly; continuous ones (p99s per stage, merge
+//! share) get a 2% relative band for benign cost-model churn.
 
 use crate::config::ExpConfig;
-use crate::output::{num6, Experiment};
+use crate::experiments::par_map;
+use crate::gate::{self, GateSpec, Tol};
+use crate::output::{num6, r6, Experiment};
 use serde::Serialize;
 use serde_json::{json, Value};
 use windex_serve::prelude::*;
 use windex_sim::ChaosScenario;
 
 /// Format-version marker for `BENCH_requests.json`.
-pub(crate) const SCHEMA_VERSION: u32 = 1;
+const SCHEMA_VERSION: u32 = 1;
 
 /// Requests in the fan-out trace shared by the single-GPU, tuned, and
 /// 8-GPU points.
@@ -80,11 +80,21 @@ const CHAOS_GPUS: usize = 4;
 /// GPUs in the wide fan-out points.
 const WIDE_GPUS: usize = 8;
 
-/// Relative tolerance for continuous KPIs against the committed file.
-const REL_TOL: f64 = 0.02;
-
-/// Where the committed reference lives unless `WINDEX_REQUESTS` overrides.
-const DEFAULT_REQUESTS_PATH: &str = "BENCH_requests.json";
+/// The committed golden: every KPI exact except the continuous ones.
+const GATE: GateSpec = GateSpec {
+    file: "BENCH_requests.json",
+    schema: SCHEMA_VERSION,
+    default: Tol::Exact,
+    fields: &[
+        ("p99_s", Tol::Rel(0.02)),
+        ("queue_p99_s", Tol::Rel(0.02)),
+        ("batch_p99_s", Tol::Rel(0.02)),
+        ("service_p99_s", Tol::Rel(0.02)),
+        ("merge_p99_s", Tol::Rel(0.02)),
+        ("other_p99_s", Tol::Rel(0.02)),
+        ("merge_share", Tol::Rel(0.02)),
+    ],
+};
 
 /// One serving layer's span-tree KPIs on its fixed trace.
 #[derive(Debug, Clone, Serialize)]
@@ -125,12 +135,6 @@ struct RequestsBench {
     chaos_requests: usize,
     chaos_seed: u64,
     points: Vec<RequestPoint>,
-}
-
-/// Round to 6 decimals: canonical on-disk float form, keeps the gate from
-/// chasing last-bit jitter from benign refactors.
-fn r6(v: f64) -> f64 {
-    (v * 1e6).round() / 1e6
 }
 
 /// The served relation: 1 paper-GiB of dense sorted keys at paper scale
@@ -313,62 +317,29 @@ fn compute(jobs: usize) -> RequestsBench {
     let r = requests_relation();
     let scale_trace = trace(&r, SCALE_REQUESTS, SCALE_LOAD_RPS, SCALE_SEED);
     let chaos_trace = trace(&r, CHAOS_REQUESTS, CHAOS_LOAD_RPS, CHAOS_TRACE_SEED);
-    let total = 5usize;
-    let run_task = |i: usize| -> RequestPoint {
-        match i {
-            0 => run_server_point(&r, &scale_trace),
-            1 => run_tuned_point(&r, &scale_trace),
-            2 => run_cluster_point(
-                &r,
-                &scale_trace,
-                "nvlink4_peer",
-                InterconnectSpec::nvlink4_peer(),
-            ),
-            3 => run_cluster_point(
-                &r,
-                &scale_trace,
-                "pcie4_host_staged",
-                InterconnectSpec::pcie4_host_staged(),
-            ),
-            _ => run_chaos_point(&r, &chaos_trace),
-        }
-    };
-    let slots: Vec<Option<RequestPoint>> = if jobs <= 1 {
-        (0..total).map(|i| Some(run_task(i))).collect()
-    } else {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<RequestPoint>> = (0..total).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..jobs)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= total {
-                                break;
-                            }
-                            mine.push((i, run_task(i)));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for w in workers {
-                for (i, p) in w.join().expect("requests worker panicked") {
-                    slots[i] = Some(p);
-                }
-            }
-        });
-        slots
-    };
+    let points = par_map(jobs, 5, |i| match i {
+        0 => run_server_point(&r, &scale_trace),
+        1 => run_tuned_point(&r, &scale_trace),
+        2 => run_cluster_point(
+            &r,
+            &scale_trace,
+            "nvlink4_peer",
+            InterconnectSpec::nvlink4_peer(),
+        ),
+        3 => run_cluster_point(
+            &r,
+            &scale_trace,
+            "pcie4_host_staged",
+            InterconnectSpec::pcie4_host_staged(),
+        ),
+        _ => run_chaos_point(&r, &chaos_trace),
+    });
     RequestsBench {
         schema: SCHEMA_VERSION,
         scale_requests: SCALE_REQUESTS,
         chaos_requests: CHAOS_REQUESTS,
         chaos_seed: CHAOS_SEED,
-        points: slots.into_iter().map(|s| s.expect("point ran")).collect(),
+        points,
     }
 }
 
@@ -458,155 +429,12 @@ fn check_invariants(bench: &RequestsBench) -> Result<(), String> {
     Ok(())
 }
 
-fn field<'v>(entry: &'v Value, key: &str) -> Result<&'v Value, String> {
-    entry
-        .get(key)
-        .ok_or_else(|| format!("requests entry missing field '{key}'"))
-}
-
-fn f64_field(entry: &Value, key: &str) -> Result<f64, String> {
-    field(entry, key)?
-        .as_f64()
-        .ok_or_else(|| format!("requests field '{key}' is not a number"))
-}
-
-fn u64_field(entry: &Value, key: &str) -> Result<u64, String> {
-    field(entry, key)?
-        .as_u64()
-        .ok_or_else(|| format!("requests field '{key}' is not an unsigned integer"))
-}
-
-/// Whether `fresh` is within `tol` of `committed`, relatively.
-fn rel_close(fresh: f64, committed: f64, tol: f64) -> bool {
-    if committed == 0.0 {
-        fresh == 0.0
-    } else {
-        ((fresh - committed) / committed).abs() <= tol
-    }
-}
-
-/// Diff one fresh point against its committed counterpart.
-fn diff_point(fresh: &RequestPoint, committed: &Value) -> Result<Vec<String>, String> {
-    let mut out = Vec::new();
-    for (key, have) in [
-        ("gpus", fresh.gpus as u64),
-        ("requests", fresh.requests as u64),
-        ("completed", fresh.completed as u64),
-        ("shed", fresh.shed as u64),
-        ("span_trees", fresh.span_trees as u64),
-    ] {
-        let want = u64_field(committed, key)?;
-        if have != want {
-            out.push(format!("{key}: committed {want}, fresh {have}"));
-        }
-    }
-    let exact = field(committed, "stage_sum_exact")?
-        .as_bool()
-        .ok_or("requests field 'stage_sum_exact' is not a bool")?;
-    if fresh.stage_sum_exact != exact {
-        out.push(format!(
-            "stage_sum_exact: committed {exact}, fresh {}",
-            fresh.stage_sum_exact
-        ));
-    }
-    for (key, have) in [
-        ("p99_s", fresh.p99_s),
-        ("queue_p99_s", fresh.queue_p99_s),
-        ("batch_p99_s", fresh.batch_p99_s),
-        ("service_p99_s", fresh.service_p99_s),
-        ("merge_p99_s", fresh.merge_p99_s),
-        ("other_p99_s", fresh.other_p99_s),
-        ("merge_share", fresh.merge_share),
-    ] {
-        let want = f64_field(committed, key)?;
-        if !rel_close(have, want, REL_TOL) {
-            out.push(format!(
-                "{key}: committed {want}, fresh {have} (>{:.0}% off)",
-                REL_TOL * 100.0
-            ));
-        }
-    }
-    Ok(out)
-}
-
-/// Gate the fresh bench against a committed file, if one exists.
-fn gate(fresh: &RequestsBench, path: &str) -> Result<String, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(_) => {
-            return Ok(format!(
-                "no committed reference at '{path}'; gate skipped (recording run)"
-            ))
-        }
-    };
-    let root: Value =
-        serde_json::from_str(&text).map_err(|e| format!("'{path}' is not JSON: {e}"))?;
-    let schema = u64_field(&root, "schema")?;
-    if schema != u64::from(SCHEMA_VERSION) {
-        return Err(format!(
-            "requests schema v{schema} != expected v{SCHEMA_VERSION}; \
-             regenerate with `experiments requests`"
-        ));
-    }
-    let points = field(&root, "points")?
-        .as_array()
-        .ok_or("requests 'points' is not an array")?;
-    if points.len() != fresh.points.len() {
-        return Err(format!(
-            "committed file has {} points, fresh run has {}",
-            points.len(),
-            fresh.points.len()
-        ));
-    }
-    let mut violations = Vec::new();
-    for (f, c) in fresh.points.iter().zip(points) {
-        let label = field(c, "label")?
-            .as_str()
-            .ok_or("requests field 'label' is not a string")?;
-        let link = field(c, "link")?
-            .as_str()
-            .ok_or("requests field 'link' is not a string")?;
-        if label != f.label || link != f.link {
-            return Err(format!(
-                "point order mismatch: committed '{label}'/'{link}', fresh '{}'/'{}'",
-                f.label, f.link
-            ));
-        }
-        for v in diff_point(f, c)? {
-            violations.push(format!("[{} {}] {v}", f.label, f.link));
-        }
-    }
-    if violations.is_empty() {
-        Ok(format!(
-            "gate: {} request points within tolerance of '{path}' — ok",
-            fresh.points.len()
-        ))
-    } else {
-        Err(format!(
-            "requests KPI drift vs '{path}':\n  {}",
-            violations.join("\n  ")
-        ))
-    }
-}
-
 /// The `requests` target. `Err` (→ nonzero exit) on invariant or gate
 /// violations.
 pub fn requests(cfg: &ExpConfig) -> Result<Experiment, String> {
     let bench = compute(cfg.jobs);
     check_invariants(&bench)?;
-
-    let path =
-        std::env::var("WINDEX_REQUESTS").unwrap_or_else(|_| DEFAULT_REQUESTS_PATH.to_string());
-    let gate_note = gate(&bench, &path)?;
-
-    let out_path = cfg.out_dir.join("BENCH_requests.json");
-    let mut text = serde_json::to_string_pretty(&bench).expect("requests bench serializes");
-    text.push('\n');
-    let write =
-        std::fs::create_dir_all(&cfg.out_dir).and_then(|()| std::fs::write(&out_path, text));
-    if let Err(e) = write {
-        eprintln!("warning: could not write {}: {e}", out_path.display());
-    }
+    let gate_note = gate::check_or_record(&GATE, &bench, cfg.record)?;
 
     let rows: Vec<Vec<Value>> = bench
         .points
@@ -657,7 +485,6 @@ pub fn requests(cfg: &ExpConfig) -> Result<Experiment, String> {
                  tree still reconciles"
             ),
             gate_note,
-            "also written as BENCH_requests.json (gated against the committed copy)".into(),
         ],
     })
 }
@@ -694,17 +521,11 @@ mod tests {
     #[test]
     fn gate_flags_drift_and_accepts_self() {
         let b = bench();
-        let dir = std::env::temp_dir().join("windex-requests-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("requests.json");
-        std::fs::write(&path, serde_json::to_string_pretty(&b).unwrap()).unwrap();
-        gate(&b, path.to_str().unwrap()).expect("self gate passes");
         let mut drifted = b.clone();
         drifted.points[0].completed += 1;
-        std::fs::write(&path, serde_json::to_string_pretty(&drifted).unwrap()).unwrap();
-        let err = gate(&b, path.to_str().unwrap()).unwrap_err();
-        assert!(err.contains("completed"), "{err}");
-        let note = gate(&b, "/nonexistent/requests.json").unwrap();
-        assert!(note.contains("recording run"));
+        gate::assert_flags_drift(&GATE, &b, &drifted, "points[0].completed");
+        let mut drifted = b.clone();
+        drifted.points[3].merge_p99_s *= 1.5;
+        gate::assert_flags_drift(&GATE, &b, &drifted, "points[3].merge_p99_s");
     }
 }

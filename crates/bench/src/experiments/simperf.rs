@@ -16,29 +16,29 @@
 //!    otherwise, making the determinism contract a gate, not a test-only
 //!    property.
 //!
-//! The result is written as `BENCH_simperf.json`. When a committed copy
-//! exists at the repo root (override with `WINDEX_SIMPERF`), the target
-//! *fails* if the fresh accesses-per-second falls more than 20 % below the
-//! committed number — the engine-speed analogue of the `regress` gate —
-//! and the reported `speedup_vs_committed` is measured against that same
-//! file, so the figure stays honest as the floor rises. A missing
-//! committed file is a warning, not a failure, so the target stays usable
-//! on machines that never recorded a reference point.
+//! The target *fails* if the fresh accesses-per-second falls more than
+//! 20 % below the committed `BENCH_simperf.json` — the engine-speed
+//! analogue of the `baseline` gate — and the reported
+//! `speedup_vs_committed` is measured against that same file, so the
+//! figure stays honest as the floor rises. `--record` re-records the file
+//! on the current machine.
 //!
 //! Unlike `baseline`, the JSON here is machine-dependent by design: it
-//! records wall-clock throughput, not simulated counters.
+//! records wall-clock throughput, not simulated counters, so every other
+//! field is skipped by the gate (the key set is still checked).
 
 use crate::config::ExpConfig;
 use crate::experiments::baseline;
+use crate::gate::{self, GateSpec, Tol};
 use crate::output::{num, Experiment};
 use serde::Serialize;
-use serde_json::json;
+use serde_json::{json, Value};
 use windex_serve::{generate_trace, serve_tenant_parallel, ServeConfig, TimedRequest, TraceConfig};
 use windex_sim::{GpuSpec, Scale};
 use windex_workload::{KeyDistribution, Relation};
 
 /// Format-version marker.
-pub(crate) const SCHEMA_VERSION: u32 = 2;
+const SCHEMA_VERSION: u32 = 2;
 
 /// Repetitions per measured point; best-of is reported. Five (up from the
 /// pre-memoization three) because generator/fit memoization makes the
@@ -46,11 +46,14 @@ pub(crate) const SCHEMA_VERSION: u32 = 2;
 /// settle on a warm, quiet run.
 const REPS: usize = 5;
 
-/// Fail when fresh accesses/sec drops below this fraction of committed.
-const REGRESSION_FLOOR: f64 = 0.80;
-
-/// Where the committed reference lives unless `WINDEX_SIMPERF` overrides.
-const DEFAULT_SIMPERF_PATH: &str = "BENCH_simperf.json";
+/// The committed golden: wall-clock fields are skipped; accesses/sec may
+/// not drop below 80 % of the committed figure.
+const GATE: GateSpec = GateSpec {
+    file: "BENCH_simperf.json",
+    schema: SCHEMA_VERSION,
+    default: Tol::Skip,
+    fields: &[("accesses_per_second", Tol::Floor(0.80))],
+};
 
 /// Wall-clock seconds one serial baseline-matrix run took on the engine
 /// before the PR 5 batched-issue/flat-array rework. Historical context
@@ -103,8 +106,8 @@ struct Simperf {
     best_wall_seconds: f64,
     /// The gated metric.
     accesses_per_second: f64,
-    /// The committed reference this run was gated against (absent when no
-    /// committed file existed — a recording run).
+    /// The committed reference this run was gated against (absent when
+    /// recording without a committed file).
     committed_accesses_per_second: Option<f64>,
     /// `accesses_per_second / committed_accesses_per_second`; the honest
     /// speedup figure, re-based every time the committed floor rises.
@@ -185,51 +188,29 @@ fn measure_serve(threads: usize) -> Result<ServeAxis, String> {
     })
 }
 
-/// Read the committed reference's accesses-per-second, if a file exists.
-fn committed_accesses_per_second(path: &str) -> Result<Option<f64>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(_) => return Ok(None),
+/// The committed reference's accesses-per-second; `None` only when
+/// recording without a readable committed file.
+fn committed_accesses_per_second(record: bool) -> Result<Option<f64>, String> {
+    let root = match gate::load(&GATE) {
+        Ok(root) => root,
+        Err(_) if record => return Ok(None),
+        Err(e) => return Err(e),
     };
-    let root: serde_json::Value =
-        serde_json::from_str(&text).map_err(|e| format!("'{path}' is not JSON: {e}"))?;
     root.get("accesses_per_second")
-        .and_then(|v| v.as_f64())
+        .and_then(Value::as_f64)
         .map(Some)
-        .ok_or_else(|| format!("'{path}' has no numeric 'accesses_per_second'"))
+        .ok_or_else(|| format!("'{}' has no numeric 'accesses_per_second'", GATE.file))
 }
 
 /// The `simperf` target. `Err` (→ nonzero exit) when engine throughput
-/// regressed more than 20 % against the committed reference, or when the
+/// dropped more than 20 % below the committed reference, or when the
 /// tenant-parallel serve outcomes diverge across thread counts.
 pub fn simperf(cfg: &ExpConfig) -> Result<Experiment, String> {
     let (accesses, best_wall) = measure(cfg.jobs);
     let accesses_per_second = accesses as f64 / best_wall;
     let serve = measure_serve(cfg.serve_threads)?;
 
-    let path = std::env::var("WINDEX_SIMPERF").unwrap_or_else(|_| DEFAULT_SIMPERF_PATH.to_string());
-    let committed = committed_accesses_per_second(&path)?;
-    let gate_note = match committed {
-        None => format!("no committed reference at '{path}'; gate skipped (recording run)"),
-        Some(c) => {
-            if accesses_per_second < REGRESSION_FLOOR * c {
-                return Err(format!(
-                    "simulator throughput regression: {:.0} accesses/sec is below {:.0}% of \
-                     the committed {:.0} (from '{path}')",
-                    accesses_per_second,
-                    REGRESSION_FLOOR * 100.0,
-                    c
-                ));
-            }
-            format!(
-                "gate: fresh {:.2e} accesses/sec vs committed {:.2e} (floor {:.0}%) — ok",
-                accesses_per_second,
-                c,
-                REGRESSION_FLOOR * 100.0
-            )
-        }
-    };
-
+    let committed = committed_accesses_per_second(cfg.record)?;
     let fresh = Simperf {
         schema: SCHEMA_VERSION,
         jobs: cfg.jobs,
@@ -243,14 +224,7 @@ pub fn simperf(cfg: &ExpConfig) -> Result<Experiment, String> {
         serve,
     };
 
-    let out_path = cfg.out_dir.join("BENCH_simperf.json");
-    let mut text = serde_json::to_string_pretty(&fresh).expect("simperf serializes");
-    text.push('\n');
-    let write =
-        std::fs::create_dir_all(&cfg.out_dir).and_then(|()| std::fs::write(&out_path, text));
-    if let Err(e) = write {
-        eprintln!("warning: could not write {}: {e}", out_path.display());
-    }
+    let gate_note = gate::check_or_record(&GATE, &fresh, cfg.record)?;
 
     Ok(Experiment {
         id: "simperf".into(),
@@ -285,7 +259,6 @@ pub fn simperf(cfg: &ExpConfig) -> Result<Experiment, String> {
                  {HISTORICAL_PRE_REWORK_MATRIX_SECONDS}s (context only; speedup is vs committed)"
             ),
             gate_note,
-            "also written as BENCH_simperf.json (machine-dependent: wall clock)".into(),
         ],
     })
 }
@@ -319,18 +292,45 @@ mod tests {
     }
 
     #[test]
-    fn committed_reference_parses_or_is_absent() {
-        // Missing file → no gate.
-        assert_eq!(
-            committed_accesses_per_second("/nonexistent/simperf.json").unwrap(),
-            None
-        );
-        // Malformed file → hard error, not a silent pass.
-        let dir = std::env::temp_dir().join("windex-simperf-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let bad = dir.join("bad.json");
-        std::fs::write(&bad, "{\"schema\": 1}\n").unwrap();
-        let err = committed_accesses_per_second(bad.to_str().unwrap()).unwrap_err();
-        assert!(err.contains("accesses_per_second"), "{err}");
+    fn gate_floors_accesses_per_second_and_skips_wall_clock() {
+        let axis = ServeAxis {
+            tenants: SERVE_TENANTS,
+            requests: SERVE_REQUESTS,
+            keys: 1,
+            threads: 4,
+            serial_wall_seconds: 1.0,
+            parallel_wall_seconds: 1.0,
+            parallel_speedup: 1.0,
+            keys_per_second: 1.0,
+            byte_identical: true,
+        };
+        let fresh = Simperf {
+            schema: SCHEMA_VERSION,
+            jobs: 1,
+            reps: REPS,
+            accesses: 100,
+            best_wall_seconds: 1e-6,
+            accesses_per_second: 1e8,
+            committed_accesses_per_second: Some(1e8),
+            speedup_vs_committed: Some(1.0),
+            historical_pre_rework_matrix_seconds: HISTORICAL_PRE_REWORK_MATRIX_SECONDS,
+            serve: axis,
+        };
+        // A committed figure 30 % above the fresh one breaks the floor ...
+        let mut faster = fresh.clone();
+        faster.accesses_per_second = 1.3e8;
+        gate::assert_flags_drift(&GATE, &fresh, &faster, "accesses_per_second");
+        // ... while any wall-clock field may move freely.
+        let path = std::env::temp_dir().join(format!("windex-simperf-{}", std::process::id()));
+        let tmp = GateSpec {
+            file: path.to_str().unwrap(),
+            ..GATE
+        };
+        let mut slower_wall = fresh.clone();
+        slower_wall.best_wall_seconds = 9.0;
+        slower_wall.serve.parallel_speedup = 0.1;
+        gate::check_or_record(&tmp, &slower_wall, true).unwrap();
+        gate::check_or_record(&tmp, &fresh, false).expect("wall clock is skipped");
+        let _ = std::fs::remove_file(&path);
     }
 }

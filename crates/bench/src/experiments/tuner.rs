@@ -17,22 +17,23 @@
 //! the report and `BENCH_tuner.json` are byte-identical across runs and
 //! for any `--jobs` count.
 //!
-//! When a committed `BENCH_tuner.json` exists (override the path with
-//! `WINDEX_TUNER`), the fresh KPIs are gated against it: discrete
-//! outcomes (completed, batches, switches, explorations, final plans)
-//! must match exactly; continuous ones (busy time, aggregate Q/s, keys/s,
-//! p99, cost-model error) get a 2% relative band for benign cost-model
-//! churn. A missing committed file is a warning — the recording run.
+//! The fresh KPIs are gated against the committed `BENCH_tuner.json`:
+//! discrete outcomes (completed, batches, switches, explorations, final
+//! plans) must match exactly; continuous ones (busy time, aggregate Q/s,
+//! keys/s, p99, cost-model error, tuned speedup) get a 2% relative band
+//! for benign cost-model churn.
 
 use crate::config::ExpConfig;
-use crate::output::{num, num6, Experiment};
+use crate::experiments::par_map;
+use crate::gate::{self, GateSpec, Tol};
+use crate::output::{num, num6, r6, Experiment};
 use serde::Serialize;
-use serde_json::{json, Value};
+use serde_json::json;
 use windex_core::{default_candidates, CandidatePlan, TunerConfig};
 use windex_serve::prelude::*;
 
 /// Format-version marker for `BENCH_tuner.json`.
-pub(crate) const SCHEMA_VERSION: u32 = 1;
+const SCHEMA_VERSION: u32 = 1;
 
 /// Seed of the tuner's exploration stream (per-tenant seeds derive from
 /// it inside [`TunedServer`]).
@@ -46,11 +47,20 @@ const TRACE_SEED: u64 = 7;
 /// the tuner to observe, switch once, and settle.
 const TENANT_REQUESTS: usize = 40;
 
-/// Relative tolerance for continuous KPIs against the committed file.
-const REL_TOL: f64 = 0.02;
-
-/// Where the committed reference lives unless `WINDEX_TUNER` overrides.
-const DEFAULT_TUNER_PATH: &str = "BENCH_tuner.json";
+/// The committed golden: every KPI exact except the continuous ones.
+const GATE: GateSpec = GateSpec {
+    file: "BENCH_tuner.json",
+    schema: SCHEMA_VERSION,
+    default: Tol::Exact,
+    fields: &[
+        ("busy_s", Tol::Rel(0.02)),
+        ("aggregate_qps", Tol::Rel(0.02)),
+        ("keys_per_second", Tol::Rel(0.02)),
+        ("p99_s", Tol::Rel(0.02)),
+        ("est_cost_error", Tol::Rel(0.02)),
+        ("tuned_speedup_vs_best_static", Tol::Rel(0.02)),
+    ],
+};
 
 /// Paper-scale relation sizes per tenant id: two in-core tenants, two
 /// out-of-core (the V100 holds ~26 paper-GiB of R after overheads).
@@ -92,12 +102,6 @@ struct TunerBench {
     /// `tuned aggregate_qps / best static aggregate_qps` (> 1 by gate).
     tuned_speedup_vs_best_static: f64,
     policies: Vec<TunerPoint>,
-}
-
-/// Round to 6 decimals: canonical on-disk float form, keeps the gate from
-/// chasing last-bit jitter from benign refactors.
-fn r6(v: f64) -> f64 {
-    (v * 1e6).round() / 1e6
 }
 
 /// The tenants: dense sorted R at paper scale, sizes from [`TENANT_GIB`].
@@ -206,43 +210,9 @@ fn compute(jobs: usize) -> TunerBench {
     let mut policies: Vec<Option<CandidatePlan>> = vec![None];
     policies.extend(default_candidates().into_iter().map(Some));
 
-    let mut points: Vec<Option<TunerPoint>> = if jobs <= 1 {
-        policies
-            .iter()
-            .map(|p| Some(run_policy(&tenants, &trace, *p)))
-            .collect()
-    } else {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<TunerPoint>> = vec![None; policies.len()];
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..jobs)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= policies.len() {
-                                break;
-                            }
-                            mine.push((i, run_policy(&tenants, &trace, policies[i])));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            for w in workers {
-                for (i, p) in w.join().expect("tuner worker panicked") {
-                    slots[i] = Some(p);
-                }
-            }
-        });
-        slots
-    };
-    let points: Vec<TunerPoint> = points
-        .iter_mut()
-        .map(|p| p.take().expect("policy ran"))
-        .collect();
+    let points = par_map(jobs, policies.len(), |i| {
+        run_policy(&tenants, &trace, policies[i])
+    });
     let best_static = points[1..]
         .iter()
         .map(|p| p.aggregate_qps)
@@ -297,152 +267,12 @@ fn check_invariants(bench: &TunerBench) -> Result<(), String> {
     Ok(())
 }
 
-fn field<'v>(entry: &'v Value, key: &str) -> Result<&'v Value, String> {
-    entry
-        .get(key)
-        .ok_or_else(|| format!("tuner entry missing field '{key}'"))
-}
-
-fn f64_field(entry: &Value, key: &str) -> Result<f64, String> {
-    field(entry, key)?
-        .as_f64()
-        .ok_or_else(|| format!("tuner field '{key}' is not a number"))
-}
-
-fn u64_field(entry: &Value, key: &str) -> Result<u64, String> {
-    field(entry, key)?
-        .as_u64()
-        .ok_or_else(|| format!("tuner field '{key}' is not an unsigned integer"))
-}
-
-/// Whether `fresh` is within `tol` of `committed`, relatively.
-fn rel_close(fresh: f64, committed: f64, tol: f64) -> bool {
-    if committed == 0.0 {
-        fresh == 0.0
-    } else {
-        ((fresh - committed) / committed).abs() <= tol
-    }
-}
-
-/// Diff one fresh point against its committed counterpart; returns the
-/// violated metrics as human-readable strings.
-fn diff_point(fresh: &TunerPoint, committed: &Value) -> Result<Vec<String>, String> {
-    let mut out = Vec::new();
-    let mut exact_u64 = |key: &str, have: u64| -> Result<(), String> {
-        let want = u64_field(committed, key)?;
-        if have != want {
-            out.push(format!("{key}: committed {want}, fresh {have}"));
-        }
-        Ok(())
-    };
-    exact_u64("completed", fresh.completed as u64)?;
-    exact_u64("batches", fresh.batches as u64)?;
-    exact_u64("switches", fresh.switches)?;
-    exact_u64("explorations", fresh.explorations)?;
-    let plans: Vec<String> = field(committed, "final_plans")?
-        .as_array()
-        .ok_or("tuner field 'final_plans' is not an array")?
-        .iter()
-        .map(|v| v.as_str().unwrap_or_default().to_string())
-        .collect();
-    if plans != fresh.final_plans {
-        out.push(format!(
-            "final_plans: committed {plans:?}, fresh {:?}",
-            fresh.final_plans
-        ));
-    }
-    for (key, have) in [
-        ("busy_s", fresh.busy_s),
-        ("aggregate_qps", fresh.aggregate_qps),
-        ("keys_per_second", fresh.keys_per_second),
-        ("p99_s", fresh.p99_s),
-        ("est_cost_error", fresh.est_cost_error),
-    ] {
-        let want = f64_field(committed, key)?;
-        if !rel_close(have, want, REL_TOL) {
-            out.push(format!(
-                "{key}: committed {want}, fresh {have} (>{:.0}% off)",
-                REL_TOL * 100.0
-            ));
-        }
-    }
-    Ok(out)
-}
-
-/// Gate the fresh bench against a committed file, if one exists.
-fn gate(fresh: &TunerBench, path: &str) -> Result<String, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(_) => {
-            return Ok(format!(
-                "no committed reference at '{path}'; gate skipped (recording run)"
-            ))
-        }
-    };
-    let root: Value =
-        serde_json::from_str(&text).map_err(|e| format!("'{path}' is not JSON: {e}"))?;
-    let schema = u64_field(&root, "schema")?;
-    if schema != u64::from(SCHEMA_VERSION) {
-        return Err(format!(
-            "tuner schema v{schema} != expected v{SCHEMA_VERSION}; \
-             regenerate with `experiments tuner`"
-        ));
-    }
-    let committed = field(&root, "policies")?
-        .as_array()
-        .ok_or("tuner 'policies' is not an array")?;
-    if committed.len() != fresh.policies.len() {
-        return Err(format!(
-            "committed file has {} policies, fresh run has {}",
-            committed.len(),
-            fresh.policies.len()
-        ));
-    }
-    let mut violations = Vec::new();
-    for (f, c) in fresh.policies.iter().zip(committed) {
-        let name = field(c, "policy")?
-            .as_str()
-            .ok_or("tuner field 'policy' is not a string")?;
-        if name != f.policy {
-            return Err(format!(
-                "policy order mismatch: committed '{name}', fresh '{}'",
-                f.policy
-            ));
-        }
-        for v in diff_point(f, c)? {
-            violations.push(format!("[{}] {v}", f.policy));
-        }
-    }
-    if violations.is_empty() {
-        Ok(format!(
-            "gate: {} policies within tolerance of '{path}' — ok",
-            fresh.policies.len()
-        ))
-    } else {
-        Err(format!(
-            "tuner KPI drift vs '{path}':\n  {}",
-            violations.join("\n  ")
-        ))
-    }
-}
-
 /// The `tuner` target. `Err` (→ nonzero exit) on invariant or gate
 /// violations.
 pub fn tuner(cfg: &ExpConfig) -> Result<Experiment, String> {
     let bench = compute(cfg.jobs);
     check_invariants(&bench)?;
-
-    let path = std::env::var("WINDEX_TUNER").unwrap_or_else(|_| DEFAULT_TUNER_PATH.to_string());
-    let gate_note = gate(&bench, &path)?;
-
-    let out_path = cfg.out_dir.join("BENCH_tuner.json");
-    let mut text = serde_json::to_string_pretty(&bench).expect("tuner bench serializes");
-    text.push('\n');
-    let write =
-        std::fs::create_dir_all(&cfg.out_dir).and_then(|()| std::fs::write(&out_path, text));
-    if let Err(e) = write {
-        eprintln!("warning: could not write {}: {e}", out_path.display());
-    }
+    let gate_note = gate::check_or_record(&GATE, &bench, cfg.record)?;
 
     let rows = bench
         .policies
@@ -492,7 +322,6 @@ pub fn tuner(cfg: &ExpConfig) -> Result<Experiment, String> {
                 bench.tuned_speedup_vs_best_static
             ),
             gate_note,
-            "also written as BENCH_tuner.json (gated against the committed copy)".into(),
         ],
     })
 }
@@ -563,21 +392,11 @@ mod tests {
     #[test]
     fn gate_flags_drift_and_accepts_self() {
         let b = bench();
-        let dir = std::env::temp_dir().join("windex-tuner-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tuner.json");
-        let text = serde_json::to_string_pretty(&b).unwrap();
-        std::fs::write(&path, &text).unwrap();
-        // Self-comparison passes.
-        gate(&b, path.to_str().unwrap()).expect("self gate passes");
-        // A perturbed discrete KPI fails.
         let mut drifted = b.clone();
         drifted.policies[0].switches += 1;
-        std::fs::write(&path, serde_json::to_string_pretty(&drifted).unwrap()).unwrap();
-        let err = gate(&b, path.to_str().unwrap()).unwrap_err();
-        assert!(err.contains("switches"), "{err}");
-        // Missing file is a recording run, not a failure.
-        let note = gate(&b, "/nonexistent/tuner.json").unwrap();
-        assert!(note.contains("recording run"));
+        gate::assert_flags_drift(&GATE, &b, &drifted, "policies[0].switches");
+        let mut drifted = b.clone();
+        drifted.tuned_speedup_vs_best_static *= 0.9;
+        gate::assert_flags_drift(&GATE, &b, &drifted, "tuned_speedup_vs_best_static");
     }
 }

@@ -14,6 +14,7 @@ pub mod chart;
 pub mod config;
 pub mod experiments;
 pub mod export;
+mod gate;
 pub mod output;
 
 pub use config::ExpConfig;

@@ -1,7 +1,8 @@
 //! `experiments` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! experiments [--quick] [--charts] [--out DIR] [--jobs N] <target>...
+//! experiments [--quick] [--charts] [--out DIR] [--jobs N] [--serve-threads N]
+//!             [--record] <target>...
 //!
 //! targets:
 //!   all          every table, figure, ablation, and the summary
@@ -13,23 +14,6 @@
 //!   fig8         Zipf-skewed lookup keys
 //!   fig9         V100+NVLink2 vs A100+PCIe4
 //!   serve        latency-throughput: cross-query window batching
-//!   chaos        serving resilience KPIs under fault windows (writes
-//!                BENCH_chaos.json; gates vs the committed copy)
-//!   cluster      multi-GPU sharded serving: 1→8 GPU scaling over priced
-//!                interconnects plus targeted device-loss recovery (writes
-//!                BENCH_cluster.json; gates vs the committed copy)
-//!   tuner        online plan auto-tuning vs every static plan on a mixed
-//!                1/64 GiB tenant trace (writes BENCH_tuner.json; gates vs
-//!                the committed copy)
-//!   requests     per-request span-tree stage KPIs across every serving
-//!                layer (writes BENCH_requests.json; gates vs the
-//!                committed copy)
-//!   baseline     deterministic perf baseline (writes BENCH_baseline.json)
-//!   regress      CI gate: re-run the baseline matrix, diff against the
-//!                committed BENCH_baseline.json with tolerance bands
-//!   simperf      simulator throughput: simulated accesses per wall-clock
-//!                second over the baseline matrix (writes
-//!                BENCH_simperf.json; gates vs the committed copy)
 //!   observe      export Perfetto traces, TLB/L2 residency heatmaps, and
 //!                an OpenMetrics snapshot from seeded runs
 //!   whatif-gh200 GH200 NVLink C2C what-if (beyond the paper)
@@ -39,12 +23,26 @@
 //!   ablation-bits | ablation-overlap | ablation-pages |
 //!   ablation-node-size | ablation-fanout | ablation-keydist |
 //!   ablation-warm | ablation-spill | ablation-subwarp
+//!
+//! gated targets (each checks its fresh KPIs against the committed
+//! BENCH_<target>.json in the working directory and exits nonzero on
+//! drift; `--record` rewrites the committed file instead):
+//!   baseline     deterministic perf baseline over a fixed seed matrix
+//!   simperf      simulator throughput: simulated accesses per wall-clock
+//!                second over the baseline matrix (80% floor)
+//!   chaos        serving resilience KPIs under fault windows
+//!   cluster      multi-GPU sharded serving: 1→8 GPU scaling over priced
+//!                interconnects plus targeted device-loss recovery
+//!   tuner        online plan auto-tuning vs every static plan on a mixed
+//!                1/64 GiB tenant trace
+//!   requests     per-request span-tree stage KPIs across every serving
+//!                layer
 //! ```
 
 use std::path::{Path, PathBuf};
 use windex_bench::experiments::{
-    ablations, baseline, chaos, cluster, fig1, fig7, fig8, fig9, figs34, figs56, observe, regress,
-    requests, serve, simperf, summary, table1, tuner, validate, whatif,
+    ablations, baseline, chaos, cluster, fig1, fig7, fig8, fig9, figs34, figs56, observe, requests,
+    serve, simperf, summary, table1, tuner, validate, whatif,
 };
 use windex_bench::{ExpConfig, Experiment};
 
@@ -91,9 +89,8 @@ fn run_target(target: &str, cfg: &ExpConfig) -> Result<Vec<Experiment>, String> 
         "whatif-gh200" => vec![whatif::whatif_gh200(cfg)],
         "validate-scale" => vec![validate::validate_scale(cfg)],
         "serve" => vec![serve::serve(cfg)],
-        "baseline" => vec![baseline::baseline(cfg)],
+        "baseline" => vec![baseline::baseline(cfg)?],
         "observe" => vec![observe::observe(cfg)],
-        "regress" => vec![regress::regress(cfg)?],
         "simperf" => vec![simperf::simperf(cfg)?],
         "chaos" => vec![chaos::chaos(cfg)?],
         "cluster" => vec![cluster::cluster(cfg)?],
@@ -126,12 +123,14 @@ fn main() {
     let mut out_dir: Option<PathBuf> = None;
     let mut jobs: usize = 1;
     let mut serve_threads: usize = 4;
+    let mut record = false;
     let mut targets: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => quick = true,
             "--charts" => charts = true,
+            "--record" => record = true,
             "--out" => {
                 out_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| {
                     eprintln!("--out requires a directory");
@@ -160,11 +159,13 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: experiments [--quick] [--charts] [--out DIR] [--jobs N] [--serve-threads N] <target>..."
+                    "usage: experiments [--quick] [--charts] [--out DIR] [--jobs N] [--serve-threads N] [--record] <target>..."
                 );
-                println!("targets: all table1 fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 serve chaos cluster tuner requests baseline regress simperf observe whatif-gh200 validate-scale");
+                println!("targets: all table1 fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 serve observe whatif-gh200 validate-scale");
                 println!("         summary ablations ablation-{{bits,overlap,pages,node-size,fanout,keydist,warm,spill,subwarp}}");
-                println!("--jobs N runs the seed-matrix targets (baseline, regress, simperf) on N worker threads; reports are byte-identical for any N");
+                println!("gated:   baseline simperf chaos cluster tuner requests (check vs the committed BENCH_<target>.json)");
+                println!("--record rewrites the gated targets' committed BENCH_<target>.json instead of checking it");
+                println!("--jobs N runs the gated sweeps on N worker threads; reports are byte-identical for any N");
                 println!("--serve-threads N sets simperf's tenant-parallel serve point (1 thread is always measured too; outcomes must byte-match)");
                 return;
             }
@@ -181,6 +182,7 @@ fn main() {
     }
     cfg.jobs = jobs;
     cfg.serve_threads = serve_threads;
+    cfg.record = record;
     println!(
         "windex experiments — scale 1:{} ({}), S = 2^{} tuples, sweep {:?} GiB\n",
         cfg.scale.factor,

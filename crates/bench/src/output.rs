@@ -145,6 +145,13 @@ pub fn num(v: f64) -> Value {
     serde_json::json!(r)
 }
 
+/// Round to 6 decimals: the canonical float form of the committed
+/// `BENCH_*.json` goldens, stable against last-bit jitter from benign
+/// refactors.
+pub(crate) fn r6(v: f64) -> f64 {
+    (v * 1e6).round() / 1e6
+}
+
 /// A number with scientific formatting preserved (per-lookup counters).
 pub fn num6(v: f64) -> Value {
     if !v.is_finite() {

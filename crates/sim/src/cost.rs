@@ -52,7 +52,7 @@ pub struct TimeBreakdown {
 impl TimeBreakdown {
     /// Queries per second implied by the total. A zero (or negative) total
     /// clamps to `0.0` rather than producing `inf`: these values flow into
-    /// serialized JSON artifacts and the `experiments regress` tolerance
+    /// serialized JSON artifacts and the experiment gates' tolerance
     /// bands, where a non-finite number would silently break comparisons
     /// (`inf` serializes as `null` and defeats every relative-error check).
     pub fn queries_per_second(&self) -> f64 {
@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn zero_time_reports_zero_qps_not_inf() {
         // Regression: `1.0 / 0.0 = inf` used to flow into JSON artifacts
-        // (where it serializes as `null`) and the regress tolerance bands.
+        // (where it serializes as `null`) and the gate tolerance bands.
         let t = TimeBreakdown::default();
         assert_eq!(t.total_s, 0.0);
         let qps = t.queries_per_second();
