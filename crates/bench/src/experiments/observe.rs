@@ -9,7 +9,9 @@
 //!   (Perfetto / `chrome://tracing` load them directly);
 //! - `heatmap_{tlb,l2}_{inlj,windowed}.{json,csv}` — time × set residency
 //!   heatmaps from the recorded trace;
-//! - `openmetrics.txt` — an OpenMetrics snapshot of a seeded serving run.
+//! - `openmetrics.txt`, `openmetrics_cluster.txt`, `openmetrics_tuned.txt`
+//!   and `openmetrics_parallel.txt` — OpenMetrics snapshots of seeded
+//!   `Server`, `ClusterServer`, `TunedServer` and tenant-parallel runs.
 //!
 //! Everything is a pure function of the fixed seeds, so every artifact is
 //! byte-identical across runs (pinned by `tests/exporters.rs`).
@@ -23,8 +25,11 @@ use serde_json::json;
 use std::path::Path;
 use windex_core::prelude::*;
 use windex_serve::prelude::{
-    generate_trace, render_openmetrics, BatchPolicy, ClusterConfig, ClusterReport, ClusterServer,
-    ClusterSpec, ServeConfig, Server, ServerReport, TraceConfig,
+    generate_tenant_trace, generate_trace, merge_traces, render_cluster_openmetrics,
+    render_openmetrics, render_parallel_openmetrics, render_tuner_openmetrics,
+    serve_tenant_parallel, BatchPolicy, ClusterConfig, ClusterReport, ClusterServer, ClusterSpec,
+    ParallelServeOutcome, ServeConfig, Server, ServerReport, TimedRequest, TraceConfig,
+    TunedConfig, TunedReport, TunedServer,
 };
 use windex_sim::{tlb_heatmap, Heatmap, InterconnectSpec, Trace};
 
@@ -59,11 +64,10 @@ pub fn observed_query(strategy: JoinStrategy) -> (QueryReport, Trace, GpuSpec) {
     (report, trace, spec)
 }
 
-/// The seeded serving run whose report feeds the OpenMetrics snapshot.
-pub fn observed_server() -> ServerReport {
-    let scale = Scale::PAPER;
+/// The relation, trace and configuration of the seeded serving run.
+fn served_inputs() -> (Relation, Vec<TimedRequest>, ServeConfig) {
     let r = Relation::unique_sorted(
-        scale.sim_tuples_for_paper_gib(1.0),
+        Scale::PAPER.sim_tuples_for_paper_gib(1.0),
         KeyDistribution::Dense,
         42,
     );
@@ -79,23 +83,75 @@ pub fn observed_server() -> ServerReport {
         },
         &r,
     );
-    let mut gpu = Gpu::new(GpuSpec::v100_nvlink2(scale));
-    let mut server = Server::new(
-        &mut gpu,
-        ServeConfig {
-            policy: BatchPolicy::Shared {
-                max_delay_s: 200e-6,
-            },
-            window_tuples: 1024,
-            ..ServeConfig::default()
+    let cfg = ServeConfig {
+        policy: BatchPolicy::Shared {
+            max_delay_s: 200e-6,
         },
-        r,
-    )
-    .expect("observe server must construct");
+        window_tuples: 1024,
+        ..ServeConfig::default()
+    };
+    (r, trace, cfg)
+}
+
+/// The seeded serving run whose report feeds the OpenMetrics snapshot.
+pub fn observed_server() -> ServerReport {
+    let (r, trace, cfg) = served_inputs();
+    let mut gpu = Gpu::new(GpuSpec::v100_nvlink2(Scale::PAPER));
+    let mut server = Server::new(&mut gpu, cfg, r).expect("observe server must construct");
     server
         .run(&mut gpu, &trace)
         .expect("observe serve trace must complete")
         .report
+}
+
+/// The same seeded trace served tenant-parallel on two worker threads,
+/// one lane per tenant.
+pub fn observed_parallel() -> ParallelServeOutcome {
+    let (r, trace, cfg) = served_inputs();
+    serve_tenant_parallel(
+        &GpuSpec::v100_nvlink2(Scale::PAPER),
+        cfg,
+        &r,
+        &trace,
+        2,
+        None,
+    )
+    .expect("observe tenant-parallel trace must complete")
+}
+
+/// A seeded two-tenant tuned run: a small and a 4x larger relation, each
+/// tenant probing its own, with batches small enough that each tenant's
+/// tuner decides several times.
+pub fn observed_tuned() -> TunedReport {
+    let small = Relation::unique_sorted(1 << 14, KeyDistribution::SparseUniform, 11);
+    let big = Relation::unique_sorted(1 << 16, KeyDistribution::SparseUniform, 12);
+    let tenant_trace = |tenant, r: &Relation| {
+        generate_tenant_trace(
+            &TraceConfig {
+                requests: 24,
+                min_keys: 64,
+                max_keys: 256,
+                offered_load_rps: 500.0,
+                ..TraceConfig::default()
+            },
+            tenant,
+            r,
+        )
+    };
+    let trace = merge_traces(vec![tenant_trace(0, &small), tenant_trace(1, &big)]);
+    TunedServer::new(
+        GpuSpec::v100_nvlink2(Scale::PAPER),
+        TunedConfig {
+            batch_keys: 1024,
+            max_delay_s: 2e-3,
+            ..TunedConfig::default()
+        },
+        vec![(0, small), (1, big)],
+        None,
+    )
+    .expect("observe tuned server must construct")
+    .run(&trace)
+    .expect("observe tuned trace must complete")
 }
 
 /// The seeded cluster run whose span trees feed the request-tracing
@@ -238,6 +294,21 @@ pub fn observe(cfg: &ExpConfig) -> Experiment {
     let cluster_report = observed_cluster();
     write_artifact(
         &cfg.out_dir,
+        "openmetrics_cluster.txt",
+        &render_cluster_openmetrics(&cluster_report),
+    );
+    write_artifact(
+        &cfg.out_dir,
+        "openmetrics_tuned.txt",
+        &render_tuner_openmetrics(&observed_tuned()),
+    );
+    write_artifact(
+        &cfg.out_dir,
+        "openmetrics_parallel.txt",
+        &render_parallel_openmetrics(&observed_parallel()),
+    );
+    write_artifact(
+        &cfg.out_dir,
         "trace_requests.json",
         &chrome_trace_json(&cluster_request_chrome_trace(&cluster_report)),
     );
@@ -286,6 +357,9 @@ pub fn observe(cfg: &ExpConfig) -> Experiment {
                 .into(),
             "trace_requests.json links coordinator request spans to shard legs with flow \
              arrows; requests_tail.json / query_cards.txt hold the tail sampler's cards"
+                .into(),
+            "openmetrics{,_cluster,_tuned,_parallel}.txt snapshot the four serving hosts' \
+             OpenMetrics expositions"
                 .into(),
             "fixed seeds, independent of --quick: artifacts are byte-identical across runs".into(),
             format!(
