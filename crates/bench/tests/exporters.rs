@@ -13,39 +13,8 @@ use windex_serve::prelude::{
     generate_trace, render_cluster_openmetrics, render_openmetrics, BatchPolicy, ServeConfig,
     Server, ServerReport, TraceConfig,
 };
+use windex_serve::validate_openmetrics;
 use windex_sim::{l2_heatmap, tlb_heatmap, Trace, TraceMode};
-
-/// Every sample line's metric family must carry `# HELP` and `# TYPE`
-/// metadata (OpenMetrics requires exposition metadata per family).
-fn assert_families_have_metadata(text: &str) {
-    for line in text.lines() {
-        if line.starts_with('#') || line.is_empty() {
-            continue;
-        }
-        let metric = line.split(['{', ' ']).next().expect("metric name");
-        // Suffixes share their parent family's metadata.
-        let family = metric
-            .trim_end_matches("_total")
-            .trim_end_matches("_bucket")
-            .trim_end_matches("_count")
-            .trim_end_matches("_sum");
-        let has = |prefix: &str, fam: &str| {
-            text.lines().any(|l| {
-                l.strip_prefix(prefix)
-                    .and_then(|rest| rest.split(' ').next())
-                    .is_some_and(|f| f == fam)
-            })
-        };
-        assert!(
-            has("# HELP ", family) || has("# HELP ", metric),
-            "sample '{metric}' has no # HELP metadata"
-        );
-        assert!(
-            has("# TYPE ", family) || has("# TYPE ", metric),
-            "sample '{metric}' has no # TYPE metadata"
-        );
-    }
-}
 
 /// A small instrumented query run (8 paper-GiB, windowed INLJ) — enough to
 /// exercise phases, windows, and the trace recorder without the full
@@ -191,7 +160,6 @@ fn openmetrics_snapshot_is_byte_identical_and_well_formed() {
     let a = render_openmetrics(&run_server());
     let b = render_openmetrics(&run_server());
     assert_eq!(a, b, "same seed must expose identical metrics bytes");
-    assert!(a.ends_with("# EOF\n"));
     // Histogram count must equal the +Inf bucket.
     let inf = a
         .lines()
@@ -213,7 +181,7 @@ fn openmetrics_snapshot_is_byte_identical_and_well_formed() {
     }
     // Every family carries exposition metadata, including the span-tree
     // stage families.
-    assert_families_have_metadata(&a);
+    validate_openmetrics(&a).unwrap();
     assert!(a.contains("# TYPE windex_stage_p99_seconds gauge"));
     assert!(a.contains("# TYPE windex_stage_seconds counter"));
     for stage in ["queue", "batch", "service", "merge", "other"] {
@@ -234,8 +202,7 @@ fn cluster_openmetrics_exposes_stage_and_critical_leg_families() {
     let a = render_cluster_openmetrics(&report);
     let b = render_cluster_openmetrics(&observed_cluster());
     assert_eq!(a, b, "same seed must expose identical cluster metrics");
-    assert!(a.ends_with("# EOF\n"));
-    assert_families_have_metadata(&a);
+    validate_openmetrics(&a).unwrap();
     assert!(a.contains("# TYPE windex_cluster_stage_p99_seconds gauge"));
     assert!(a.contains("# TYPE windex_critical_leg counter"));
     // Critical-leg attribution covers every GPU label and sums to the

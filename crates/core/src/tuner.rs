@@ -41,22 +41,8 @@ use crate::strategy::JoinStrategy;
 use serde::Serialize;
 use std::collections::VecDeque;
 use windex_index::IndexKind;
+use windex_sim::fault::{splitmix64, unit};
 use windex_sim::{phase, CandidateProfile, CostModel};
-
-#[inline]
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-/// Uniform f64 in `(0, 1]` from one counter-indexed hash draw.
-#[inline]
-fn unit(seed: u64, salt: u64, seq: u64) -> f64 {
-    let h = splitmix64(seed ^ salt.wrapping_mul(0x9e3779b97f4a7c15) ^ seq);
-    ((h >> 11) as f64 + 1.0) / (1u64 << 53) as f64
-}
 
 const SALT_EXPLORE: u64 = 0x74756e65; // "tune"
 const SALT_PICK: u64 = 0x7069636b; // "pick"

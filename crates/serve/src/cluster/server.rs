@@ -36,9 +36,9 @@ use super::report::{ClusterEvent, ClusterReport, ShardLoad};
 use super::router::ShardRouter;
 use super::spec::{ClusterSpec, Placement};
 use crate::batch::MicroBatcher;
-use crate::report::{LatencyHistogram, LatencyStats};
+use crate::report::{rate, RunTally};
 use crate::request::{LookupResponse, RequestOutcome, TenantId};
-use crate::resilience::{jittered_backoff_s, RetryBudget, SloTracker};
+use crate::resilience::{jittered_backoff_s, RetryBudget};
 use crate::sched::DrrScheduler;
 use crate::server::{BatchPolicy, ServeConfig};
 use crate::span::{sample_tail, RequestContext, RequestTrace, StageLatencyStats, TailConfig};
@@ -490,22 +490,21 @@ impl ClusterServer {
         if n == 0 {
             // Nothing to probe: answer at admission (as the single-GPU
             // server does) instead of parking an unfinishable parent.
-            let latency = now - t.at_s;
-            let outcome = match t.request.deadline {
-                Some(d) if latency > d => RequestOutcome::DeadlineMissed,
-                _ => RequestOutcome::Completed,
-            };
-            st.responses.push(LookupResponse {
-                request: id,
-                tenant: t.request.tenant,
-                outcome,
-                matches: Vec::new(),
-                submitted_s: t.at_s,
-                completed_s: now,
-                latency_s: latency,
-            });
+            let resp = LookupResponse::answered(
+                id,
+                t.request.tenant,
+                t.request.deadline,
+                t.at_s,
+                now,
+                Vec::new(),
+            );
             st.traces
-                .push(RequestContext::new(id, t.request.tenant, t.at_s, 0).finish(now, outcome, 0));
+                .push(RequestContext::new(id, t.request.tenant, t.at_s, 0).finish(
+                    now,
+                    resp.outcome,
+                    0,
+                ));
+            st.responses.push(resp);
             return;
         }
         // Route every key to the shard owning its partition (sharded), or
@@ -540,8 +539,12 @@ impl ClusterServer {
                 request: id,
                 keys: n,
             });
-            st.responses
-                .push(shed_response(id, t.request.tenant, t.at_s, now));
+            st.responses.push(LookupResponse::shed_response(
+                id,
+                t.request.tenant,
+                t.at_s,
+                now,
+            ));
             st.traces
                 .push(RequestContext::new(id, t.request.tenant, t.at_s, n).finish(
                     now,
@@ -900,23 +903,18 @@ impl ClusterServer {
             }
             if p.remaining == 0 {
                 let mut p = st.parents.remove(&parent_id).expect("parent present");
-                let latency = p.ready_s - p.submitted_s;
-                let outcome = match p.deadline {
-                    Some(d) if latency > d => RequestOutcome::DeadlineMissed,
-                    _ => RequestOutcome::Completed,
-                };
                 p.ctx.merged(p.ready_s);
+                let resp = LookupResponse::answered(
+                    parent_id,
+                    p.tenant,
+                    p.deadline,
+                    p.submitted_s,
+                    p.ready_s,
+                    p.matches,
+                );
                 st.traces
-                    .push(p.ctx.finish(p.ready_s, outcome, p.matches.len()));
-                st.responses.push(LookupResponse {
-                    request: parent_id,
-                    tenant: p.tenant,
-                    outcome,
-                    matches: p.matches,
-                    submitted_s: p.submitted_s,
-                    completed_s: p.ready_s,
-                    latency_s: latency,
-                });
+                    .push(p.ctx.finish(p.ready_s, resp.outcome, resp.matches.len()));
+                st.responses.push(resp);
             }
         }
     }
@@ -1119,7 +1117,7 @@ impl ClusterServer {
                 }
                 st.traces
                     .push(p.ctx.finish(st.clock_s, RequestOutcome::Shed, 0));
-                st.responses.push(shed_response(
+                st.responses.push(LookupResponse::shed_response(
                     parent_id,
                     p.tenant,
                     p.submitted_s,
@@ -1144,29 +1142,6 @@ impl ClusterServer {
         );
         let stages = StageLatencyStats::from_traces(&st.traces);
         let tail = sample_tail(&st.traces, &TailConfig::default());
-        let completed = st
-            .responses
-            .iter()
-            .filter(|r| r.outcome == RequestOutcome::Completed)
-            .count();
-        let shed = st
-            .responses
-            .iter()
-            .filter(|r| r.outcome == RequestOutcome::Shed)
-            .count();
-        let deadline_missed = st
-            .responses
-            .iter()
-            .filter(|r| r.outcome == RequestOutcome::DeadlineMissed)
-            .count();
-        let samples: Vec<f64> = st
-            .responses
-            .iter()
-            .filter(|r| r.outcome != RequestOutcome::Shed)
-            .map(|r| r.latency_s)
-            .collect();
-        let latency_hist = LatencyHistogram::from_samples(&samples);
-        let latency = LatencyStats::from_samples(samples);
         // Merge transfers can outlast the final loop event, so the
         // makespan is the later of the clock and the last delivery.
         let makespan = st
@@ -1174,11 +1149,8 @@ impl ClusterServer {
             .iter()
             .map(|r| r.completed_s)
             .fold(st.clock_s, f64::max);
-        let mut slo_tracker = SloTracker::new(&self.cfg.serve.resilience.slo);
-        for r in &st.responses {
-            slo_tracker.observe(r.outcome != RequestOutcome::Shed, r.latency_s);
-        }
-        let slo = slo_tracker.finish(makespan);
+        let (tally, slo) =
+            RunTally::of_responses(&st.responses, makespan, &self.cfg.serve.resilience.slo);
         let keys_probed: usize = self.shards.iter().map(|sh| sh.keys_probed).sum();
         let per_shard: Vec<ShardLoad> = self
             .shards
@@ -1221,32 +1193,20 @@ impl ClusterServer {
                 t.len()
             },
             requests: trace.len(),
-            completed,
-            shed,
-            deadline_missed,
-            result_tuples: st.responses.iter().map(|r| r.matches.len()).sum(),
+            completed: tally.completed,
+            shed: tally.shed,
+            deadline_missed: tally.deadline_missed,
+            result_tuples: tally.result_tuples,
             keys_probed,
             single_shard_requests: st.single_shard_requests,
             cross_shard_requests: st.cross_shard_requests,
-            cross_shard_fraction: if routed > 0 {
-                st.cross_shard_requests as f64 / routed as f64
-            } else {
-                0.0
-            },
+            cross_shard_fraction: rate(st.cross_shard_requests, routed as f64),
             cross_shard_bytes: st.cross_shard_bytes,
             virtual_makespan_s: makespan,
-            completed_rps: if makespan > 0.0 {
-                completed as f64 / makespan
-            } else {
-                0.0
-            },
-            keys_per_second: if makespan > 0.0 {
-                keys_probed as f64 / makespan
-            } else {
-                0.0
-            },
-            latency,
-            latency_hist,
+            completed_rps: tally.completed_rps,
+            keys_per_second: rate(keys_probed, makespan),
+            latency: tally.latency,
+            latency_hist: tally.latency_hist,
             per_shard,
             events: st.events,
             failovers: st.failovers,
@@ -1287,17 +1247,4 @@ fn group_by_sub(batcher: &MicroBatcher, chunk: &[(u64, u64)]) -> Vec<(u64, Vec<u
         }
     }
     out
-}
-
-/// Build a [`RequestOutcome::Shed`] response.
-fn shed_response(id: u64, tenant: TenantId, submitted_s: f64, now_s: f64) -> LookupResponse {
-    LookupResponse {
-        request: id,
-        tenant,
-        outcome: RequestOutcome::Shed,
-        matches: Vec::new(),
-        submitted_s,
-        completed_s: now_s,
-        latency_s: now_s - submitted_s,
-    }
 }

@@ -74,7 +74,7 @@ pub use cluster::{
 };
 pub use metrics::{
     render_cluster_openmetrics, render_openmetrics, render_parallel_openmetrics,
-    render_tuner_openmetrics,
+    render_tuner_openmetrics, validate_openmetrics,
 };
 pub use parallel::{
     serve_cluster_tenant_parallel, serve_tenant_parallel, serve_tuned_tenant_parallel,

@@ -1,30 +1,237 @@
-//! OpenMetrics text exposition for [`ServerReport`].
+//! OpenMetrics text exposition for every serving host's report.
 //!
 //! A real serving deployment scrapes its query servers; this module gives
-//! the simulated server the same surface. [`render_openmetrics`] renders a
-//! [`ServerReport`] as an OpenMetrics text snapshot — per-tenant request
-//! counters, a fixed-bucket latency histogram, degradation/shed counters,
-//! and capacity gauges — terminated by the mandatory `# EOF` marker.
+//! the simulated hosts the same surface. [`render_openmetrics`] (the
+//! shared-window [`ServerReport`]), [`render_cluster_openmetrics`],
+//! [`render_tuner_openmetrics`] and [`render_parallel_openmetrics`] each
+//! render their report as an OpenMetrics text snapshot — per-tenant or
+//! per-GPU counters, a fixed-bucket latency histogram, degradation and
+//! SLO families, capacity gauges — terminated by the mandatory `# EOF`.
+//!
+//! The format itself has one owner: the private `Exposition` writer is
+//! the only code that writes `# HELP`/`# TYPE` headers, the counter
+//! `_total` suffix, histogram `_bucket`/`_count`/`_sum` lines, escaped
+//! label values and the closing `# EOF`. The renderers are plain
+//! sequences of writer calls, and [`validate_openmetrics`] checks the
+//! writer's structural guarantees.
 //!
 //! Determinism is part of the contract: families render in a fixed order,
-//! tenants in ascending id order, and every number through Rust's default
-//! (shortest-round-trip) float formatting, so the same seed produces a
-//! byte-identical snapshot. The exporter-determinism tests in windex-bench
-//! pin this.
+//! tenants and GPUs in ascending id order, and every number through Rust's
+//! default (shortest-round-trip) float formatting, so the same seed
+//! produces a byte-identical snapshot. The `observe` artifacts under
+//! `results/` pin all four renderers byte for byte.
 
 use crate::cluster::ClusterReport;
-use crate::report::{ServeEvent, ServerReport};
+use crate::parallel::ParallelServeOutcome;
+use crate::report::{LatencyHistogram, ServeEvent, ServerReport};
 use crate::span::{RequestTrace, StageLatencyStats};
-use std::fmt::Write as _;
+use crate::tuned::TunedReport;
+use std::collections::BTreeSet;
+use std::fmt::{self, Display, Write as _};
+use Kind::{Counter, Gauge};
+
+const HELP: &str = "# HELP ";
+const TYPE: &str = "# TYPE ";
+const EOF: &str = "# EOF\n";
+
+/// An OpenMetrics family type.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Counter,
+    Gauge,
+    Histogram,
+}
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Counter => "counter",
+            Gauge => "gauge",
+            Kind::Histogram => "histogram",
+        }
+    }
+}
+
+/// A sample's labels: `(name, value)` pairs, values escaped on write.
+type Labels<'a> = &'a [(&'a str, &'a dyn Display)];
+
+/// The OpenMetrics text writer. Every sample belongs to the family most
+/// recently declared, so a family's samples are contiguous by
+/// construction; counter samples get the `_total` suffix here.
+struct Exposition {
+    out: String,
+    /// Name of the family being written.
+    name: String,
+    kind: Kind,
+}
+
+impl Exposition {
+    fn new() -> Self {
+        Exposition {
+            out: String::new(),
+            name: String::new(),
+            kind: Gauge,
+        }
+    }
+
+    /// Declare a family: its `# HELP` and `# TYPE` lines.
+    fn family(&mut self, kind: Kind, name: &str, help: &str) -> &mut Self {
+        self.name.clear();
+        self.name.push_str(name);
+        self.kind = kind;
+        let _ = write!(
+            self.out,
+            "{HELP}{0} {help}\n{TYPE}{0} {1}\n",
+            self.name,
+            kind.name()
+        );
+        self
+    }
+
+    /// One sample of the current counter or gauge family.
+    fn sample(&mut self, labels: Labels, value: impl Display) -> &mut Self {
+        debug_assert!(
+            self.kind != Kind::Histogram,
+            "histograms write via histogram()"
+        );
+        let suffix = if self.kind == Counter { "_total" } else { "" };
+        self.line(suffix, labels, value);
+        self
+    }
+
+    /// A family holding one unlabelled sample.
+    fn scalar(&mut self, kind: Kind, name: &str, help: &str, value: impl Display) {
+        self.family(kind, name, help).sample(&[], value);
+    }
+
+    /// A family holding one sample per `(label value, value)` pair, all
+    /// keyed by the one label `label`.
+    fn series<L: Display, V: Display>(
+        &mut self,
+        kind: Kind,
+        name: &str,
+        help: &str,
+        label: &str,
+        samples: impl IntoIterator<Item = (L, V)>,
+    ) {
+        self.family(kind, name, help);
+        for (l, v) in samples {
+            self.sample(&[(label, &l)], v);
+        }
+    }
+
+    /// A histogram family: cumulative `le` buckets, `+Inf`, count and sum.
+    fn histogram(&mut self, name: &str, help: &str, h: &LatencyHistogram) {
+        self.family(Kind::Histogram, name, help);
+        for (bound, cum) in h.bounds_s.iter().zip(h.cumulative()) {
+            self.line("_bucket", &[("le", bound)], cum);
+        }
+        self.line("_bucket", &[("le", &"+Inf")], h.count);
+        self.line("_count", &[], h.count);
+        self.line("_sum", &[], h.sum_s);
+    }
+
+    fn line(&mut self, suffix: &str, labels: Labels, value: impl Display) {
+        self.out.push_str(&self.name);
+        self.out.push_str(suffix);
+        for (i, (label, v)) in labels.iter().enumerate() {
+            self.out.push(if i == 0 { '{' } else { ',' });
+            self.out.push_str(label);
+            self.out.push_str("=\"");
+            let _ = write!(Escaped(&mut self.out), "{v}");
+            self.out.push('"');
+        }
+        if !labels.is_empty() {
+            self.out.push('}');
+        }
+        let _ = writeln!(self.out, " {value}");
+    }
+
+    /// Close the exposition with its `# EOF` marker.
+    fn finish(mut self) -> String {
+        self.out.push_str(EOF);
+        self.out
+    }
+}
+
+/// Writes through to a string, escaping a label value per the OpenMetrics
+/// text format.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, mut s: &str) -> fmt::Result {
+        while let Some(i) = s.find(['\\', '"', '\n']) {
+            self.0.push_str(&s[..i]);
+            self.0.push_str(match s.as_bytes()[i] {
+                b'\\' => "\\\\",
+                b'"' => "\\\"",
+                _ => "\\n",
+            });
+            s = &s[i + 1..];
+        }
+        self.0.push_str(s);
+        Ok(())
+    }
+}
+
+/// Check that `text` is a well-formed exposition as this module writes
+/// it: every family is declared once, `# HELP` then `# TYPE`; its samples
+/// follow contiguously and carry the family's name (counters with
+/// `_total`, histograms with `_bucket`/`_count`/`_sum`); every value is a
+/// number; and the text ends in exactly one `# EOF`.
+pub fn validate_openmetrics(text: &str) -> Result<(), String> {
+    let body = text
+        .strip_suffix(EOF)
+        .ok_or("exposition does not end in `# EOF`")?;
+    let mut declared = BTreeSet::new();
+    let mut family: Option<(&str, &str)> = None;
+    let mut lines = body.lines();
+    while let Some(line) = lines.next() {
+        if let Some(help) = line.strip_prefix(HELP) {
+            let name = help.split(' ').next().unwrap_or_default();
+            let (typed, kind) = lines
+                .next()
+                .and_then(|l| l.strip_prefix(TYPE))
+                .and_then(|t| t.split_once(' '))
+                .ok_or_else(|| format!("family {name}: `# HELP` without `# TYPE`"))?;
+            if typed != name || !["counter", "gauge", "histogram"].contains(&kind) {
+                return Err(format!("family {name}: bad type line `{typed} {kind}`"));
+            }
+            if !declared.insert(name) {
+                return Err(format!("family {name} declared twice"));
+            }
+            family = Some((name, kind));
+            continue;
+        }
+        let (name, kind) = family.ok_or_else(|| format!("`{line}` precedes every family"))?;
+        let (series, value) = line
+            .rsplit_once(' ')
+            .ok_or_else(|| format!("`{line}` has no value"))?;
+        let metric = series.split('{').next().unwrap_or_default();
+        let suffix = metric.strip_prefix(name);
+        let ok = match kind {
+            "counter" => suffix == Some("_total"),
+            "gauge" => suffix == Some(""),
+            _ => suffix.is_some_and(|s| ["_bucket", "_count", "_sum"].contains(&s)),
+        };
+        if !ok {
+            return Err(format!("`{line}` is not a {kind} sample of family {name}"));
+        }
+        if value.parse::<f64>().is_err() {
+            return Err(format!("`{line}` has a non-numeric value"));
+        }
+    }
+    Ok(())
+}
 
 /// The fixed stage order used by every per-stage family.
 const STAGE_NAMES: [&str; 5] = ["queue", "batch", "service", "merge", "other"];
 
-/// Write the per-stage latency families shared by all three exporters:
-/// a p99 gauge and a summed-seconds counter per stage, labelled
+/// The per-stage latency families shared by the server, cluster and tuned
+/// exporters: a p99 gauge and a summed-seconds counter per stage, labelled
 /// `stage="queue|batch|service|merge|other"` under `<prefix>_stage_*`.
 fn stage_families(
-    o: &mut String,
+    w: &mut Exposition,
     prefix: &str,
     stages: &StageLatencyStats,
     traces: &[RequestTrace],
@@ -36,15 +243,13 @@ fn stage_families(
         stages.merge.p99_s,
         stages.other.p99_s,
     ];
-    family(
-        o,
+    w.series(
+        Gauge,
         &format!("{prefix}_stage_p99_seconds"),
-        "gauge",
         "p99 per-stage latency over all span trees, in virtual seconds.",
+        "stage",
+        STAGE_NAMES.iter().zip(p99s),
     );
-    for (name, p99) in STAGE_NAMES.iter().zip(p99s) {
-        let _ = writeln!(o, "{prefix}_stage_p99_seconds{{stage=\"{name}\"}} {p99}");
-    }
     let mut totals = [0.0f64; 5];
     for t in traces {
         totals[0] += t.stages.queue_s;
@@ -53,137 +258,81 @@ fn stage_families(
         totals[3] += t.stages.merge_s;
         totals[4] += t.stages.other_s;
     }
-    family(
-        o,
+    w.series(
+        Counter,
         &format!("{prefix}_stage_seconds"),
-        "counter",
         "Virtual time attributed to each stage, summed over all span trees.",
+        "stage",
+        STAGE_NAMES.iter().zip(totals),
     );
-    for (name, total) in STAGE_NAMES.iter().zip(totals) {
-        let _ = writeln!(
-            o,
-            "{prefix}_stage_seconds_total{{stage=\"{name}\"}} {total}"
-        );
-    }
 }
 
 /// Render `report` as an OpenMetrics text snapshot (ending in `# EOF`).
 pub fn render_openmetrics(report: &ServerReport) -> String {
-    let mut o = String::new();
+    let mut w = Exposition::new();
 
     // Identity: policy and index as an info-style gauge (labels carry the
     // strings; the value is always 1).
-    family(&mut o, "windex_server", "gauge", "Server identity.");
-    let _ = writeln!(
-        o,
-        "windex_server{{policy=\"{}\",index=\"{:?}\"}} 1",
-        escape(&report.policy),
-        report.index,
+    w.family(Gauge, "windex_server", "Server identity.").sample(
+        &[
+            ("policy", &report.policy),
+            ("index", &format_args!("{:?}", report.index)),
+        ],
+        1,
     );
 
     // Per-tenant request accounting. `per_tenant` is already in ascending
     // tenant-id order, which fixes the exposition order.
-    family(
-        &mut o,
+    let tenants = &report.per_tenant;
+    w.series(
+        Counter,
         "windex_requests",
-        "counter",
         "Requests submitted, by tenant.",
+        "tenant",
+        tenants.iter().map(|t| (t.tenant, t.requests)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_requests_total{{tenant=\"{}\"}} {}",
-            t.tenant, t.requests
-        );
-    }
-    family(
-        &mut o,
+    w.series(
+        Counter,
         "windex_requests_completed",
-        "counter",
         "Requests served within deadline, by tenant.",
+        "tenant",
+        tenants.iter().map(|t| (t.tenant, t.completed)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_requests_completed_total{{tenant=\"{}\"}} {}",
-            t.tenant, t.completed
-        );
-    }
-    family(
-        &mut o,
+    w.series(
+        Counter,
         "windex_requests_shed",
-        "counter",
         "Requests shed by admission control or abandoned batches, by tenant.",
+        "tenant",
+        tenants.iter().map(|t| (t.tenant, t.shed)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_requests_shed_total{{tenant=\"{}\"}} {}",
-            t.tenant, t.shed
-        );
-    }
-    family(
-        &mut o,
+    w.series(
+        Counter,
         "windex_requests_deadline_missed",
-        "counter",
         "Requests served past their deadline, by tenant.",
+        "tenant",
+        tenants.iter().map(|t| (t.tenant, t.deadline_missed)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_requests_deadline_missed_total{{tenant=\"{}\"}} {}",
-            t.tenant, t.deadline_missed
-        );
-    }
-    family(
-        &mut o,
+    w.series(
+        Counter,
         "windex_request_keys",
-        "counter",
         "Probe keys submitted, by tenant.",
+        "tenant",
+        tenants.iter().map(|t| (t.tenant, t.keys)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_request_keys_total{{tenant=\"{}\"}} {}",
-            t.tenant, t.keys
-        );
-    }
-    family(
-        &mut o,
+    w.series(
+        Counter,
         "windex_result_tuples",
-        "counter",
         "Join matches returned, by tenant.",
+        "tenant",
+        tenants.iter().map(|t| (t.tenant, t.matches)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_result_tuples_total{{tenant=\"{}\"}} {}",
-            t.tenant, t.matches
-        );
-    }
 
     // Latency histogram over served (non-shed) requests, virtual seconds.
-    family(
-        &mut o,
+    w.histogram(
         "windex_request_latency_seconds",
-        "histogram",
         "Request latency over served requests, in virtual seconds.",
+        &report.latency_hist,
     );
-    let h = &report.latency_hist;
-    let cumulative = h.cumulative();
-    for (bound, cum) in h.bounds_s.iter().zip(&cumulative) {
-        let _ = writeln!(
-            o,
-            "windex_request_latency_seconds_bucket{{le=\"{bound}\"}} {cum}"
-        );
-    }
-    let _ = writeln!(
-        o,
-        "windex_request_latency_seconds_bucket{{le=\"+Inf\"}} {}",
-        h.count
-    );
-    let _ = writeln!(o, "windex_request_latency_seconds_count {}", h.count);
-    let _ = writeln!(o, "windex_request_latency_seconds_sum {}", h.sum_s);
 
     // Degradation / shed events over the trace.
     let (mut shrinks, mut spills, mut sheds, mut abandoned) = (0u64, 0u64, 0u64, 0u64);
@@ -206,222 +355,169 @@ pub fn render_openmetrics(report: &ServerReport) -> String {
             }
         }
     }
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_window_shrinks",
-        "counter",
         "Shared-window halvings under device-memory pressure.",
+        shrinks,
     );
-    let _ = writeln!(o, "windex_window_shrinks_total {shrinks}");
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_sink_spills",
-        "counter",
         "Result-sink spills to CPU memory.",
+        spills,
     );
-    let _ = writeln!(o, "windex_sink_spills_total {spills}");
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_load_sheds",
-        "counter",
         "Requests refused at admission by backpressure.",
+        sheds,
     );
-    let _ = writeln!(o, "windex_load_sheds_total {sheds}");
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_batches_abandoned",
-        "counter",
         "Dispatched batches shed after exhausting degradation.",
+        abandoned,
     );
-    let _ = writeln!(o, "windex_batches_abandoned_total {abandoned}");
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_operator_retries",
-        "counter",
         "Operator retries priced into virtual time.",
+        report.retries,
     );
-    let _ = writeln!(o, "windex_operator_retries_total {}", report.retries);
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_windows_dispatched",
-        "counter",
         "Shared windows pushed through the operator.",
+        report.window.windows,
     );
-    let _ = writeln!(
-        o,
-        "windex_windows_dispatched_total {}",
-        report.window.windows
-    );
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_keys_probed",
-        "counter",
         "Probe keys dispatched through shared windows.",
+        report.keys_probed,
     );
-    let _ = writeln!(o, "windex_keys_probed_total {}", report.keys_probed);
 
     // Resilience: circuit breakers, retry budget, device-loss recovery, SLOs.
-    family(
-        &mut o,
+    w.series(
+        Gauge,
         "windex_circuit_state",
-        "gauge",
         "Circuit-breaker state at trace end, by tenant (0=closed, 1=half-open, 2=open).",
+        "tenant",
+        report
+            .breaker
+            .tenants
+            .iter()
+            .map(|t| (t.tenant, t.state.as_gauge())),
     );
-    for t in &report.breaker.tenants {
-        let _ = writeln!(
-            o,
-            "windex_circuit_state{{tenant=\"{}\"}} {}",
-            t.tenant,
-            t.state.as_gauge()
-        );
-    }
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_circuit_opens",
-        "counter",
         "Circuit-breaker trips from closed or half-open to open.",
+        report.breaker.opens,
     );
-    let _ = writeln!(o, "windex_circuit_opens_total {}", report.breaker.opens);
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_circuit_fast_rejects",
-        "counter",
         "Requests rejected at admission by an open circuit breaker.",
+        report.breaker.fast_rejects,
     );
-    let _ = writeln!(
-        o,
-        "windex_circuit_fast_rejects_total {}",
-        report.breaker.fast_rejects
-    );
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_circuit_sheds",
-        "counter",
         "Requests shed by circuit breakers over this trace.",
+        circuit_sheds,
     );
-    let _ = writeln!(o, "windex_circuit_sheds_total {circuit_sheds}");
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_dispatch_retries",
-        "counter",
         "Transient dispatch failures retried with jittered backoff.",
+        dispatch_retries,
     );
-    let _ = writeln!(o, "windex_dispatch_retries_total {dispatch_retries}");
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_retries_exhausted",
-        "counter",
         "Batches abandoned after the retry budget or attempt cap ran out.",
+        retries_exhausted,
     );
-    let _ = writeln!(o, "windex_retries_exhausted_total {retries_exhausted}");
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_retry_tokens",
-        "gauge",
         "Retry-budget tokens remaining at trace end.",
+        report.retry.tokens_remaining,
     );
-    let _ = writeln!(o, "windex_retry_tokens {}", report.retry.tokens_remaining);
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_retry_backoff_seconds",
-        "gauge",
         "Total virtual time spent in retry backoff over this trace.",
+        report.retry.backoff_s,
     );
-    let _ = writeln!(o, "windex_retry_backoff_seconds {}", report.retry.backoff_s);
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_device_loss_recoveries",
-        "counter",
         "Device-loss events recovered by rebuilding device state.",
+        loss_recoveries,
     );
-    let _ = writeln!(o, "windex_device_loss_recoveries_total {loss_recoveries}");
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_device_loss_mttr_seconds",
-        "gauge",
         "Total virtual mean-time-to-recovery across device losses.",
+        mttr_sum_s,
     );
-    let _ = writeln!(o, "windex_device_loss_mttr_seconds {mttr_sum_s}");
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_slo_availability",
-        "gauge",
         "Fraction of submitted requests answered (not shed).",
+        report.slo.availability,
     );
-    let _ = writeln!(o, "windex_slo_availability {}", report.slo.availability);
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_slo_goodput_rps",
-        "gauge",
         "Requests answered within the deadline budget per virtual second.",
+        report.slo.goodput_rps,
     );
-    let _ = writeln!(o, "windex_slo_goodput_rps {}", report.slo.goodput_rps);
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_slo_p99_seconds",
-        "gauge",
         "p99 latency over answered requests, in virtual seconds.",
+        report.slo.p99_s,
     );
-    let _ = writeln!(o, "windex_slo_p99_seconds {}", report.slo.p99_s);
 
     // Per-stage latency attribution from the span trees.
-    stage_families(&mut o, "windex", &report.stages, &report.traces);
+    stage_families(&mut w, "windex", &report.stages, &report.traces);
 
     // Capacity and utilization gauges.
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_configured_window_tuples",
-        "gauge",
         "Shared-window capacity as configured.",
+        report.configured_window_tuples,
     );
-    let _ = writeln!(
-        o,
-        "windex_configured_window_tuples {}",
-        report.configured_window_tuples
-    );
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_effective_window_tuples",
-        "gauge",
         "Shared-window capacity after degradation, at trace end.",
+        report.effective_window_tuples,
     );
-    let _ = writeln!(
-        o,
-        "windex_effective_window_tuples {}",
-        report.effective_window_tuples
-    );
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_max_queue_depth_keys",
-        "gauge",
         "Largest queued-key backlog observed at any admission.",
+        report.max_queue_depth_keys,
     );
-    let _ = writeln!(
-        o,
-        "windex_max_queue_depth_keys {}",
-        report.max_queue_depth_keys
-    );
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_mean_batch_keys",
-        "gauge",
         "Mean keys per dispatched window.",
+        report.mean_batch_keys,
     );
-    let _ = writeln!(o, "windex_mean_batch_keys {}", report.mean_batch_keys);
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_virtual_makespan_seconds",
-        "gauge",
         "Virtual time from first arrival to last response.",
+        report.virtual_makespan_s,
     );
-    let _ = writeln!(
-        o,
-        "windex_virtual_makespan_seconds {}",
-        report.virtual_makespan_s
-    );
-
-    o.push_str("# EOF\n");
-    o
+    w.finish()
 }
 
 /// Render a [`ClusterReport`] as an OpenMetrics text snapshot (ending in
@@ -429,324 +525,203 @@ pub fn render_openmetrics(report: &ServerReport) -> String {
 /// GPU-id order; like [`render_openmetrics`], the same report always
 /// renders byte-identically.
 pub fn render_cluster_openmetrics(report: &ClusterReport) -> String {
-    let mut o = String::new();
+    let mut w = Exposition::new();
 
     // Identity: topology, placement, link, and policy as an info gauge.
-    family(&mut o, "windex_cluster", "gauge", "Cluster identity.");
-    let _ = writeln!(
-        o,
-        "windex_cluster{{placement=\"{}\",link=\"{}\",policy=\"{}\",index=\"{:?}\"}} 1",
-        escape(&report.placement),
-        escape(&report.link),
-        escape(&report.policy),
-        report.index,
-    );
-    family(
-        &mut o,
+    w.family(Gauge, "windex_cluster", "Cluster identity.")
+        .sample(
+            &[
+                ("placement", &report.placement),
+                ("link", &report.link),
+                ("policy", &report.policy),
+                ("index", &format_args!("{:?}", report.index)),
+            ],
+            1,
+        );
+    w.scalar(
+        Gauge,
         "windex_cluster_gpus",
-        "gauge",
         "GPU instances the cluster was built with.",
+        report.gpus,
     );
-    let _ = writeln!(o, "windex_cluster_gpus {}", report.gpus);
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_cluster_alive_gpus",
-        "gauge",
         "GPU instances still alive at trace end.",
+        report.alive_gpus,
     );
-    let _ = writeln!(o, "windex_cluster_alive_gpus {}", report.alive_gpus);
 
     // Per-GPU shard load. `per_shard` is in ascending GPU-id order.
-    family(
-        &mut o,
+    let shards = &report.per_shard;
+    w.series(
+        Gauge,
         "windex_shard_alive",
-        "gauge",
         "Whether the shard's device was alive at trace end.",
+        "gpu",
+        shards.iter().map(|s| (s.gpu, u8::from(s.alive))),
     );
-    for s in &report.per_shard {
-        let _ = writeln!(
-            o,
-            "windex_shard_alive{{gpu=\"{}\"}} {}",
-            s.gpu,
-            u8::from(s.alive)
-        );
-    }
-    family(
-        &mut o,
+    w.series(
+        Gauge,
         "windex_shard_partitions",
-        "gauge",
         "Radix partitions owned by the shard at trace end.",
+        "gpu",
+        shards.iter().map(|s| (s.gpu, s.partitions)),
     );
-    for s in &report.per_shard {
-        let _ = writeln!(
-            o,
-            "windex_shard_partitions{{gpu=\"{}\"}} {}",
-            s.gpu, s.partitions
-        );
-    }
-    family(
-        &mut o,
+    w.series(
+        Gauge,
         "windex_shard_tuples",
-        "gauge",
         "Tuples resident in the shard's slice at trace end.",
+        "gpu",
+        shards.iter().map(|s| (s.gpu, s.tuples)),
     );
-    for s in &report.per_shard {
-        let _ = writeln!(o, "windex_shard_tuples{{gpu=\"{}\"}} {}", s.gpu, s.tuples);
-    }
-    family(
-        &mut o,
+    w.series(
+        Counter,
         "windex_shard_subrequests",
-        "counter",
         "Sub-requests routed to the shard.",
+        "gpu",
+        shards.iter().map(|s| (s.gpu, s.subrequests)),
     );
-    for s in &report.per_shard {
-        let _ = writeln!(
-            o,
-            "windex_shard_subrequests_total{{gpu=\"{}\"}} {}",
-            s.gpu, s.subrequests
-        );
-    }
-    family(
-        &mut o,
+    w.series(
+        Counter,
         "windex_shard_keys_probed",
-        "counter",
         "Probe keys dispatched through the shard's windows.",
+        "gpu",
+        shards.iter().map(|s| (s.gpu, s.keys_probed)),
     );
-    for s in &report.per_shard {
-        let _ = writeln!(
-            o,
-            "windex_shard_keys_probed_total{{gpu=\"{}\"}} {}",
-            s.gpu, s.keys_probed
-        );
-    }
-    family(
-        &mut o,
+    w.series(
+        Counter,
         "windex_shard_dispatches",
-        "counter",
         "Windows the shard dispatched.",
+        "gpu",
+        shards.iter().map(|s| (s.gpu, s.dispatches)),
     );
-    for s in &report.per_shard {
-        let _ = writeln!(
-            o,
-            "windex_shard_dispatches_total{{gpu=\"{}\"}} {}",
-            s.gpu, s.dispatches
-        );
-    }
-    family(
-        &mut o,
+    w.series(
+        Counter,
         "windex_shard_matches",
-        "counter",
         "Join matches the shard produced.",
+        "gpu",
+        shards.iter().map(|s| (s.gpu, s.matches)),
     );
-    for s in &report.per_shard {
-        let _ = writeln!(
-            o,
-            "windex_shard_matches_total{{gpu=\"{}\"}} {}",
-            s.gpu, s.matches
-        );
-    }
-    family(
-        &mut o,
+    w.series(
+        Gauge,
         "windex_shard_queue_depth_keys",
-        "gauge",
         "Largest queued-key backlog observed on the shard at any admission.",
+        "gpu",
+        shards.iter().map(|s| (s.gpu, s.max_queue_depth_keys)),
     );
-    for s in &report.per_shard {
-        let _ = writeln!(
-            o,
-            "windex_shard_queue_depth_keys{{gpu=\"{}\"}} {}",
-            s.gpu, s.max_queue_depth_keys
-        );
-    }
-    family(
-        &mut o,
+    w.series(
+        Counter,
         "windex_shard_busy_seconds",
-        "counter",
         "Virtual time the shard spent dispatching or rebuilding.",
+        "gpu",
+        shards.iter().map(|s| (s.gpu, s.busy_s)),
     );
-    for s in &report.per_shard {
-        let _ = writeln!(
-            o,
-            "windex_shard_busy_seconds_total{{gpu=\"{}\"}} {}",
-            s.gpu, s.busy_s
-        );
-    }
-    family(
-        &mut o,
+    w.series(
+        Counter,
         "windex_shard_cross_bytes",
-        "counter",
         "Peer-link bytes the shard exchanged for remote-coordinator work.",
+        "gpu",
+        shards.iter().map(|s| (s.gpu, s.cross_bytes)),
     );
-    for s in &report.per_shard {
-        let _ = writeln!(
-            o,
-            "windex_shard_cross_bytes_total{{gpu=\"{}\"}} {}",
-            s.gpu, s.cross_bytes
-        );
-    }
 
     // Cluster-level routing and traffic.
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_cluster_requests",
-        "counter",
         "Requests submitted to the cluster.",
+        report.requests,
     );
-    let _ = writeln!(o, "windex_cluster_requests_total {}", report.requests);
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_cluster_requests_completed",
-        "counter",
         "Requests served within deadline cluster-wide.",
+        report.completed,
     );
-    let _ = writeln!(
-        o,
-        "windex_cluster_requests_completed_total {}",
-        report.completed
-    );
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_cluster_requests_shed",
-        "counter",
         "Requests shed by admission control or abandoned dispatches.",
+        report.shed,
     );
-    let _ = writeln!(o, "windex_cluster_requests_shed_total {}", report.shed);
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_single_shard_requests",
-        "counter",
         "Routed requests whose keys all landed on one shard.",
+        report.single_shard_requests,
     );
-    let _ = writeln!(
-        o,
-        "windex_single_shard_requests_total {}",
-        report.single_shard_requests
-    );
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_cross_shard_requests",
-        "counter",
         "Routed requests that fanned out across two or more shards.",
+        report.cross_shard_requests,
     );
-    let _ = writeln!(
-        o,
-        "windex_cross_shard_requests_total {}",
-        report.cross_shard_requests
-    );
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_cross_shard_fraction",
-        "gauge",
         "Fraction of routed requests that fanned out.",
+        report.cross_shard_fraction,
     );
-    let _ = writeln!(
-        o,
-        "windex_cross_shard_fraction {}",
-        report.cross_shard_fraction
-    );
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_cross_shard_bytes",
-        "counter",
         "Peer-link bytes moved cluster-wide (fan-out keys plus merges).",
-    );
-    let _ = writeln!(
-        o,
-        "windex_cross_shard_bytes_total {}",
-        report.cross_shard_bytes
+        report.cross_shard_bytes,
     );
 
     // Recovery KPIs: the cluster rungs of the degradation ladder.
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_cluster_failovers",
-        "counter",
         "Device losses absorbed by failing over to a replica.",
+        report.failovers,
     );
-    let _ = writeln!(o, "windex_cluster_failovers_total {}", report.failovers);
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_cluster_reshards",
-        "counter",
         "Device losses absorbed by re-sharding onto a survivor.",
+        report.reshards,
     );
-    let _ = writeln!(o, "windex_cluster_reshards_total {}", report.reshards);
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_cluster_recoveries",
-        "counter",
         "Device losses absorbed by in-place rebuild (single-GPU rung).",
+        report.recoveries,
     );
-    let _ = writeln!(o, "windex_cluster_recoveries_total {}", report.recoveries);
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_cluster_mttr_seconds",
-        "gauge",
         "Summed virtual mean-time-to-recovery across recovery events.",
+        report.mttr_total_s,
     );
-    let _ = writeln!(o, "windex_cluster_mttr_seconds {}", report.mttr_total_s);
 
     // Aggregate throughput, latency, and SLO attainment.
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_cluster_completed_rps",
-        "gauge",
         "Completed requests per virtual second, aggregate over the cluster.",
+        report.completed_rps,
     );
-    let _ = writeln!(o, "windex_cluster_completed_rps {}", report.completed_rps);
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_cluster_keys_per_second",
-        "gauge",
         "Probed keys per virtual second, aggregate over the cluster.",
+        report.keys_per_second,
     );
-    let _ = writeln!(
-        o,
-        "windex_cluster_keys_per_second {}",
-        report.keys_per_second
-    );
-    family(
-        &mut o,
+    w.histogram(
         "windex_cluster_latency_seconds",
-        "histogram",
         "Request latency over served requests, in virtual seconds.",
+        &report.latency_hist,
     );
-    let h = &report.latency_hist;
-    let cumulative = h.cumulative();
-    for (bound, cum) in h.bounds_s.iter().zip(&cumulative) {
-        let _ = writeln!(
-            o,
-            "windex_cluster_latency_seconds_bucket{{le=\"{bound}\"}} {cum}"
-        );
-    }
-    let _ = writeln!(
-        o,
-        "windex_cluster_latency_seconds_bucket{{le=\"+Inf\"}} {}",
-        h.count
-    );
-    let _ = writeln!(o, "windex_cluster_latency_seconds_count {}", h.count);
-    let _ = writeln!(o, "windex_cluster_latency_seconds_sum {}", h.sum_s);
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_cluster_slo_availability",
-        "gauge",
         "Fraction of submitted requests answered (not shed), cluster-wide.",
-    );
-    let _ = writeln!(
-        o,
-        "windex_cluster_slo_availability {}",
-        report.slo.availability
+        report.slo.availability,
     );
 
     // Per-stage latency attribution and critical-path shard counts from
     // the span trees.
-    stage_families(&mut o, "windex_cluster", &report.stages, &report.traces);
-    family(
-        &mut o,
-        "windex_critical_leg",
-        "counter",
-        "Requests whose critical-path (last-delivered) leg ran on this shard.",
-    );
+    stage_families(&mut w, "windex_cluster", &report.stages, &report.traces);
     let mut crit = vec![0u64; report.gpus];
     for t in &report.traces {
         if let Some(i) = t.critical_leg {
@@ -756,143 +731,100 @@ pub fn render_cluster_openmetrics(report: &ClusterReport) -> String {
             }
         }
     }
-    for (g, c) in crit.iter().enumerate() {
-        let _ = writeln!(o, "windex_critical_leg_total{{gpu=\"{g}\"}} {c}");
-    }
+    w.series(
+        Counter,
+        "windex_critical_leg",
+        "Requests whose critical-path (last-delivered) leg ran on this shard.",
+        "gpu",
+        crit.iter().enumerate(),
+    );
 
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_cluster_virtual_makespan_seconds",
-        "gauge",
         "Virtual time from first arrival to last response delivery.",
+        report.virtual_makespan_s,
     );
-    let _ = writeln!(
-        o,
-        "windex_cluster_virtual_makespan_seconds {}",
-        report.virtual_makespan_s
-    );
-
-    o.push_str("# EOF\n");
-    o
+    w.finish()
 }
 
 /// Render a [`TunedReport`] as an OpenMetrics text snapshot (ending in
 /// `# EOF`). Per-tenant series render in ascending tenant-id order; like
 /// the other exporters, the same report always renders byte-identically.
-pub fn render_tuner_openmetrics(report: &crate::tuned::TunedReport) -> String {
+pub fn render_tuner_openmetrics(report: &TunedReport) -> String {
     use windex_core::TuneReason;
 
-    let mut o = String::new();
-
-    family(&mut o, "windex_tuned", "gauge", "Tuned-server identity.");
-    let _ = writeln!(o, "windex_tuned{{policy=\"{}\"}} 1", escape(&report.policy));
+    let mut w = Exposition::new();
+    w.family(Gauge, "windex_tuned", "Tuned-server identity.")
+        .sample(&[("policy", &report.policy)], 1);
 
     // Per-tenant plan state at trace end.
-    family(
-        &mut o,
+    let tenants = &report.per_tenant;
+    w.family(
+        Gauge,
         "windex_tuner_strategy_info",
-        "gauge",
         "Current plan per tenant (labels carry the plan; value is 1).",
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_tuner_strategy_info{{tenant=\"{}\",plan=\"{}\"}} 1",
-            t.tenant,
-            escape(&t.final_plan)
-        );
+    for t in tenants {
+        w.sample(&[("tenant", &t.tenant), ("plan", &t.final_plan)], 1);
     }
-    family(
-        &mut o,
+    w.series(
+        Gauge,
         "windex_tuner_window_tuples",
-        "gauge",
         "Window capacity of the tenant's current plan (0 for non-windowed plans).",
+        "tenant",
+        tenants.iter().map(|t| {
+            // The window size is embedded in the plan label as `w=<n>`;
+            // parse it back out so dashboards get a numeric gauge.
+            let w = t
+                .final_plan
+                .split("w=")
+                .nth(1)
+                .and_then(|s| {
+                    s.split(|c: char| !c.is_ascii_digit())
+                        .next()?
+                        .parse::<u64>()
+                        .ok()
+                })
+                .unwrap_or(0);
+            (t.tenant, w)
+        }),
     );
-    for t in &report.per_tenant {
-        // The window size is embedded in the plan label as `w=<n>`; parse
-        // it back out so dashboards get a numeric gauge.
-        let w = t
-            .final_plan
-            .split("w=")
-            .nth(1)
-            .and_then(|s| {
-                s.split(|c: char| !c.is_ascii_digit())
-                    .next()?
-                    .parse::<u64>()
-                    .ok()
-            })
-            .unwrap_or(0);
-        let _ = writeln!(
-            o,
-            "windex_tuner_window_tuples{{tenant=\"{}\"}} {w}",
-            t.tenant
-        );
-    }
-    family(
-        &mut o,
+    w.series(
+        Counter,
         "windex_tuner_switches",
-        "counter",
         "Argmin strategy switches, by tenant.",
+        "tenant",
+        tenants.iter().map(|t| (t.tenant, t.switches)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_tuner_switches_total{{tenant=\"{}\"}} {}",
-            t.tenant, t.switches
-        );
-    }
-    family(
-        &mut o,
+    w.series(
+        Counter,
         "windex_tuner_explorations",
-        "counter",
         "Epsilon-greedy exploration batches, by tenant.",
+        "tenant",
+        tenants.iter().map(|t| (t.tenant, t.explorations)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_tuner_explorations_total{{tenant=\"{}\"}} {}",
-            t.tenant, t.explorations
-        );
-    }
-    family(
-        &mut o,
+    w.series(
+        Counter,
         "windex_tuner_pinned_batches",
-        "counter",
         "Batches decided while degradation-pinned, by tenant.",
+        "tenant",
+        tenants.iter().map(|t| (t.tenant, t.pinned_batches)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_tuner_pinned_batches_total{{tenant=\"{}\"}} {}",
-            t.tenant, t.pinned_batches
-        );
-    }
-    family(
-        &mut o,
+    w.series(
+        Gauge,
         "windex_tuner_cost_error_ratio",
-        "gauge",
         "Mean relative |estimated - realized| per-key cost error, by tenant.",
+        "tenant",
+        tenants.iter().map(|t| (t.tenant, t.est_cost_error)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_tuner_cost_error_ratio{{tenant=\"{}\"}} {}",
-            t.tenant, t.est_cost_error
-        );
-    }
-    family(
-        &mut o,
+    w.series(
+        Counter,
         "windex_tuner_tenant_busy_seconds",
-        "counter",
         "Virtual device time spent on the tenant's dispatches.",
+        "tenant",
+        tenants.iter().map(|t| (t.tenant, t.busy_s)),
     );
-    for t in &report.per_tenant {
-        let _ = writeln!(
-            o,
-            "windex_tuner_tenant_busy_seconds_total{{tenant=\"{}\"}} {}",
-            t.tenant, t.busy_s
-        );
-    }
 
     // Decision-stream counters (pin/unpin are events, not per-tenant state).
     let pins = report
@@ -900,94 +832,61 @@ pub fn render_tuner_openmetrics(report: &crate::tuned::TunedReport) -> String {
         .iter()
         .filter(|e| e.event.reason == TuneReason::Pinned)
         .count();
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_tuner_pins",
-        "counter",
         "Degradation pins applied across all tenants.",
+        pins,
     );
-    let _ = writeln!(o, "windex_tuner_pins_total {pins}");
 
     // Aggregates.
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_tuner_requests_completed",
-        "counter",
         "Requests completed across all tenants.",
+        report.completed,
     );
-    let _ = writeln!(
-        o,
-        "windex_tuner_requests_completed_total {}",
-        report.completed
-    );
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_tuner_batches",
-        "counter",
         "Batches dispatched across all tenants.",
+        report.batches,
     );
-    let _ = writeln!(o, "windex_tuner_batches_total {}", report.batches);
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_tuner_aggregate_qps",
-        "gauge",
         "Completed requests per busy virtual second.",
+        report.aggregate_qps,
     );
-    let _ = writeln!(o, "windex_tuner_aggregate_qps {}", report.aggregate_qps);
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_tuner_keys_per_second",
-        "gauge",
         "Probed keys per busy virtual second.",
+        report.keys_per_second,
     );
-    let _ = writeln!(o, "windex_tuner_keys_per_second {}", report.keys_per_second);
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_tuner_busy_seconds",
-        "gauge",
         "Virtual device time spent executing dispatches.",
+        report.busy_s,
     );
-    let _ = writeln!(o, "windex_tuner_busy_seconds {}", report.busy_s);
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_tuner_virtual_makespan_seconds",
-        "gauge",
         "Virtual time from trace start to the last completion.",
-    );
-    let _ = writeln!(
-        o,
-        "windex_tuner_virtual_makespan_seconds {}",
-        report.virtual_makespan_s
+        report.virtual_makespan_s,
     );
 
     // Latency histogram over completed requests.
-    family(
-        &mut o,
+    w.histogram(
         "windex_tuner_latency_seconds",
-        "histogram",
         "Request latency over completed requests, in virtual seconds.",
+        &report.latency_hist,
     );
-    let h = &report.latency_hist;
-    let cumulative = h.cumulative();
-    for (bound, cum) in h.bounds_s.iter().zip(&cumulative) {
-        let _ = writeln!(
-            o,
-            "windex_tuner_latency_seconds_bucket{{le=\"{bound}\"}} {cum}"
-        );
-    }
-    let _ = writeln!(
-        o,
-        "windex_tuner_latency_seconds_bucket{{le=\"+Inf\"}} {}",
-        h.count
-    );
-    let _ = writeln!(o, "windex_tuner_latency_seconds_count {}", h.count);
-    let _ = writeln!(o, "windex_tuner_latency_seconds_sum {}", h.sum_s);
 
     // Per-stage latency attribution from the span trees.
-    stage_families(&mut o, "windex_tuner", &report.stages, &report.traces);
-
-    o.push_str("# EOF\n");
-    o
+    stage_families(&mut w, "windex_tuner", &report.stages, &report.traces);
+    w.finish()
 }
 
 /// Render a tenant-parallel outcome as an OpenMetrics text snapshot
@@ -995,148 +894,79 @@ pub fn render_tuner_openmetrics(report: &crate::tuned::TunedReport) -> String {
 /// ascending tenant-id order — the outcome's fixed merge order — so the
 /// snapshot, like the outcome itself, is byte-identical for any
 /// worker-thread count.
-pub fn render_parallel_openmetrics(outcome: &crate::parallel::ParallelServeOutcome) -> String {
-    let mut o = String::new();
+pub fn render_parallel_openmetrics(outcome: &ParallelServeOutcome) -> String {
+    let mut w = Exposition::new();
     let s = &outcome.summary;
-
-    family(
-        &mut o,
-        "windex_parallel",
-        "gauge",
-        "Tenant-parallel identity.",
-    );
-    let _ = writeln!(
-        o,
-        "windex_parallel{{mode=\"{}\",lanes=\"{}\"}} 1",
-        escape(&s.mode),
-        s.lanes,
-    );
+    w.family(Gauge, "windex_parallel", "Tenant-parallel identity.")
+        .sample(&[("mode", &s.mode), ("lanes", &s.lanes)], 1);
 
     // Aggregate request accounting (disjoint outcome buckets).
-    family(
-        &mut o,
+    w.series(
+        Counter,
         "windex_parallel_requests",
-        "counter",
         "Requests across all tenant lanes, by outcome.",
+        "outcome",
+        [
+            ("completed", s.completed),
+            ("shed", s.shed),
+            ("deadline_missed", s.deadline_missed),
+        ],
     );
-    for (outcome_label, n) in [
-        ("completed", s.completed),
-        ("shed", s.shed),
-        ("deadline_missed", s.deadline_missed),
-    ] {
-        let _ = writeln!(
-            o,
-            "windex_parallel_requests_total{{outcome=\"{outcome_label}\"}} {n}"
-        );
-    }
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_parallel_keys_probed",
-        "counter",
         "Probe keys dispatched across all tenant lanes.",
+        s.keys_probed,
     );
-    let _ = writeln!(o, "windex_parallel_keys_probed_total {}", s.keys_probed);
-    family(
-        &mut o,
+    w.scalar(
+        Counter,
         "windex_parallel_result_tuples",
-        "counter",
         "Join matches returned across all tenant lanes.",
+        s.result_tuples,
     );
-    let _ = writeln!(o, "windex_parallel_result_tuples_total {}", s.result_tuples);
 
     // Makespan: lanes run concurrently in virtual time, so the aggregate
     // makespan is the slowest lane's.
-    family(
-        &mut o,
+    w.scalar(
+        Gauge,
         "windex_parallel_makespan_seconds",
-        "gauge",
         "Slowest lane's virtual makespan, in virtual seconds.",
-    );
-    let _ = writeln!(
-        o,
-        "windex_parallel_makespan_seconds {}",
-        s.virtual_makespan_s
+        s.virtual_makespan_s,
     );
 
     // Per-lane accounting, ascending tenant id (the fixed merge order).
-    family(
-        &mut o,
+    let lanes = &outcome.lanes;
+    w.series(
+        Counter,
         "windex_parallel_lane_requests",
-        "counter",
         "Requests served by each tenant lane.",
+        "tenant",
+        lanes.iter().map(|l| (l.tenant, l.requests)),
     );
-    for lane in &outcome.lanes {
-        let _ = writeln!(
-            o,
-            "windex_parallel_lane_requests_total{{tenant=\"{}\"}} {}",
-            lane.tenant, lane.requests
-        );
-    }
-    family(
-        &mut o,
+    w.series(
+        Counter,
         "windex_parallel_lane_completed",
-        "counter",
         "Requests completed by each tenant lane.",
+        "tenant",
+        lanes.iter().map(|l| (l.tenant, l.report.completed)),
     );
-    for lane in &outcome.lanes {
-        let _ = writeln!(
-            o,
-            "windex_parallel_lane_completed_total{{tenant=\"{}\"}} {}",
-            lane.tenant, lane.report.completed
-        );
-    }
-    family(
-        &mut o,
+    w.series(
+        Gauge,
         "windex_parallel_lane_makespan_seconds",
-        "gauge",
         "Each tenant lane's virtual makespan.",
+        "tenant",
+        lanes
+            .iter()
+            .map(|l| (l.tenant, l.report.virtual_makespan_s)),
     );
-    for lane in &outcome.lanes {
-        let _ = writeln!(
-            o,
-            "windex_parallel_lane_makespan_seconds{{tenant=\"{}\"}} {}",
-            lane.tenant, lane.report.virtual_makespan_s
-        );
-    }
 
     // Merged latency histogram over all non-shed requests, all lanes.
-    family(
-        &mut o,
+    w.histogram(
         "windex_parallel_latency_seconds",
-        "histogram",
         "Request latency over served requests, all lanes, in virtual seconds.",
+        &s.latency_hist,
     );
-    let h = &s.latency_hist;
-    let cumulative = h.cumulative();
-    for (bound, cum) in h.bounds_s.iter().zip(&cumulative) {
-        let _ = writeln!(
-            o,
-            "windex_parallel_latency_seconds_bucket{{le=\"{bound}\"}} {cum}"
-        );
-    }
-    let _ = writeln!(
-        o,
-        "windex_parallel_latency_seconds_bucket{{le=\"+Inf\"}} {}",
-        h.count
-    );
-    let _ = writeln!(o, "windex_parallel_latency_seconds_count {}", h.count);
-    let _ = writeln!(o, "windex_parallel_latency_seconds_sum {}", h.sum_s);
-
-    o.push_str("# EOF\n");
-    o
-}
-
-/// Write a family's `# HELP` / `# TYPE` header.
-fn family(o: &mut String, name: &str, kind: &str, help: &str) {
-    let _ = writeln!(o, "# HELP {name} {help}");
-    let _ = writeln!(o, "# TYPE {name} {kind}");
-}
-
-/// Escape a label value per the OpenMetrics text format.
-fn escape(v: &str) -> String {
-    v.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
+    w.finish()
 }
 
 #[cfg(test)]
@@ -1255,6 +1085,17 @@ mod tests {
         assert_eq!(text, render_openmetrics(&r));
         // Exactly one EOF marker, at the end.
         assert_eq!(text.matches("# EOF").count(), 1);
+    }
+
+    #[test]
+    fn label_values_are_escaped() {
+        let mut r = report();
+        r.policy = "a\"b\\c\nd".to_string();
+        let text = render_openmetrics(&r);
+        assert!(
+            text.contains("windex_server{policy=\"a\\\"b\\\\c\\nd\",index=\"RadixSpline\"} 1\n")
+        );
+        validate_openmetrics(&text).unwrap();
     }
 
     #[test]
@@ -1427,29 +1268,7 @@ mod tests {
         assert!(text.contains("windex_cluster_mttr_seconds 0.004"));
     }
 
-    #[test]
-    fn cluster_sample_lines_all_have_type_headers() {
-        let text = render_cluster_openmetrics(&cluster_report());
-        for line in text.lines() {
-            if line.starts_with('#') {
-                continue;
-            }
-            let name = line.split(['{', ' ']).next().unwrap();
-            let fam = name
-                .strip_suffix("_total")
-                .or_else(|| name.strip_suffix("_bucket"))
-                .or_else(|| name.strip_suffix("_count"))
-                .or_else(|| name.strip_suffix("_sum"))
-                .unwrap_or(name);
-            assert!(
-                text.contains(&format!("# TYPE {fam} ")),
-                "no TYPE header for {name}"
-            );
-        }
-    }
-
-    #[test]
-    fn tuner_snapshot_renders_families_deterministically() {
+    fn tuned_report() -> TunedReport {
         use crate::trace::{generate_tenant_trace, TraceConfig};
         use crate::tuned::{TunedConfig, TunedServer};
         use windex_sim::{GpuSpec, Scale};
@@ -1467,62 +1286,113 @@ mod tests {
             0,
             &r,
         );
-        let mut srv = TunedServer::new(
+        TunedServer::new(
             GpuSpec::v100_nvlink2(Scale::PAPER),
             TunedConfig::default(),
             vec![(0, r)],
             None,
         )
-        .unwrap();
-        let rep = srv.run(&trace).unwrap();
+        .unwrap()
+        .run(&trace)
+        .unwrap()
+    }
+
+    #[test]
+    fn tuner_snapshot_renders_families_deterministically() {
+        let rep = tuned_report();
         let text = render_tuner_openmetrics(&rep);
-        assert!(text.ends_with("# EOF\n"));
-        assert_eq!(text.matches("# EOF").count(), 1);
         assert_eq!(text, render_tuner_openmetrics(&rep));
         assert!(text.contains("windex_tuner_strategy_info{tenant=\"0\",plan="));
         assert!(text.contains("windex_tuner_window_tuples{tenant=\"0\"}"));
         assert!(text.contains("windex_tuner_switches_total{tenant=\"0\"}"));
         assert!(text.contains("windex_tuner_cost_error_ratio{tenant=\"0\"}"));
         assert!(text.contains("windex_tuner_aggregate_qps "));
-        // Every sample line has a TYPE header, like the other exporters.
-        for line in text.lines() {
-            if line.starts_with('#') {
-                continue;
+    }
+
+    fn parallel_outcome() -> ParallelServeOutcome {
+        use crate::parallel::serve_tenant_parallel;
+        use crate::server::ServeConfig;
+        use crate::trace::{generate_trace, TraceConfig};
+        use windex_sim::{GpuSpec, Scale};
+        use windex_workload::{KeyDistribution, Relation};
+
+        let r = Relation::unique_sorted(1 << 13, KeyDistribution::SparseUniform, 5);
+        let trace = generate_trace(
+            &TraceConfig {
+                requests: 24,
+                tenants: 3,
+                min_keys: 16,
+                max_keys: 64,
+                ..TraceConfig::default()
+            },
+            &r,
+        );
+        let spec = GpuSpec::v100_nvlink2(Scale::PAPER);
+        serve_tenant_parallel(&spec, ServeConfig::default(), &r, &trace, 2, None).unwrap()
+    }
+
+    #[test]
+    fn parallel_snapshot_renders_lanes_in_tenant_order() {
+        let out = parallel_outcome();
+        let text = render_parallel_openmetrics(&out);
+        assert_eq!(text, render_parallel_openmetrics(&out));
+        assert!(text.contains("windex_parallel{mode=\"tenant-parallel\",lanes=\"3\"} 1"));
+        let lane = |t: u32| {
+            text.find(&format!(
+                "windex_parallel_lane_requests_total{{tenant=\"{t}\"}}"
+            ))
+            .unwrap()
+        };
+        assert!(lane(0) < lane(1) && lane(1) < lane(2));
+        assert!(text.contains(&format!(
+            "windex_parallel_requests_total{{outcome=\"completed\"}} {}",
+            out.summary.completed
+        )));
+        assert!(text.contains("windex_parallel_latency_seconds_bucket{le=\"+Inf\"} "));
+    }
+
+    /// Every renderer's output passes the one well-formedness check.
+    #[test]
+    fn every_exposition_is_well_formed() {
+        for text in [
+            render_openmetrics(&report()),
+            render_cluster_openmetrics(&cluster_report()),
+            render_tuner_openmetrics(&tuned_report()),
+            render_parallel_openmetrics(&parallel_outcome()),
+        ] {
+            if let Err(e) = validate_openmetrics(&text) {
+                panic!("{e}\n{text}");
             }
-            let name = line.split(['{', ' ']).next().unwrap();
-            let fam = name
-                .strip_suffix("_total")
-                .or_else(|| name.strip_suffix("_bucket"))
-                .or_else(|| name.strip_suffix("_count"))
-                .or_else(|| name.strip_suffix("_sum"))
-                .unwrap_or(name);
-            assert!(
-                text.contains(&format!("# TYPE {fam} ")),
-                "no TYPE header for {name}"
-            );
         }
     }
 
     #[test]
-    fn every_sample_line_has_a_type_header() {
-        let text = render_openmetrics(&report());
-        for line in text.lines() {
-            if line.starts_with('#') {
-                continue;
-            }
-            let name = line.split(['{', ' ']).next().unwrap();
-            // A sample `x_total`/`x_bucket`/`x_count`/`x_sum` belongs to
-            // family `x`; plain gauges are their own family.
-            let fam = name
-                .strip_suffix("_total")
-                .or_else(|| name.strip_suffix("_bucket"))
-                .or_else(|| name.strip_suffix("_count"))
-                .or_else(|| name.strip_suffix("_sum"))
-                .unwrap_or(name);
-            assert!(
-                text.contains(&format!("# TYPE {fam} ")),
-                "no TYPE header for {name}"
-            );
+    fn validation_rejects_malformed_expositions() {
+        let good = render_openmetrics(&report());
+        validate_openmetrics(&good).unwrap();
+        let bad = [
+            // No EOF, or a second one.
+            good.trim_end_matches("# EOF\n").to_string(),
+            format!("# EOF\n{good}"),
+            // A counter sample without `_total`.
+            good.replace("windex_load_sheds_total 1", "windex_load_sheds 1"),
+            // A family declared twice (its samples then split).
+            format!(
+                "{}{good}",
+                "# HELP windex_sink_spills x\n# TYPE windex_sink_spills counter\n"
+            ),
+            // A sample outside its family's block.
+            good.replacen("windex_sink_spills_total 0\n", "", 1)
+                .replacen(
+                    "windex_keys_probed_total 640\n",
+                    "windex_keys_probed_total 640\nwindex_sink_spills_total 0\n",
+                    1,
+                ),
+            // A sample with no number.
+            good.replace("windex_retry_tokens 62.5", "windex_retry_tokens many"),
+        ];
+        for text in bad {
+            assert!(validate_openmetrics(&text).is_err(), "accepted:\n{text}");
         }
     }
 }

@@ -39,8 +39,8 @@
 //! byte-diff and `crates/serve/tests/parallel.rs` hold that line.
 
 use crate::cluster::{ClusterConfig, ClusterReport, ClusterServer};
-use crate::report::{LatencyHistogram, LatencyStats, ServerReport};
-use crate::request::{LookupResponse, RequestOutcome, TenantId};
+use crate::report::{LatencyHistogram, LatencyStats, RunTally, ServerReport};
+use crate::request::{LookupResponse, TenantId};
 use crate::server::{ServeConfig, Server};
 use crate::trace::TimedRequest;
 use crate::tuned::{TunedConfig, TunedReport, TunedServer};
@@ -192,30 +192,23 @@ impl ParallelSummary {
     fn new(
         lanes: usize,
         requests: usize,
-        counts: (usize, usize, usize),
-        result_tuples: usize,
         keys_probed: usize,
         makespan_s: f64,
-        samples: Vec<f64>,
+        tally: RunTally,
     ) -> Self {
-        let (completed, shed, deadline_missed) = counts;
         ParallelSummary {
             mode: "tenant-parallel".to_string(),
             lanes,
             requests,
-            completed,
-            shed,
-            deadline_missed,
-            result_tuples,
+            completed: tally.completed,
+            shed: tally.shed,
+            deadline_missed: tally.deadline_missed,
+            result_tuples: tally.result_tuples,
             keys_probed,
             virtual_makespan_s: makespan_s,
-            completed_rps: if makespan_s > 0.0 {
-                completed as f64 / makespan_s
-            } else {
-                0.0
-            },
-            latency_hist: LatencyHistogram::from_samples(&samples),
-            latency: LatencyStats::from_samples(samples),
+            completed_rps: tally.completed_rps,
+            latency: tally.latency,
+            latency_hist: tally.latency_hist,
         }
     }
 }
@@ -263,26 +256,6 @@ fn merge_responses(
     merged.extend(responses);
 }
 
-/// Outcome tallies over merged responses: (completed, shed,
-/// deadline-missed) counts, total matches, and non-shed latency samples.
-fn response_tallies(responses: &[LookupResponse]) -> ((usize, usize, usize), usize, Vec<f64>) {
-    let mut counts = (0usize, 0usize, 0usize);
-    let mut matches = 0usize;
-    let mut samples = Vec::new();
-    for r in responses {
-        matches += r.matches.len();
-        match r.outcome {
-            RequestOutcome::Completed => counts.0 += 1,
-            RequestOutcome::Shed => counts.1 += 1,
-            RequestOutcome::DeadlineMissed => counts.2 += 1,
-        }
-        if r.outcome != RequestOutcome::Shed {
-            samples.push(r.latency_s);
-        }
-    }
-    (counts, matches, samples)
-}
-
 /// Serve `trace` with one shared-window [`Server`] per tenant, each on its
 /// own fresh `Gpu` lane, using up to `threads` workers. `chaos` (if any)
 /// is installed on **every** lane, so each tenant's device replays the
@@ -320,16 +293,8 @@ pub fn serve_tenant_parallel(
         });
     }
     responses.sort_by_key(|r| r.request);
-    let (counts, matches, samples) = response_tallies(&responses);
-    let summary = ParallelSummary::new(
-        lanes.len(),
-        trace.len(),
-        counts,
-        matches,
-        keys_probed,
-        makespan_s,
-        samples,
-    );
+    let (tally, _) = RunTally::of_responses(&responses, makespan_s, &cfg.resilience.slo);
+    let summary = ParallelSummary::new(lanes.len(), trace.len(), keys_probed, makespan_s, tally);
     Ok(ParallelServeOutcome {
         responses,
         lanes,
@@ -391,16 +356,8 @@ pub fn serve_tuned_tenant_parallel(
     // (they were served); mirror the Server-side convention where the
     // buckets are disjoint.
     counts.0 -= counts.2;
-    let requests = trace.len();
-    let summary = ParallelSummary::new(
-        lanes.len(),
-        requests,
-        counts,
-        matches,
-        keys_probed,
-        makespan_s,
-        samples,
-    );
+    let tally = RunTally::new(counts, matches, samples, makespan_s);
+    let summary = ParallelSummary::new(lanes.len(), trace.len(), keys_probed, makespan_s, tally);
     Ok(ParallelTunedOutcome { lanes, summary })
 }
 
@@ -438,16 +395,8 @@ pub fn serve_cluster_tenant_parallel(
         });
     }
     responses.sort_by_key(|r| r.request);
-    let (counts, matches, samples) = response_tallies(&responses);
-    let summary = ParallelSummary::new(
-        lanes.len(),
-        trace.len(),
-        counts,
-        matches,
-        keys_probed,
-        makespan_s,
-        samples,
-    );
+    let (tally, _) = RunTally::of_responses(&responses, makespan_s, &cfg.serve.resilience.slo);
+    let summary = ParallelSummary::new(lanes.len(), trace.len(), keys_probed, makespan_s, tally);
     Ok(ParallelClusterOutcome {
         responses,
         lanes,

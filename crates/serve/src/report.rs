@@ -1,7 +1,8 @@
 //! Serving metrics: virtual-time latency distributions and the
 //! [`ServerReport`] rendered through the workspace's JSON output path.
 
-use crate::request::TenantId;
+use crate::request::{LookupResponse, RequestOutcome, TenantId};
+use crate::resilience::{SloConfig, SloReport, SloTracker};
 use crate::span::{RequestTrace, StageLatencyStats, TailReport};
 use serde::Serialize;
 use windex_core::WindowStats;
@@ -139,6 +140,96 @@ impl LatencyStats {
             max_s: samples[n - 1],
             dropped,
         }
+    }
+}
+
+/// `n` per unit of `over` (e.g. per virtual second of a makespan), or 0
+/// when `over` is not positive.
+pub(crate) fn rate(n: usize, over: f64) -> f64 {
+    if over > 0.0 {
+        n as f64 / over
+    } else {
+        0.0
+    }
+}
+
+/// The latency distribution and histogram over the same served-latency
+/// `samples`. The histogram sums the samples in the given order, so
+/// callers pass them in a fixed order (request id or dispatch order).
+pub(crate) fn latency_summary(samples: Vec<f64>) -> (LatencyStats, LatencyHistogram) {
+    let hist = LatencyHistogram::from_samples(&samples);
+    (LatencyStats::from_samples(samples), hist)
+}
+
+/// Outcome accounting of one served trace, the one place every host
+/// counts its outcome buckets and builds its latency distribution.
+#[derive(Debug, Clone)]
+pub(crate) struct RunTally {
+    /// Requests served within deadline (or with none set).
+    pub completed: usize,
+    /// Requests shed.
+    pub shed: usize,
+    /// Requests served past their deadline.
+    pub deadline_missed: usize,
+    /// Join matches returned.
+    pub result_tuples: usize,
+    /// Latency distribution over served requests.
+    pub latency: LatencyStats,
+    /// Fixed-bucket histogram over the same samples.
+    pub latency_hist: LatencyHistogram,
+    /// `completed` per virtual second of the makespan.
+    pub completed_rps: f64,
+}
+
+impl RunTally {
+    /// Tally from outcome counts and served-latency `samples` (see
+    /// [`latency_summary`] on their order).
+    pub fn new(
+        (completed, shed, deadline_missed): (usize, usize, usize),
+        result_tuples: usize,
+        samples: Vec<f64>,
+        makespan_s: f64,
+    ) -> Self {
+        let (latency, latency_hist) = latency_summary(samples);
+        RunTally {
+            completed,
+            shed,
+            deadline_missed,
+            result_tuples,
+            latency,
+            latency_hist,
+            completed_rps: rate(completed, makespan_s),
+        }
+    }
+
+    /// Tally id-sorted `responses` over a run of `makespan_s` virtual
+    /// seconds, and close an SLO tracker with budget `slo` over them.
+    pub fn of_responses(
+        responses: &[LookupResponse],
+        makespan_s: f64,
+        slo: &SloConfig,
+    ) -> (Self, SloReport) {
+        let mut counts = (0, 0, 0);
+        let mut result_tuples = 0;
+        let mut samples = Vec::with_capacity(responses.len());
+        let mut tracker = SloTracker::new(slo);
+        for r in responses {
+            result_tuples += r.matches.len();
+            match r.outcome {
+                RequestOutcome::Completed => counts.0 += 1,
+                RequestOutcome::Shed => counts.1 += 1,
+                RequestOutcome::DeadlineMissed => counts.2 += 1,
+            }
+            let answered = r.outcome != RequestOutcome::Shed;
+            if answered {
+                samples.push(r.latency_s);
+            }
+            tracker.observe(answered, r.latency_s);
+        }
+        (
+            RunTally::new(counts, result_tuples, samples, makespan_s),
+            tracker.finish(makespan_s),
+        )
     }
 }
 

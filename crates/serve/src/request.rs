@@ -78,6 +78,52 @@ pub struct LookupResponse {
     pub latency_s: f64,
 }
 
+impl LookupResponse {
+    /// Answer request `request` at `now_s` with `matches`: completed, or
+    /// deadline-missed when the latency exceeds the request's `deadline`.
+    pub(crate) fn answered(
+        request: u64,
+        tenant: TenantId,
+        deadline: Option<f64>,
+        submitted_s: f64,
+        now_s: f64,
+        matches: Vec<(u64, u64)>,
+    ) -> Self {
+        let latency_s = now_s - submitted_s;
+        let outcome = match deadline {
+            Some(d) if latency_s > d => RequestOutcome::DeadlineMissed,
+            _ => RequestOutcome::Completed,
+        };
+        LookupResponse {
+            request,
+            tenant,
+            outcome,
+            matches,
+            submitted_s,
+            completed_s: now_s,
+            latency_s,
+        }
+    }
+
+    /// Shed request `request` at `now_s`: no matches.
+    pub(crate) fn shed_response(
+        request: u64,
+        tenant: TenantId,
+        submitted_s: f64,
+        now_s: f64,
+    ) -> Self {
+        LookupResponse {
+            request,
+            tenant,
+            outcome: RequestOutcome::Shed,
+            matches: Vec::new(),
+            submitted_s,
+            completed_s: now_s,
+            latency_s: now_s - submitted_s,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,6 +26,7 @@
 
 use crate::request::TenantId;
 use serde::Serialize;
+use windex_sim::fault::unit;
 
 /// Retry-budget and backoff parameters.
 #[derive(Debug, Clone, Copy)]
@@ -104,14 +105,6 @@ pub struct ResilienceConfig {
     pub slo: SloConfig,
 }
 
-#[inline]
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 const SALT_BACKOFF: u64 = 0x0062_6163_6b6f_6666; // "backoff"
 
 /// Deterministic jittered exponential backoff for retry `attempt`
@@ -119,10 +112,8 @@ const SALT_BACKOFF: u64 = 0x0062_6163_6b6f_6666; // "backoff"
 /// `(jitter_seed, seq)`. The exponent saturates at 2²⁰ so the delay stays
 /// finite for any attempt count.
 pub fn jittered_backoff_s(cfg: &RetryConfig, attempt: u32, seq: u64) -> f64 {
-    let h = splitmix64(cfg.jitter_seed ^ SALT_BACKOFF.wrapping_mul(0x9e3779b97f4a7c15) ^ seq);
-    let unit = ((h >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
     let exp = (1u64 << attempt.min(20)) as f64;
-    cfg.base_backoff_s * exp * (0.5 + unit)
+    cfg.base_backoff_s * exp * (0.5 + unit(cfg.jitter_seed, SALT_BACKOFF, seq))
 }
 
 /// A token pool bounding dispatch-level retries across a served trace.

@@ -31,13 +31,11 @@
 //! or faulty server sheds load instead of failing.
 
 use crate::batch::MicroBatcher;
-use crate::report::{
-    BatchSpan, LatencyHistogram, LatencyStats, ServeEvent, ServerReport, TenantLoad,
-};
+use crate::report::{rate, BatchSpan, RunTally, ServeEvent, ServerReport, TenantLoad};
 use crate::request::{LookupResponse, RequestOutcome, TenantId};
 use crate::resilience::{
     jittered_backoff_s, BreakerReport, CircuitBreaker, ResilienceConfig, RetryBudget, RetryReport,
-    SloTracker, TenantBreaker,
+    TenantBreaker,
 };
 use crate::sched::DrrScheduler;
 use crate::span::{sample_tail, RequestContext, RequestTrace, StageLatencyStats, TailConfig};
@@ -331,24 +329,20 @@ impl Server {
                     // admission. Parking it in flight would hang the trace —
                     // no batch ever carries its (nonexistent) last key, so
                     // nothing would ever complete it.
-                    let latency = clock - t.at_s;
-                    let outcome = match t.request.deadline {
-                        Some(d) if latency > d => RequestOutcome::DeadlineMissed,
-                        _ => RequestOutcome::Completed,
-                    };
-                    responses.push(LookupResponse {
-                        request: id,
-                        tenant: t.request.tenant,
-                        outcome,
-                        matches: Vec::new(),
-                        submitted_s: t.at_s,
-                        completed_s: clock,
-                        latency_s: latency,
-                    });
-                    traces.push(
-                        RequestContext::new(id, t.request.tenant, t.at_s, 0)
-                            .finish(clock, outcome, 0),
+                    let resp = LookupResponse::answered(
+                        id,
+                        t.request.tenant,
+                        t.request.deadline,
+                        t.at_s,
+                        clock,
+                        Vec::new(),
                     );
+                    traces.push(RequestContext::new(id, t.request.tenant, t.at_s, 0).finish(
+                        clock,
+                        resp.outcome,
+                        0,
+                    ));
+                    responses.push(resp);
                     continue;
                 }
                 // Per-tenant circuit breaker: an open breaker fast-rejects
@@ -362,7 +356,12 @@ impl Server {
                         tenant: t.request.tenant,
                         request: id,
                     });
-                    responses.push(shed_response(id, &t.request.tenant, t.at_s, clock));
+                    responses.push(LookupResponse::shed_response(
+                        id,
+                        t.request.tenant,
+                        t.at_s,
+                        clock,
+                    ));
                     let mut ctx = RequestContext::new(id, t.request.tenant, t.at_s, n);
                     ctx.fast_rejected();
                     traces.push(ctx.finish(clock, RequestOutcome::Shed, 0));
@@ -380,7 +379,12 @@ impl Server {
                         request: id,
                         keys: n,
                     });
-                    responses.push(shed_response(id, &t.request.tenant, t.at_s, clock));
+                    responses.push(LookupResponse::shed_response(
+                        id,
+                        t.request.tenant,
+                        t.at_s,
+                        clock,
+                    ));
                     traces.push(RequestContext::new(id, t.request.tenant, t.at_s, n).finish(
                         clock,
                         RequestOutcome::Shed,
@@ -498,25 +502,8 @@ impl Server {
             .take_phase_recorder()
             .map(|rec| rec.finish(gpu))
             .unwrap_or_default();
-        let completed = responses
-            .iter()
-            .filter(|r| r.outcome == RequestOutcome::Completed)
-            .count();
-        let shed = responses
-            .iter()
-            .filter(|r| r.outcome == RequestOutcome::Shed)
-            .count();
-        let deadline_missed = responses
-            .iter()
-            .filter(|r| r.outcome == RequestOutcome::DeadlineMissed)
-            .count();
-        let samples: Vec<f64> = responses
-            .iter()
-            .filter(|r| r.outcome != RequestOutcome::Shed)
-            .map(|r| r.latency_s)
-            .collect();
-        let latency_hist = LatencyHistogram::from_samples(&samples);
-        let latency = LatencyStats::from_samples(samples);
+        let makespan = clock;
+        let (tally, slo) = RunTally::of_responses(&responses, makespan, &self.cfg.resilience.slo);
         // `responses` is sorted by request id (= arrival ordinal), so it
         // zips 1:1 with the trace; keys come from the trace side because a
         // shed response no longer carries them.
@@ -540,12 +527,6 @@ impl Server {
             }
             by_tenant.into_values().collect()
         };
-        let makespan = clock;
-        let mut slo_tracker = SloTracker::new(&self.cfg.resilience.slo);
-        for r in &responses {
-            slo_tracker.observe(r.outcome != RequestOutcome::Shed, r.latency_s);
-        }
-        let slo = slo_tracker.finish(makespan);
         let breaker = BreakerReport {
             opens: self.breakers.values().map(CircuitBreaker::opens).sum(),
             fast_rejects: self
@@ -587,35 +568,23 @@ impl Server {
                 t.len()
             },
             requests: trace.len(),
-            completed,
-            shed,
-            deadline_missed,
-            result_tuples: responses.iter().map(|r| r.matches.len()).sum(),
+            completed: tally.completed,
+            shed: tally.shed,
+            deadline_missed: tally.deadline_missed,
+            result_tuples: tally.result_tuples,
             keys_probed,
             window: WindowStats {
                 windows: windows_closed,
                 matches: matches_total,
             },
-            mean_batch_keys: if windows_closed > 0 {
-                keys_probed as f64 / windows_closed as f64
-            } else {
-                0.0
-            },
+            mean_batch_keys: rate(keys_probed, windows_closed as f64),
             configured_window_tuples: self.cfg.window_tuples,
             effective_window_tuples: self.window_tuples,
             virtual_makespan_s: makespan,
-            completed_rps: if makespan > 0.0 {
-                completed as f64 / makespan
-            } else {
-                0.0
-            },
-            keys_per_second: if makespan > 0.0 {
-                keys_probed as f64 / makespan
-            } else {
-                0.0
-            },
-            latency,
-            latency_hist,
+            completed_rps: tally.completed_rps,
+            keys_per_second: rate(keys_probed, makespan),
+            latency: tally.latency,
+            latency_hist: tally.latency_hist,
             per_tenant,
             max_queue_depth_keys: max_queue_depth,
             events,
@@ -885,23 +854,18 @@ impl Server {
                     events.push(ServeEvent::CircuitClosed { tenant: inf.tenant });
                 }
             }
-            let latency = now_s - inf.submitted_s;
-            let outcome = match inf.deadline {
-                Some(d) if latency > d => RequestOutcome::DeadlineMissed,
-                _ => RequestOutcome::Completed,
-            };
             inf.ctx.first_result(now_s);
             inf.ctx.merged(now_s);
-            traces.push(inf.ctx.finish(now_s, outcome, inf.matches.len()));
-            responses.push(LookupResponse {
-                request: req,
-                tenant: inf.tenant,
-                outcome,
-                matches: inf.matches,
-                submitted_s: inf.submitted_s,
-                completed_s: now_s,
-                latency_s: latency,
-            });
+            let resp = LookupResponse::answered(
+                req,
+                inf.tenant,
+                inf.deadline,
+                inf.submitted_s,
+                now_s,
+                inf.matches,
+            );
+            traces.push(inf.ctx.finish(now_s, resp.outcome, resp.matches.len()));
+            responses.push(resp);
         }
         Ok(())
     }
@@ -944,23 +908,15 @@ impl Server {
                         });
                     }
                 }
-                responses.push(shed_response(req, &inf.tenant, inf.submitted_s, now_s));
+                responses.push(LookupResponse::shed_response(
+                    req,
+                    inf.tenant,
+                    inf.submitted_s,
+                    now_s,
+                ));
                 traces.push(inf.ctx.finish(now_s, RequestOutcome::Shed, 0));
             }
         }
-    }
-}
-
-/// Build a [`RequestOutcome::Shed`] response.
-fn shed_response(id: u64, tenant: &TenantId, submitted_s: f64, now_s: f64) -> LookupResponse {
-    LookupResponse {
-        request: id,
-        tenant: *tenant,
-        outcome: RequestOutcome::Shed,
-        matches: Vec::new(),
-        submitted_s,
-        completed_s: now_s,
-        latency_s: now_s - submitted_s,
     }
 }
 

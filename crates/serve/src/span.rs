@@ -35,18 +35,11 @@
 use crate::report::LatencyStats;
 use crate::request::{RequestOutcome, TenantId};
 use serde::Serialize;
+use windex_sim::fault::splitmix64;
 
 /// Seed folded into every trace id so request-trace ids live in their own
 /// stream, disjoint from the workload/trace generators.
 const TRACE_ID_SEED: u64 = 0x7370616e74726565; // "spantree"
-
-#[inline]
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
 
 /// Derive the deterministic trace id of a server-assigned request id.
 pub fn trace_id_for(request: u64) -> u64 {

@@ -10,6 +10,7 @@
 
 use crate::request::{LookupRequest, TenantId};
 use windex_core::WindexError;
+use windex_sim::fault::{splitmix64, unit};
 use windex_workload::Relation;
 
 /// One scheduled arrival of a served trace.
@@ -85,21 +86,6 @@ impl Default for TraceConfig {
             deadline_s: None,
         }
     }
-}
-
-#[inline]
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-/// Uniform f64 in `(0, 1]` from one hash draw (never 0, so `ln` is finite).
-#[inline]
-fn unit(seed: u64, salt: u64, seq: u64) -> f64 {
-    let h = splitmix64(seed ^ salt.wrapping_mul(0x9e3779b97f4a7c15) ^ seq);
-    ((h >> 11) as f64 + 1.0) / (1u64 << 53) as f64
 }
 
 const SALT_ARRIVAL: u64 = 0x61727269;

@@ -19,7 +19,7 @@
 //! batches pass. Everything is a pure function of (seed, trace): repeated
 //! runs serialize byte-identically.
 
-use crate::report::{LatencyHistogram, LatencyStats};
+use crate::report::{latency_summary, rate, LatencyHistogram, LatencyStats};
 use crate::request::{RequestOutcome, TenantId};
 use crate::span::{
     sample_tail, RequestContext, RequestTrace, StageLatencyStats, TailConfig, TailReport,
@@ -32,16 +32,9 @@ use windex_core::{
     QueryExecutor, QuerySession, TuneEvent, TunerConfig, WindexError,
 };
 use windex_join::PartitionBits;
+use windex_sim::fault::splitmix64;
 use windex_sim::{CostModel, Counters, Gpu, GpuSpec};
 use windex_workload::Relation;
-
-#[inline]
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
 
 /// Configuration of a tuned serving run.
 #[derive(Debug, Clone, Copy)]
@@ -188,6 +181,12 @@ struct Tenant {
     /// The tuner's last decision was an exploration: the next batch this
     /// tenant dispatches is a probe batch.
     explore_next: bool,
+    run: TenantRun,
+}
+
+/// One tenant's accounting over the current run (reset by every `run`).
+#[derive(Default)]
+struct TenantRun {
     requests: usize,
     completed: usize,
     deadline_missed: usize,
@@ -250,13 +249,7 @@ impl TunedServer {
                 queued_keys: 0,
                 events_seen: 0,
                 explore_next: false,
-                requests: 0,
-                completed: 0,
-                deadline_missed: 0,
-                keys: 0,
-                matches: 0,
-                batches: 0,
-                busy_s: 0.0,
+                run: TenantRun::default(),
             });
         }
         staged.sort_by_key(|t| t.id);
@@ -358,16 +351,16 @@ impl TunedServer {
         let service_s = build_s + rep.time.total_s;
         let start_s = self.gpu.virtual_now_s().max(*clock);
         let end_s = start_s + service_s;
-        t.busy_s += service_s;
-        t.batches += 1;
-        t.keys += keys.len();
-        t.matches += rep.result_tuples;
+        t.run.busy_s += service_s;
+        t.run.batches += 1;
+        t.run.keys += keys.len();
+        t.run.matches += rep.result_tuples;
         for mut q in batch {
             let latency = end_s - q.at_s;
             latencies.push(latency);
-            t.completed += 1;
+            t.run.completed += 1;
             let outcome = if q.deadline.is_some_and(|d| latency > d) {
-                t.deadline_missed += 1;
+                t.run.deadline_missed += 1;
                 RequestOutcome::DeadlineMissed
             } else {
                 RequestOutcome::Completed
@@ -401,9 +394,25 @@ impl TunedServer {
         Ok(())
     }
 
-    /// Replay an arrival-ordered trace to completion and report. Requests
-    /// for unknown tenants are rejected up front.
+    /// Replay an arrival-ordered trace to completion and report. A trace
+    /// naming an unknown tenant is rejected before anything is admitted.
+    /// The report covers this trace only; tuner state carries over between
+    /// runs.
     pub fn run(&mut self, trace: &[TimedRequest]) -> Result<TunedReport, WindexError> {
+        let tenant_of: Vec<usize> = trace
+            .iter()
+            .map(|tr| {
+                self.tenant_index(tr.request.tenant)
+                    .ok_or(WindexError::InvalidConfig(
+                        "trace request for a tenant the server does not host",
+                    ))
+            })
+            .collect::<Result<_, _>>()?;
+        for t in &mut self.tenants {
+            t.queue.clear();
+            t.queued_keys = 0;
+            t.run = TenantRun::default();
+        }
         let mut clock = 0.0f64;
         let mut next = 0usize;
         let mut latencies: Vec<f64> = Vec::new();
@@ -415,13 +424,8 @@ impl TunedServer {
             // Admit everything that has arrived by `clock`.
             while next < trace.len() && trace[next].at_s <= clock {
                 let tr = &trace[next];
-                let ti = self
-                    .tenant_index(tr.request.tenant)
-                    .ok_or(WindexError::InvalidConfig(
-                        "trace request for a tenant the server does not host",
-                    ))?;
-                let t = &mut self.tenants[ti];
-                t.requests += 1;
+                let t = &mut self.tenants[tenant_of[next]];
+                t.run.requests += 1;
                 t.queued_keys += tr.request.keys.len();
                 t.queue.push_back(Queued {
                     at_s: tr.at_s,
@@ -463,21 +467,23 @@ impl TunedServer {
         traces.sort_by_key(|t| t.request);
         let stages = StageLatencyStats::from_traces(&traces);
         let tail = sample_tail(&traces, &TailConfig::default());
-        let busy_s: f64 = self.tenants.iter().map(|t| t.busy_s).sum();
-        let completed: usize = self.tenants.iter().map(|t| t.completed).sum();
-        let keys_probed: usize = self.tenants.iter().map(|t| t.keys).sum();
+        let busy_s: f64 = self.tenants.iter().map(|t| t.run.busy_s).sum();
+        let completed: usize = self.tenants.iter().map(|t| t.run.completed).sum();
+        let keys_probed: usize = self.tenants.iter().map(|t| t.run.keys).sum();
+        // Latencies stay in dispatch order: the histogram's sum depends on it.
+        let (latency, latency_hist) = latency_summary(latencies);
         let per_tenant: Vec<TunedTenantReport> = self
             .tenants
             .iter()
             .map(|t| TunedTenantReport {
                 tenant: t.id,
                 paper_r_gib: t.paper_r_gib,
-                requests: t.requests,
-                completed: t.completed,
-                keys: t.keys,
-                matches: t.matches,
-                batches: t.batches,
-                busy_s: t.busy_s,
+                requests: t.run.requests,
+                completed: t.run.completed,
+                keys: t.run.keys,
+                matches: t.run.matches,
+                batches: t.run.batches,
+                busy_s: t.run.busy_s,
                 final_plan: t.tuner.current_label(),
                 switches: t.tuner.switch_count(),
                 explorations: t.tuner.exploration_count(),
@@ -497,33 +503,21 @@ impl TunedServer {
                 self.cfg.max_delay_s * 1e3
             ),
             tenants: self.tenants.len(),
-            requests: self.tenants.iter().map(|t| t.requests).sum(),
+            requests: self.tenants.iter().map(|t| t.run.requests).sum(),
             completed,
-            deadline_missed: self.tenants.iter().map(|t| t.deadline_missed).sum(),
+            deadline_missed: self.tenants.iter().map(|t| t.run.deadline_missed).sum(),
             keys_probed,
-            result_tuples: self.tenants.iter().map(|t| t.matches).sum(),
+            result_tuples: self.tenants.iter().map(|t| t.run.matches).sum(),
             batches,
             switches: per_tenant.iter().map(|t| t.switches).sum(),
             explorations: per_tenant.iter().map(|t| t.explorations).sum(),
             virtual_makespan_s: clock,
             busy_s,
-            aggregate_qps: if busy_s > 0.0 {
-                completed as f64 / busy_s
-            } else {
-                0.0
-            },
-            completed_rps: if clock > 0.0 {
-                completed as f64 / clock
-            } else {
-                0.0
-            },
-            keys_per_second: if busy_s > 0.0 {
-                keys_probed as f64 / busy_s
-            } else {
-                0.0
-            },
-            latency: LatencyStats::from_samples(latencies.clone()),
-            latency_hist: LatencyHistogram::from_samples(&latencies),
+            aggregate_qps: rate(completed, busy_s),
+            completed_rps: rate(completed, clock),
+            keys_per_second: rate(keys_probed, busy_s),
+            latency,
+            latency_hist,
             per_tenant,
             tune_events: events,
             counters: totals,
@@ -605,10 +599,43 @@ mod tests {
     }
 
     #[test]
+    fn repeated_runs_report_only_their_own_trace() {
+        let r = small_relation();
+        let trace = mini_trace(&r, 0);
+        let keys: usize = trace.iter().map(|t| t.request.keys.len()).sum();
+        let mut srv = TunedServer::new(spec(), TunedConfig::default(), vec![(0, r)], None).unwrap();
+        let first = srv.run(&trace).unwrap();
+        let second = srv.run(&trace).unwrap();
+        for rep in [&first, &second] {
+            assert_eq!(rep.requests, trace.len());
+            assert_eq!(rep.completed, trace.len());
+            assert_eq!(rep.keys_probed, keys);
+            assert_eq!(rep.result_tuples, keys);
+            assert_eq!(rep.traces.len(), trace.len());
+            let t = &rep.per_tenant[0];
+            assert_eq!((t.requests, t.completed), (trace.len(), trace.len()));
+            assert_eq!((t.keys, t.matches), (keys, keys));
+            assert_eq!(t.batches, rep.batches);
+        }
+    }
+
+    #[test]
     fn unknown_tenant_is_rejected() {
         let r = small_relation();
         let trace = mini_trace(&r, 3); // tenant 3 was never staged
-        let mut srv = TunedServer::new(spec(), TunedConfig::default(), vec![(0, r)], None).unwrap();
+        let mut srv =
+            TunedServer::new(spec(), TunedConfig::default(), vec![(0, r.clone())], None).unwrap();
         assert!(srv.run(&trace).is_err());
+        // An unknown tenant arriving after known ones is rejected before
+        // any request is admitted, so nothing leaks into the next run.
+        let good = mini_trace(&r, 0);
+        let mut late = good.clone();
+        let mut stray = late[late.len() - 1].clone();
+        stray.request.tenant = 3;
+        late.push(stray);
+        assert!(srv.run(&late).is_err());
+        let rep = srv.run(&good).unwrap();
+        assert_eq!(rep.requests, good.len());
+        assert_eq!(rep.completed, good.len());
     }
 }

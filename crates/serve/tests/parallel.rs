@@ -57,7 +57,7 @@ fn server_outcome_is_byte_identical_across_thread_counts() {
         assert_eq!(json1, json_n, "outcome diverged at {threads} threads");
         assert_eq!(om1, om_n, "OpenMetrics diverged at {threads} threads");
     }
-    assert!(om1.ends_with("# EOF\n"));
+    windex_serve::validate_openmetrics(&om1).unwrap();
 }
 
 #[test]

@@ -254,12 +254,24 @@ impl RetryPolicy {
     }
 }
 
+/// The SplitMix64 finalizer: the workspace's one counter-indexed hash.
+/// Every seeded draw (fault injection, chaos pages, traces, retry jitter,
+/// tuner exploration, span ids) goes through it, so a seed replays
+/// bit-identically everywhere.
 #[inline]
-pub(crate) fn splitmix64(seed: u64) -> u64 {
+pub fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9e3779b97f4a7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
     z ^ (z >> 31)
+}
+
+/// Uniform f64 in `(0, 1]` from the `seq`-th draw of the `(seed, salt)`
+/// stream (never 0, so `ln` stays finite).
+#[inline]
+pub fn unit(seed: u64, salt: u64, seq: u64) -> f64 {
+    let h = splitmix64(seed ^ salt.wrapping_mul(0x9e3779b97f4a7c15) ^ seq);
+    ((h >> 11) as f64 + 1.0) / (1u64 << 53) as f64
 }
 
 #[cfg(test)]
