@@ -344,36 +344,59 @@ fn unrecoverable_faults_shed_batches_not_the_server() {
 fn server_rejects_invalid_configurations() {
     let mut g = gpu();
     let r = relation();
-    assert!(Server::new(
-        &mut g,
+    let invalid = [
         ServeConfig {
             window_tuples: 0,
             ..ServeConfig::default()
         },
-        r.clone(),
-    )
-    .is_err());
-    assert!(Server::new(
-        &mut g,
         ServeConfig {
             quantum_keys: 0,
             ..ServeConfig::default()
         },
-        r.clone(),
-    )
-    .is_err());
-    assert!(Server::new(
-        &mut g,
+        ServeConfig {
+            max_pending_keys: 0,
+            ..ServeConfig::default()
+        },
         ServeConfig {
             policy: BatchPolicy::Shared { max_delay_s: 0.0 },
             ..ServeConfig::default()
         },
-        r,
-    )
-    .is_err());
+        ServeConfig {
+            policy: BatchPolicy::Shared {
+                max_delay_s: f64::NAN,
+            },
+            ..ServeConfig::default()
+        },
+    ];
+    // Both hosts reject every invalid knob with the same error.
+    for cfg in invalid {
+        let single = Server::new(&mut g, cfg, r.clone()).unwrap_err();
+        let cluster = ClusterServer::new(
+            ClusterConfig {
+                serve: cfg,
+                cluster: ClusterSpec::sharded(
+                    2,
+                    GpuSpec::v100_nvlink2(Scale::PAPER),
+                    InterconnectSpec::nvlink4_peer(),
+                ),
+            },
+            r.clone(),
+        )
+        .unwrap_err();
+        assert_eq!(single.to_string(), cluster.to_string(), "{cfg:?}");
+    }
     // Unsorted relations cannot be indexed.
     let unsorted = Relation::from_keys(vec![5, 1, 3], false);
-    assert!(Server::new(&mut g, ServeConfig::default(), unsorted).is_err());
+    assert!(Server::new(&mut g, ServeConfig::default(), unsorted.clone()).is_err());
+    let cfg = ClusterConfig {
+        serve: ServeConfig::default(),
+        cluster: ClusterSpec::replicated(
+            2,
+            GpuSpec::v100_nvlink2(Scale::PAPER),
+            InterconnectSpec::nvlink4_peer(),
+        ),
+    };
+    assert!(ClusterServer::new(cfg, unsorted).is_err());
 }
 
 #[test]
