@@ -20,7 +20,7 @@
 //! transfer before the response can complete.
 //!
 //! The degradation ladder grows two cluster-level rungs above the per-GPU
-//! ones (shrink window → spill sink → shed batch):
+//! ones (shrink window → spill sink → retry → shed batch):
 //!
 //! 1. **fail over** — under replication, a `DeviceLost` GPU's queue moves
 //!    to a surviving replica;
@@ -29,29 +29,26 @@
 //!    survivor's index is rebuilt on the virtual clock, and the router is
 //!    repointed.
 //!
-//! A single-GPU cluster falls back to the in-place rebuild recovery of the
-//! single-GPU server. Every path reports MTTR in virtual seconds.
+//! Each GPU serves through its own lane, the unit the single-GPU server
+//! runs, so the per-GPU rungs are the server's: a GPU with no live peer
+//! rebuilds in place after a loss. Every path reports MTTR in virtual seconds.
 
 use super::report::{ClusterEvent, ClusterReport, ShardLoad};
 use super::router::ShardRouter;
 use super::spec::{ClusterSpec, Placement};
 use crate::batch::MicroBatcher;
+use crate::lane::{Landed, Lane, LaneStep, Retries};
 use crate::report::{rate, RunTally};
-use crate::request::{LookupResponse, RequestOutcome, TenantId};
-use crate::resilience::{jittered_backoff_s, RetryBudget};
+use crate::request::{LookupResponse, TenantId};
 use crate::sched::DrrScheduler;
-use crate::server::{BatchPolicy, ServeConfig};
-use crate::span::{sample_tail, RequestContext, RequestTrace, StageLatencyStats, TailConfig};
-use crate::trace::TimedRequest;
+use crate::server::ServeConfig;
+use crate::span::{Answers, RequestContext};
+use crate::trace::{distinct_tenants, TimedRequest};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use windex_core::query::QueryError;
-use windex_core::session::{MAX_DEVICE_LOSS_RECOVERIES, MIN_WINDOW_TUPLES};
-use windex_core::strategy::{BuiltIndex, IndexConfigs};
-use windex_core::streams::StreamingWindowJoin;
-use windex_core::window::WindowConfig;
 use windex_core::WindexError;
-use windex_sim::{Buffer, ChaosSchedule, CostModel, Gpu, InterconnectSpec, MemLocation};
+use windex_sim::{ChaosSchedule, Gpu, InterconnectSpec};
 use windex_workload::Relation;
 
 /// Bytes shipped over the peer link per fanned-out probe key.
@@ -136,36 +133,20 @@ struct Shard {
     /// Global tuple range `[lo, hi)` of the resident slice of sorted R.
     lo: usize,
     hi: usize,
-    col: Rc<Buffer<u64>>,
-    index: BuiltIndex,
-    op: StreamingWindowJoin,
-    sink: ResultSinkSlot,
-    window_tuples: usize,
+    /// The slice's index, shared operator and sink.
+    lane: Lane,
     sched: DrrScheduler,
     batcher: MicroBatcher,
     /// The shard is busy (dispatching or rebuilding) until this instant.
     busy_until_s: f64,
     inflight: Option<PendingDispatch>,
-    device_losses: usize,
-    // Per-trace metrics (reset each run).
-    subrequests: usize,
-    keys_probed: usize,
-    dispatches: usize,
-    matches: usize,
-    max_queue_depth_keys: usize,
-    busy_s: f64,
-    cross_bytes: u64,
-}
-
-/// The shard's sink together with its current placement (GPU placement
-/// falls back to CPU under memory pressure, like the single-GPU server).
-#[derive(Debug)]
-struct ResultSinkSlot {
-    sink: windex_join::ResultSink,
-    loc: MemLocation,
+    /// This trace's load tally (reset each run; identity, liveness and
+    /// ownership are filled in at report time).
+    load: ShardLoad,
 }
 
 /// Mutable state of one `run()` invocation.
+#[derive(Default)]
 struct RunState {
     clock_s: f64,
     subs: Vec<SubRequest>,
@@ -174,9 +155,7 @@ struct RunState {
     parents: BTreeMap<u64, Parent>,
     /// Leg index inside the parent's `RequestContext`, parallel to `subs`.
     leg_of_sub: Vec<usize>,
-    responses: Vec<LookupResponse>,
-    /// One finished span tree per answered request.
-    traces: Vec<RequestTrace>,
+    answers: Answers,
     events: Vec<ClusterEvent>,
     cross_shard_bytes: u64,
     single_shard_requests: usize,
@@ -194,10 +173,9 @@ pub struct ClusterServer {
     r: Relation,
     router: ShardRouter,
     shards: Vec<Shard>,
-    cost: CostModel,
     link: InterconnectSpec,
-    retry_budget: RetryBudget,
-    retry_seq: u64,
+    /// Retry budget and jitter ordinal shared by every GPU's ladder.
+    retries: Retries,
 }
 
 impl ClusterServer {
@@ -207,26 +185,7 @@ impl ClusterServer {
     pub fn new(cfg: ClusterConfig, r: Relation) -> Result<Self, WindexError> {
         cfg.cluster.validate()?;
         let serve = &cfg.serve;
-        if serve.window_tuples == 0 {
-            return Err(WindexError::InvalidConfig(
-                "serving window must hold at least one key",
-            ));
-        }
-        if serve.quantum_keys == 0 {
-            return Err(WindexError::InvalidConfig("DRR quantum must be positive"));
-        }
-        if serve.max_pending_keys == 0 {
-            return Err(WindexError::InvalidConfig(
-                "backpressure bound must admit at least one key",
-            ));
-        }
-        if let BatchPolicy::Shared { max_delay_s } = serve.policy {
-            if !max_delay_s.is_finite() || max_delay_s <= 0.0 {
-                return Err(WindexError::InvalidConfig(
-                    "shared-batch max delay must be positive",
-                ));
-            }
-        }
+        serve.validate()?;
         if !r.is_sorted_unique() {
             return Err(QueryError::IndexedRelationNotSorted.into());
         }
@@ -270,59 +229,27 @@ impl ClusterServer {
             };
             let mut gpu = Gpu::try_new(cfg.cluster.gpu.clone()).map_err(WindexError::from)?;
             let col = Rc::new(gpu.alloc_host_from_vec(r.keys()[lo..hi].to_vec()));
-            let index = BuiltIndex::build(&mut gpu, serve.index, &col, &IndexConfigs::default());
-            let op = StreamingWindowJoin::new(
-                &mut gpu,
-                WindowConfig {
-                    window_tuples: serve.window_tuples,
-                    bits,
-                    min_key,
-                },
-            )?;
-            let mut loc = serve.result_location;
-            let sink =
-                match windex_join::ResultSink::with_capacity(&mut gpu, serve.window_tuples, loc) {
-                    Ok(sk) => sk,
-                    Err(e) if WindexError::from(e.clone()).is_capacity() => {
-                        loc = MemLocation::Cpu;
-                        windex_join::ResultSink::with_capacity(&mut gpu, serve.window_tuples, loc)?
-                    }
-                    Err(e) => return Err(e.into()),
-                };
+            let lane = Lane::new(&mut gpu, serve, col, bits, min_key)?;
             shards.push(Shard {
                 gpu,
                 alive: true,
                 lo,
                 hi,
-                col,
-                index,
-                op,
-                sink: ResultSinkSlot { sink, loc },
-                window_tuples: serve.window_tuples,
+                lane,
                 sched: DrrScheduler::new(serve.quantum_keys)?,
                 batcher: MicroBatcher::new(),
                 busy_until_s: 0.0,
                 inflight: None,
-                device_losses: 0,
-                subrequests: 0,
-                keys_probed: 0,
-                dispatches: 0,
-                matches: 0,
-                max_queue_depth_keys: 0,
-                busy_s: 0.0,
-                cross_bytes: 0,
+                load: ShardLoad::default(),
             });
         }
-        let cost = CostModel::new(&cfg.cluster.gpu);
         Ok(ClusterServer {
             link: cfg.cluster.peer_link.clone(),
-            retry_budget: RetryBudget::new(&cfg.serve.resilience.retry),
+            retries: Retries::new(&cfg.serve.resilience.retry),
             cfg,
             r,
             router,
             shards,
-            cost,
-            retry_seq: 0,
         })
     }
 
@@ -371,40 +298,18 @@ impl ClusterServer {
             trace.windows(2).all(|w| w[0].at_s <= w[1].at_s),
             "trace must be sorted by arrival time"
         );
-        let mut st = RunState {
-            clock_s: 0.0,
-            subs: Vec::new(),
-            sub_home: Vec::new(),
-            parents: BTreeMap::new(),
-            leg_of_sub: Vec::new(),
-            responses: Vec::with_capacity(trace.len()),
-            traces: Vec::with_capacity(trace.len()),
-            events: Vec::new(),
-            cross_shard_bytes: 0,
-            single_shard_requests: 0,
-            cross_shard_requests: 0,
-            failovers: 0,
-            reshards: 0,
-            recoveries: 0,
-            mttr_total_s: 0.0,
-        };
-        self.retry_seq = 0;
+        let mut st = RunState::default();
+        self.retries.begin_run();
         for shard in &mut self.shards {
-            shard.op.reset();
-            shard.sink.sink.clear();
+            shard.lane.begin_run();
             shard.busy_until_s = 0.0;
             shard.inflight = None;
-            shard.subrequests = 0;
-            shard.keys_probed = 0;
-            shard.dispatches = 0;
-            shard.matches = 0;
-            shard.max_queue_depth_keys = 0;
-            shard.busy_s = 0.0;
-            shard.cross_bytes = 0;
+            shard.load = ShardLoad::default();
             // The serving clock IS the chaos clock on every device.
             shard.gpu.set_virtual_time(0.0);
         }
         let mut next_arrival = 0usize;
+        let policy = self.cfg.serve.policy;
 
         loop {
             // 1. Deliver every dispatch whose busy-interval has elapsed,
@@ -435,9 +340,9 @@ impl ClusterServer {
                     continue;
                 }
                 self.stage_shard(s, &mut st)?;
-                let idle =
-                    self.shards[s].inflight.is_none() && self.shards[s].busy_until_s <= st.clock_s;
-                if idle && self.dispatch_due(s, st.clock_s) {
+                let shard = &self.shards[s];
+                let idle = shard.inflight.is_none() && shard.busy_until_s <= st.clock_s;
+                if idle && policy.due(&shard.batcher, shard.lane.window_tuples(), st.clock_s) {
                     self.dispatch_shard(s, &mut st)?;
                 }
             }
@@ -454,12 +359,10 @@ impl ClusterServer {
                     next = next.min(shard.busy_until_s);
                 }
             }
-            if let BatchPolicy::Shared { max_delay_s } = self.cfg.serve.policy {
-                for shard in &self.shards {
-                    if shard.alive && shard.inflight.is_none() {
-                        if let Some(since) = shard.batcher.oldest_since() {
-                            next = next.min((since + max_delay_s).max(shard.busy_until_s));
-                        }
+            for shard in &self.shards {
+                if shard.alive && shard.inflight.is_none() {
+                    if let Some(flush_s) = policy.flush_deadline(&shard.batcher) {
+                        next = next.min(flush_s.max(shard.busy_until_s));
                     }
                 }
             }
@@ -488,23 +391,7 @@ impl ClusterServer {
         let now = st.clock_s;
         let n = t.request.keys.len();
         if n == 0 {
-            // Nothing to probe: answer at admission (as the single-GPU
-            // server does) instead of parking an unfinishable parent.
-            let resp = LookupResponse::answered(
-                id,
-                t.request.tenant,
-                t.request.deadline,
-                t.at_s,
-                now,
-                Vec::new(),
-            );
-            st.traces
-                .push(RequestContext::new(id, t.request.tenant, t.at_s, 0).finish(
-                    now,
-                    resp.outcome,
-                    0,
-                ));
-            st.responses.push(resp);
+            st.answers.unserved(id, t, now, false);
             return;
         }
         // Route every key to the shard owning its partition (sharded), or
@@ -539,18 +426,7 @@ impl ClusterServer {
                 request: id,
                 keys: n,
             });
-            st.responses.push(LookupResponse::shed_response(
-                id,
-                t.request.tenant,
-                t.at_s,
-                now,
-            ));
-            st.traces
-                .push(RequestContext::new(id, t.request.tenant, t.at_s, n).finish(
-                    now,
-                    RequestOutcome::Shed,
-                    0,
-                ));
+            st.answers.unserved(id, t, now, false);
             return;
         }
         if legs.len() > 1 {
@@ -586,11 +462,11 @@ impl ClusterServer {
             self.shards[shard]
                 .sched
                 .enqueue(t.request.tenant, sub_id, n_keys);
-            self.shards[shard].subrequests += 1;
+            self.shards[shard].load.subrequests += 1;
             let depth =
                 self.shards[shard].sched.queued_keys() + self.shards[shard].batcher.pending();
-            self.shards[shard].max_queue_depth_keys =
-                self.shards[shard].max_queue_depth_keys.max(depth);
+            let load = &mut self.shards[shard].load;
+            load.max_queue_depth_keys = load.max_queue_depth_keys.max(depth);
         }
         st.parents.insert(id, parent);
     }
@@ -598,13 +474,10 @@ impl ClusterServer {
     /// Release queued sub-requests into shard `s`'s batcher under DRR
     /// order, skipping legs whose parent was already shed.
     fn stage_shard(&mut self, s: usize, st: &mut RunState) -> Result<(), WindexError> {
+        let policy = self.cfg.serve.policy;
         loop {
             let shard = &mut self.shards[s];
-            let want = match self.cfg.serve.policy {
-                BatchPolicy::Shared { .. } => shard.batcher.pending() < shard.window_tuples,
-                BatchPolicy::PerRequest => shard.batcher.pending() == 0,
-            };
-            if !want {
+            if !policy.stage_more(&shard.batcher, shard.lane.window_tuples()) {
                 return Ok(());
             }
             match shard.sched.dequeue()? {
@@ -620,31 +493,13 @@ impl ClusterServer {
         }
     }
 
-    /// Whether shard `s`'s staged keys are due for dispatch.
-    fn dispatch_due(&self, s: usize, now: f64) -> bool {
-        let shard = &self.shards[s];
-        match self.cfg.serve.policy {
-            BatchPolicy::PerRequest => shard.batcher.pending() > 0,
-            BatchPolicy::Shared { max_delay_s } => {
-                shard.batcher.pending() >= shard.window_tuples
-                    || shard
-                        .batcher
-                        .oldest_since()
-                        .is_some_and(|since| since + max_delay_s <= now)
-            }
-        }
-    }
-
-    /// Push one batch through shard `s`'s operator, walking the per-GPU
-    /// degradation ladder and, on device loss, the cluster rungs.
+    /// Push one batch through shard `s`'s lane (see [`Lane::dispatch`]);
+    /// on device loss with a live peer, walk the cluster rungs instead.
     fn dispatch_shard(&mut self, s: usize, st: &mut RunState) -> Result<(), WindexError> {
-        let take = match self.cfg.serve.policy {
-            BatchPolicy::PerRequest => self.shards[s].batcher.pending(),
-            BatchPolicy::Shared { .. } => self.shards[s]
-                .window_tuples
-                .min(self.shards[s].batcher.pending()),
-        };
-        let batch = self.shards[s].batcher.take(take, st.clock_s);
+        let policy = self.cfg.serve.policy;
+        let shard = &mut self.shards[s];
+        let take = policy.take_size(&shard.batcher, shard.lane.window_tuples());
+        let batch = shard.batcher.take(take, st.clock_s);
         if batch.is_empty() {
             return Ok(());
         }
@@ -653,7 +508,7 @@ impl ClusterServer {
         let mut member_subs: Vec<u64> = Vec::new();
         let mut member_parents: Vec<u64> = Vec::new();
         for &(_, rid) in &batch {
-            let (sub_id, _) = self.shards[s].batcher.resolve(rid);
+            let (sub_id, _) = shard.batcher.resolve(rid);
             if !member_subs.contains(&sub_id) {
                 member_subs.push(sub_id);
             }
@@ -662,182 +517,97 @@ impl ClusterServer {
                 member_parents.push(parent_id);
             }
         }
-        let mut backoff_total = 0.0f64;
-        let mut est_total = 0.0f64;
-        let mut attempts = 0u32;
-        loop {
-            self.shards[s]
-                .gpu
-                .set_virtual_time(st.clock_s + backoff_total);
-            self.shards[s].op.reset();
-            let before = self.shards[s].gpu.snapshot();
-            let attempt = {
-                let shard = &mut self.shards[s];
-                shard
-                    .op
-                    .push(
-                        &mut shard.gpu,
-                        shard.index.as_dyn(),
-                        &batch,
-                        &mut shard.sink.sink,
-                    )
-                    .and_then(|()| {
-                        shard.op.flush_now(
-                            &mut shard.gpu,
-                            shard.index.as_dyn(),
-                            &mut shard.sink.sink,
-                        )
-                    })
-            };
-            let delta = self.shards[s].gpu.snapshot() - before;
-            est_total += self.cost.estimate(&delta, false).total_s;
-            match attempt {
-                Ok(_) => {
-                    let stats = self.shards[s].op.stats();
-                    let pairs = self.shards[s].sink.sink.host_pairs();
-                    self.shards[s].sink.sink.clear();
-                    self.retry_budget.on_success();
-                    // Gather-in: keys staged for a remote coordinator had
-                    // to cross the peer link before this shard could probe
-                    // them; the transfer extends the busy interval.
-                    let mut in_bytes = 0u64;
-                    for &(_, rid) in &batch {
-                        let (sub_id, _) = self.shards[s].batcher.resolve(rid);
-                        if let Some(p) = st.parents.get(&st.subs[sub_id as usize].parent) {
-                            if p.coordinator != s {
-                                in_bytes += KEY_BYTES;
-                            }
-                        }
-                    }
-                    let xfer_in_s = if in_bytes > 0 {
-                        self.link.transfer_s(in_bytes)
-                    } else {
-                        0.0
-                    };
-                    st.cross_shard_bytes += in_bytes;
-                    let done_s = st.clock_s + backoff_total + est_total + xfer_in_s;
-                    // Milestones: the batch left the queue for the device
-                    // at dispatch time (leg min-wins across split batches).
-                    for &sub_id in &member_subs {
-                        if let Some(p) = st.parents.get_mut(&st.subs[sub_id as usize].parent) {
-                            p.ctx.dispatched(st.clock_s);
-                            p.ctx
-                                .leg_dispatched(st.leg_of_sub[sub_id as usize], st.clock_s);
-                        }
-                    }
-                    let shard = &mut self.shards[s];
-                    shard.cross_bytes += in_bytes;
-                    shard.keys_probed += batch.len();
-                    shard.dispatches += 1;
-                    shard.matches += stats.matches;
-                    shard.busy_s += done_s - st.clock_s;
-                    shard.busy_until_s = done_s;
-                    shard.inflight = Some(PendingDispatch {
-                        done_s,
-                        base: shard.lo as u64,
-                        batch,
-                        pairs,
-                    });
-                    return Ok(());
+        // Without a live peer to fail over or re-shard to (this shard is
+        // alive), a lost GPU rebuilds in place.
+        let in_place = self.shards.iter().filter(|sh| sh.alive).count() == 1;
+        let shard = &mut self.shards[s];
+        let d = shard.lane.dispatch(
+            &mut shard.gpu,
+            &batch,
+            st.clock_s,
+            &mut self.retries,
+            in_place,
+        )?;
+        for step in d.steps {
+            st.events.push(match step {
+                LaneStep::WindowShrunk { from, to } => {
+                    ClusterEvent::ShardWindowShrunk { gpu: s, from, to }
                 }
-                Err(e) if e.is_device_loss() => {
-                    let has_survivor = self
-                        .shards
-                        .iter()
-                        .enumerate()
-                        .any(|(i, sh)| i != s && sh.alive);
-                    if !has_survivor {
-                        // Single-GPU rung: in-place rebuild (the PR 6
-                        // recovery path), then redrive the dispatch.
-                        if self.shards[s].device_losses < MAX_DEVICE_LOSS_RECOVERIES {
-                            self.shards[s].device_losses += 1;
-                            let mttr_s = self.recover_in_place(s, st.clock_s + backoff_total)?;
-                            st.events
-                                .push(ClusterEvent::DeviceRecovered { gpu: s, mttr_s });
-                            st.recoveries += 1;
-                            st.mttr_total_s += mttr_s;
-                            backoff_total += mttr_s;
-                            continue;
-                        }
-                        self.abandon(s, &batch, st);
-                        return Ok(());
-                    }
-                    self.lose_shard(s, batch, st)?;
-                    return Ok(());
-                }
-                Err(e) if e.is_capacity() => {
-                    if self.shards[s].window_tuples > MIN_WINDOW_TUPLES {
-                        let from = self.shards[s].window_tuples;
-                        let to = (from / 2).max(MIN_WINDOW_TUPLES);
-                        st.events
-                            .push(ClusterEvent::ShardWindowShrunk { gpu: s, from, to });
-                        let shard = &mut self.shards[s];
-                        shard.window_tuples = to;
-                        shard.op = StreamingWindowJoin::new(
-                            &mut shard.gpu,
-                            WindowConfig {
-                                window_tuples: to,
-                                bits: self.router.bits(),
-                                min_key: self.router.min_key(),
-                            },
-                        )?;
-                        continue;
-                    }
-                    if self.shards[s].sink.loc == MemLocation::Gpu {
-                        st.events.push(ClusterEvent::ShardSinkSpilled { gpu: s });
-                        let shard = &mut self.shards[s];
-                        shard.sink.loc = MemLocation::Cpu;
-                        let old = std::mem::replace(
-                            &mut shard.sink.sink,
-                            windex_join::ResultSink::with_capacity(
-                                &mut shard.gpu,
-                                shard.window_tuples,
-                                MemLocation::Cpu,
-                            )?,
-                        );
-                        old.free(&mut shard.gpu);
-                        continue;
-                    }
-                    self.abandon(s, &batch, st);
-                    return Ok(());
-                }
-                Err(e)
-                    if e.is_transient()
-                        && attempts < self.cfg.serve.resilience.retry.max_attempts_per_dispatch
-                        && self.retry_budget.try_spend() =>
-                {
-                    let backoff_s = jittered_backoff_s(
-                        &self.cfg.serve.resilience.retry,
-                        attempts,
-                        self.retry_seq,
-                    );
-                    self.retry_seq += 1;
-                    attempts += 1;
-                    backoff_total += backoff_s;
-                    for &parent_id in &member_parents {
-                        if let Some(p) = st.parents.get_mut(&parent_id) {
+                LaneStep::SinkSpilled => ClusterEvent::ShardSinkSpilled { gpu: s },
+                LaneStep::Retried { attempt, backoff_s } => {
+                    for parent_id in &member_parents {
+                        if let Some(p) = st.parents.get_mut(parent_id) {
                             p.ctx.retried();
                         }
                     }
-                    st.events.push(ClusterEvent::DispatchRetried {
+                    ClusterEvent::DispatchRetried {
                         gpu: s,
-                        attempt: attempts,
+                        attempt,
                         backoff_s,
-                    });
-                    continue;
-                }
-                Err(e) => {
-                    if e.is_transient() {
-                        st.events.push(ClusterEvent::RetriesExhausted {
-                            gpu: s,
-                            keys: batch.len(),
-                        });
                     }
-                    self.abandon(s, &batch, st);
-                    return Ok(());
+                }
+                LaneStep::Recovered { mttr_s, rebuild_s } => {
+                    st.recoveries += 1;
+                    st.mttr_total_s += mttr_s;
+                    self.shards[s].load.busy_s += rebuild_s;
+                    ClusterEvent::DeviceRecovered { gpu: s, mttr_s }
+                }
+                LaneStep::RetriesExhausted => ClusterEvent::RetriesExhausted {
+                    gpu: s,
+                    keys: batch.len(),
+                },
+            });
+        }
+        let (stats, pairs) = match d.landed {
+            Landed::Completed { stats, pairs } => (stats, pairs),
+            Landed::Abandoned => {
+                self.abandon(s, &batch, st);
+                return Ok(());
+            }
+            Landed::DeviceLost => return self.lose_shard(s, batch, st),
+        };
+        // Gather-in: keys staged for a remote coordinator had to cross the
+        // peer link before this shard could probe them; the transfer
+        // extends the busy interval.
+        let mut in_bytes = 0u64;
+        for &(_, rid) in &batch {
+            let (sub_id, _) = self.shards[s].batcher.resolve(rid);
+            if let Some(p) = st.parents.get(&st.subs[sub_id as usize].parent) {
+                if p.coordinator != s {
+                    in_bytes += KEY_BYTES;
                 }
             }
         }
+        let xfer_in_s = if in_bytes > 0 {
+            self.link.transfer_s(in_bytes)
+        } else {
+            0.0
+        };
+        st.cross_shard_bytes += in_bytes;
+        let done_s = d.end_s + xfer_in_s;
+        // Milestones: the batch left the queue for the device at dispatch
+        // time (leg min-wins across split batches).
+        for &sub_id in &member_subs {
+            if let Some(p) = st.parents.get_mut(&st.subs[sub_id as usize].parent) {
+                p.ctx.dispatched(st.clock_s);
+                p.ctx
+                    .leg_dispatched(st.leg_of_sub[sub_id as usize], st.clock_s);
+            }
+        }
+        let shard = &mut self.shards[s];
+        shard.load.cross_bytes += in_bytes;
+        shard.load.keys_probed += batch.len();
+        shard.load.dispatches += 1;
+        shard.load.matches += stats.matches;
+        shard.load.busy_s += done_s - st.clock_s;
+        shard.busy_until_s = done_s;
+        shard.inflight = Some(PendingDispatch {
+            done_s,
+            base: shard.lo as u64,
+            batch,
+            pairs,
+        });
+        Ok(())
     }
 
     /// Demultiplex a finished dispatch's matches to their parents, price
@@ -888,7 +658,7 @@ impl ClusterServer {
                 // Merge leg: matched pairs stream back to the coordinator.
                 let out_bytes = matches_of.get(&parent_id).copied().unwrap_or(0) * MATCH_BYTES;
                 st.cross_shard_bytes += out_bytes;
-                self.shards[s].cross_bytes += out_bytes;
+                self.shards[s].load.cross_bytes += out_bytes;
                 pd.done_s + self.link.transfer_s(out_bytes)
             };
             p.ready_s = p.ready_s.max(delivery_s);
@@ -912,9 +682,7 @@ impl ClusterServer {
                     p.ready_s,
                     p.matches,
                 );
-                st.traces
-                    .push(p.ctx.finish(p.ready_s, resp.outcome, resp.matches.len()));
-                st.responses.push(resp);
+                st.answers.answer(resp, p.ctx);
             }
         }
     }
@@ -931,7 +699,6 @@ impl ClusterServer {
         st: &mut RunState,
     ) -> Result<(), WindexError> {
         self.shards[s].alive = false;
-        self.shards[s].device_losses += 1;
         let target = match self.cfg.cluster.placement {
             Placement::Replicated => {
                 // First live replica after s in cyclic order.
@@ -1011,27 +778,14 @@ impl ClusterServer {
                 let rebuild_at = st.clock_s.max(self.shards[target].busy_until_s) + xfer_s;
                 let shard = &mut self.shards[target];
                 shard.gpu.set_virtual_time(rebuild_at);
-                let before = shard.gpu.snapshot();
-                let col = Rc::new(
-                    shard
-                        .gpu
-                        .alloc_host_from_vec(self.r.keys()[new_lo..new_hi].to_vec()),
-                );
-                let index = BuiltIndex::build(
-                    &mut shard.gpu,
-                    self.cfg.serve.index,
-                    &col,
-                    &IndexConfigs::default(),
-                );
-                let delta = shard.gpu.snapshot() - before;
-                let rebuild_s = self.cost.estimate(&delta, false).total_s;
-                shard.col = col;
-                shard.index = index;
+                let rebuild_s = shard
+                    .lane
+                    .reload(&mut shard.gpu, self.r.keys()[new_lo..new_hi].to_vec());
                 shard.lo = new_lo;
                 shard.hi = new_hi;
                 shard.busy_until_s = rebuild_at + rebuild_s;
-                shard.busy_s += xfer_s + rebuild_s;
-                shard.cross_bytes += moved_bytes;
+                shard.load.busy_s += xfer_s + rebuild_s;
+                shard.load.cross_bytes += moved_bytes;
                 st.cross_shard_bytes += moved_bytes;
                 let partitions = self.router.reassign_all(s, target);
                 let mttr_s = (rebuild_at + rebuild_s) - st.clock_s;
@@ -1049,48 +803,9 @@ impl ClusterServer {
         Ok(())
     }
 
-    /// In-place device recovery for a cluster with no survivor (one GPU):
-    /// wait out the outage, rebuild index/operator/sink from the slice.
-    /// Returns the MTTR relative to `now_s`.
-    fn recover_in_place(&mut self, s: usize, now_s: f64) -> Result<f64, WindexError> {
-        let shard = &mut self.shards[s];
-        shard.gpu.reset_memory_system();
-        let clearance_s = shard.gpu.chaos_clearance_s().max(now_s);
-        shard.gpu.set_virtual_time(clearance_s);
-        let before = shard.gpu.snapshot();
-        shard.index = BuiltIndex::build(
-            &mut shard.gpu,
-            self.cfg.serve.index,
-            &shard.col,
-            &IndexConfigs::default(),
-        );
-        shard.op = StreamingWindowJoin::new(
-            &mut shard.gpu,
-            WindowConfig {
-                window_tuples: shard.window_tuples,
-                bits: self.router.bits(),
-                min_key: self.router.min_key(),
-            },
-        )?;
-        let old = std::mem::replace(
-            &mut shard.sink.sink,
-            windex_join::ResultSink::with_capacity(
-                &mut shard.gpu,
-                shard.window_tuples,
-                shard.sink.loc,
-            )?,
-        );
-        old.free(&mut shard.gpu);
-        let delta = shard.gpu.snapshot() - before;
-        let rebuild_s = self.cost.estimate(&delta, false).total_s;
-        shard.busy_s += rebuild_s;
-        Ok((clearance_s - now_s) + rebuild_s)
-    }
-
     /// Shed every request with a key in shard `s`'s failed batch, dropping
     /// their still-pending legs from every shard.
     fn abandon(&mut self, s: usize, batch: &[(u64, u64)], st: &mut RunState) {
-        self.shards[s].sink.sink.clear();
         let mut victims: Vec<u64> = Vec::new();
         for &(_, rid) in batch {
             let (sub_id, _) = self.shards[s].batcher.resolve(rid);
@@ -1115,14 +830,9 @@ impl ClusterServer {
                     self.shards[home].sched.cancel(tenant, sub_id);
                     self.shards[home].batcher.drop_request(sub_id);
                 }
-                st.traces
-                    .push(p.ctx.finish(st.clock_s, RequestOutcome::Shed, 0));
-                st.responses.push(LookupResponse::shed_response(
-                    parent_id,
-                    p.tenant,
-                    p.submitted_s,
-                    st.clock_s,
-                ));
+                let resp =
+                    LookupResponse::shed_response(parent_id, p.tenant, p.submitted_s, st.clock_s);
+                st.answers.answer(resp, p.ctx);
             }
         }
     }
@@ -1133,25 +843,17 @@ impl ClusterServer {
         trace: &[TimedRequest],
         mut st: RunState,
     ) -> Result<ClusterOutcome, WindexError> {
-        st.responses.sort_by_key(|r| r.request);
-        st.traces.sort_by_key(|t| t.request);
-        debug_assert_eq!(
-            st.traces.len(),
-            st.responses.len(),
-            "every response carries a span tree"
-        );
-        let stages = StageLatencyStats::from_traces(&st.traces);
-        let tail = sample_tail(&st.traces, &TailConfig::default());
+        let (stages, tail) = st.answers.finish();
+        let responses = st.answers.responses;
         // Merge transfers can outlast the final loop event, so the
         // makespan is the later of the clock and the last delivery.
-        let makespan = st
-            .responses
+        let makespan = responses
             .iter()
             .map(|r| r.completed_s)
             .fold(st.clock_s, f64::max);
         let (tally, slo) =
-            RunTally::of_responses(&st.responses, makespan, &self.cfg.serve.resilience.slo);
-        let keys_probed: usize = self.shards.iter().map(|sh| sh.keys_probed).sum();
+            RunTally::of_responses(&responses, makespan, &self.cfg.serve.resilience.slo);
+        let keys_probed: usize = self.shards.iter().map(|sh| sh.load.keys_probed).sum();
         let per_shard: Vec<ShardLoad> = self
             .shards
             .iter()
@@ -1169,13 +871,7 @@ impl ClusterServer {
                     self.router.partitions_owned(s)
                 },
                 tuples: if sh.alive { sh.hi - sh.lo } else { 0 },
-                subrequests: sh.subrequests,
-                keys_probed: sh.keys_probed,
-                dispatches: sh.dispatches,
-                matches: sh.matches,
-                max_queue_depth_keys: sh.max_queue_depth_keys,
-                busy_s: sh.busy_s,
-                cross_bytes: sh.cross_bytes,
+                ..sh.load
             })
             .collect();
         let routed = st.single_shard_requests + st.cross_shard_requests;
@@ -1186,12 +882,7 @@ impl ClusterServer {
             link: self.link.name.to_string(),
             policy: self.cfg.serve.policy.label(),
             index: self.cfg.serve.index,
-            tenants: {
-                let mut t: Vec<TenantId> = trace.iter().map(|t| t.request.tenant).collect();
-                t.sort_unstable();
-                t.dedup();
-                t.len()
-            },
+            tenants: distinct_tenants(trace),
             requests: trace.len(),
             completed: tally.completed,
             shed: tally.shed,
@@ -1215,13 +906,10 @@ impl ClusterServer {
             mttr_total_s: st.mttr_total_s,
             slo,
             stages,
-            traces: st.traces,
+            traces: st.answers.traces,
             tail,
         };
-        Ok(ClusterOutcome {
-            responses: st.responses,
-            report,
-        })
+        Ok(ClusterOutcome { responses, report })
     }
 }
 

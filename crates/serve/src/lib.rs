@@ -56,6 +56,7 @@
 
 pub mod batch;
 pub mod cluster;
+mod lane;
 pub mod metrics;
 pub mod parallel;
 pub mod report;

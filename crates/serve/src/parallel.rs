@@ -41,6 +41,7 @@
 use crate::cluster::{ClusterConfig, ClusterReport, ClusterServer};
 use crate::report::{LatencyHistogram, LatencyStats, RunTally, ServerReport};
 use crate::request::{LookupResponse, TenantId};
+use crate::resilience::SloConfig;
 use crate::server::{ServeConfig, Server};
 use crate::trace::TimedRequest;
 use crate::tuned::{TunedConfig, TunedReport, TunedServer};
@@ -244,16 +245,39 @@ pub struct ParallelClusterOutcome {
     pub summary: ParallelSummary,
 }
 
-/// Re-key a lane's responses to global ids and fold them into `merged`.
-fn merge_responses(
-    merged: &mut Vec<LookupResponse>,
-    shard: &TenantShard,
-    mut responses: Vec<LookupResponse>,
-) {
-    for r in &mut responses {
-        r.request = shard.global_ids[r.request as usize];
+/// Merge lanes that answer requests, in tenant order: re-key every
+/// response to its global id and tally the merged responses over the
+/// longest lane's makespan. `totals` reads a lane report's keys probed and
+/// virtual makespan.
+fn merge_answered_lanes<R>(
+    trace_len: usize,
+    shards: &[TenantShard],
+    outcomes: impl Iterator<Item = (Vec<LookupResponse>, R)>,
+    slo: &SloConfig,
+    totals: impl Fn(&R) -> (usize, f64),
+) -> (Vec<LookupResponse>, Vec<TenantLane<R>>, ParallelSummary) {
+    let mut responses = Vec::with_capacity(trace_len);
+    let mut lanes = Vec::with_capacity(shards.len());
+    let mut keys_probed = 0usize;
+    let mut makespan_s = 0.0f64;
+    for (shard, (lane_responses, report)) in shards.iter().zip(outcomes) {
+        responses.extend(lane_responses.into_iter().map(|mut r| {
+            r.request = shard.global_ids[r.request as usize];
+            r
+        }));
+        let (keys, lane_makespan_s) = totals(&report);
+        keys_probed += keys;
+        makespan_s = makespan_s.max(lane_makespan_s);
+        lanes.push(TenantLane {
+            tenant: shard.tenant,
+            requests: shard.trace.len(),
+            report,
+        });
     }
-    merged.extend(responses);
+    responses.sort_by_key(|r| r.request);
+    let (tally, _) = RunTally::of_responses(&responses, makespan_s, slo);
+    let summary = ParallelSummary::new(lanes.len(), trace_len, keys_probed, makespan_s, tally);
+    (responses, lanes, summary)
 }
 
 /// Serve `trace` with one shared-window [`Server`] per tenant, each on its
@@ -278,23 +302,13 @@ pub fn serve_tenant_parallel(
         let mut server = Server::new(&mut gpu, cfg, r.clone())?;
         server.run(&mut gpu, &shard.trace)
     })?;
-    let mut responses = Vec::with_capacity(trace.len());
-    let mut lanes = Vec::with_capacity(shards.len());
-    let mut keys_probed = 0usize;
-    let mut makespan_s = 0.0f64;
-    for (shard, outcome) in shards.iter().zip(outcomes) {
-        merge_responses(&mut responses, shard, outcome.responses);
-        keys_probed += outcome.report.keys_probed;
-        makespan_s = makespan_s.max(outcome.report.virtual_makespan_s);
-        lanes.push(TenantLane {
-            tenant: shard.tenant,
-            requests: shard.trace.len(),
-            report: outcome.report,
-        });
-    }
-    responses.sort_by_key(|r| r.request);
-    let (tally, _) = RunTally::of_responses(&responses, makespan_s, &cfg.resilience.slo);
-    let summary = ParallelSummary::new(lanes.len(), trace.len(), keys_probed, makespan_s, tally);
+    let (responses, lanes, summary) = merge_answered_lanes(
+        trace.len(),
+        &shards,
+        outcomes.into_iter().map(|o| (o.responses, o.report)),
+        &cfg.resilience.slo,
+        |rep| (rep.keys_probed, rep.virtual_makespan_s),
+    );
     Ok(ParallelServeOutcome {
         responses,
         lanes,
@@ -380,23 +394,13 @@ pub fn serve_cluster_tenant_parallel(
         }
         server.run(&shard.trace)
     })?;
-    let mut responses = Vec::with_capacity(trace.len());
-    let mut lanes = Vec::with_capacity(shards.len());
-    let mut keys_probed = 0usize;
-    let mut makespan_s = 0.0f64;
-    for (shard, outcome) in shards.iter().zip(outcomes) {
-        merge_responses(&mut responses, shard, outcome.responses);
-        keys_probed += outcome.report.keys_probed;
-        makespan_s = makespan_s.max(outcome.report.virtual_makespan_s);
-        lanes.push(TenantLane {
-            tenant: shard.tenant,
-            requests: shard.trace.len(),
-            report: outcome.report,
-        });
-    }
-    responses.sort_by_key(|r| r.request);
-    let (tally, _) = RunTally::of_responses(&responses, makespan_s, &cfg.serve.resilience.slo);
-    let summary = ParallelSummary::new(lanes.len(), trace.len(), keys_probed, makespan_s, tally);
+    let (responses, lanes, summary) = merge_answered_lanes(
+        trace.len(),
+        &shards,
+        outcomes.into_iter().map(|o| (o.responses, o.report)),
+        &cfg.serve.resilience.slo,
+        |rep| (rep.keys_probed, rep.virtual_makespan_s),
+    );
     Ok(ParallelClusterOutcome {
         responses,
         lanes,

@@ -33,7 +33,8 @@
 //!   the one whose delivery is latest.
 
 use crate::report::LatencyStats;
-use crate::request::{RequestOutcome, TenantId};
+use crate::request::{LookupResponse, RequestOutcome, TenantId};
+use crate::trace::TimedRequest;
 use serde::Serialize;
 use windex_sim::fault::splitmix64;
 
@@ -748,6 +749,49 @@ pub fn sample_tail(traces: &[RequestTrace], cfg: &TailConfig) -> TailReport {
             .into_iter()
             .map(|i| QueryCard::from_trace(&traces[i]))
             .collect(),
+    }
+}
+
+/// Every answer of one serving run: each response with its span tree.
+#[derive(Debug, Default)]
+pub(crate) struct Answers {
+    pub(crate) responses: Vec<LookupResponse>,
+    pub(crate) traces: Vec<RequestTrace>,
+}
+
+impl Answers {
+    /// Record `resp`, closing its span tree at the response's completion.
+    pub(crate) fn answer(&mut self, resp: LookupResponse, ctx: RequestContext) {
+        self.traces
+            .push(ctx.finish(resp.completed_s, resp.outcome, resp.matches.len()));
+        self.responses.push(resp);
+    }
+
+    /// Answer arrival `id` at `now_s` without serving it: an empty request
+    /// has nothing to probe and completes with no matches (parking it would
+    /// hang the run, since no batch ever carries its last key); any other
+    /// is shed, `fast_rejected` when an open circuit breaker refused it.
+    pub(crate) fn unserved(&mut self, id: u64, t: &TimedRequest, now_s: f64, fast_rejected: bool) {
+        let req = &t.request;
+        let mut ctx = RequestContext::new(id, req.tenant, t.at_s, req.keys.len());
+        if fast_rejected {
+            ctx.fast_rejected();
+        }
+        let resp = if req.keys.is_empty() {
+            LookupResponse::answered(id, req.tenant, req.deadline, t.at_s, now_s, Vec::new())
+        } else {
+            LookupResponse::shed_response(id, req.tenant, t.at_s, now_s)
+        };
+        self.answer(resp, ctx);
+    }
+
+    /// Order the answers by request id; returns the per-stage latency
+    /// summary and the sampled tail of the span trees.
+    pub(crate) fn finish(&mut self) -> (StageLatencyStats, TailReport) {
+        self.responses.sort_by_key(|r| r.request);
+        self.traces.sort_by_key(|t| t.request);
+        let stages = StageLatencyStats::from_traces(&self.traces);
+        (stages, sample_tail(&self.traces, &TailConfig::default()))
     }
 }
 

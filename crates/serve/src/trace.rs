@@ -167,6 +167,14 @@ pub fn merge_traces(traces: Vec<Vec<TimedRequest>>) -> Vec<TimedRequest> {
     all
 }
 
+/// How many distinct tenants submit requests in `trace`.
+pub(crate) fn distinct_tenants(trace: &[TimedRequest]) -> usize {
+    let mut t: Vec<TenantId> = trace.iter().map(|t| t.request.tenant).collect();
+    t.sort_unstable();
+    t.dedup();
+    t.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
