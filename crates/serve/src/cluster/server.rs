@@ -546,10 +546,11 @@ impl ClusterServer {
                         backoff_s,
                     }
                 }
-                LaneStep::Recovered { mttr_s, rebuild_s } => {
+                // The rebuild lies inside the dispatch's busy interval,
+                // which `busy_s` counts below.
+                LaneStep::Recovered { mttr_s } => {
                     st.recoveries += 1;
                     st.mttr_total_s += mttr_s;
-                    self.shards[s].load.busy_s += rebuild_s;
                     ClusterEvent::DeviceRecovered { gpu: s, mttr_s }
                 }
                 LaneStep::RetriesExhausted => ClusterEvent::RetriesExhausted {

@@ -77,10 +77,10 @@ pub(crate) enum LaneStep {
         attempt: u32,
         backoff_s: f64,
     },
-    /// An in-place rebuild: `mttr_s` is the outage wait plus `rebuild_s`.
+    /// An in-place rebuild: `mttr_s` is the outage wait plus the rebuild.
+    /// Both lie inside the dispatch's `[start, end_s]` interval.
     Recovered {
         mttr_s: f64,
-        rebuild_s: f64,
     },
     RetriesExhausted,
 }
@@ -322,7 +322,7 @@ impl Lane {
         *clock = clearance_s + rebuild_s;
         gpu.set_virtual_time(*clock);
         let mttr_s = (clearance_s - lost_at_s) + rebuild_s;
-        Ok(LaneStep::Recovered { mttr_s, rebuild_s })
+        Ok(LaneStep::Recovered { mttr_s })
     }
 
     /// Allocate a fresh sink at the current placement and free the old one.

@@ -147,12 +147,15 @@ pub struct TenantLane<R> {
 
 // Hand-rolled: the derive shim does not handle generic types.
 impl<R: Serialize> Serialize for TenantLane<R> {
-    fn to_ser_value(&self) -> serde::SerValue {
-        serde::SerValue::Map(vec![
-            ("tenant".to_string(), self.tenant.to_ser_value()),
-            ("requests".to_string(), self.requests.to_ser_value()),
-            ("report".to_string(), self.report.to_ser_value()),
-        ])
+    fn write_json(&self, w: &mut serde::JsonWriter) {
+        w.begin_object();
+        w.field("\"tenant\":");
+        self.tenant.write_json(w);
+        w.field("\"requests\":");
+        self.requests.write_json(w);
+        w.field("\"report\":");
+        self.report.write_json(w);
+        w.end_object();
     }
 }
 

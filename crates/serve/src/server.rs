@@ -585,7 +585,7 @@ impl Server {
                     }
                     ServeEvent::DispatchRetried { attempt, backoff_s }
                 }
-                LaneStep::Recovered { mttr_s, .. } => ServeEvent::DeviceLossRecovered { mttr_s },
+                LaneStep::Recovered { mttr_s } => ServeEvent::DeviceLossRecovered { mttr_s },
                 LaneStep::RetriesExhausted => ServeEvent::RetriesExhausted { keys: batch.len() },
             });
         }

@@ -634,3 +634,54 @@ fn device_loss_recovery_allowance_is_per_run() {
         assert_eq!(rep.shed, 0, "server run {run}");
     }
 }
+
+/// A 1-GPU cluster's in-place rebuild happens inside the dispatch that met
+/// the loss, so the shard's busy time counts it once: one request arriving
+/// inside the DeviceLoss window keeps its shard busy for exactly its
+/// service interval, which the trace's makespan contains.
+#[test]
+fn in_place_rebuild_counts_once_in_shard_busy_time() {
+    let r = relation(7);
+    let spec = ClusterSpec::sharded(1, v100(), InterconnectSpec::nvlink4_peer());
+    let serve = ServeConfig {
+        policy: BatchPolicy::PerRequest,
+        partition_bits: Some(spec.shard_bits(&r).unwrap()),
+        ..ServeConfig::default()
+    };
+    let schedules = ChaosScenario::DeviceLoss.cluster_schedules(40, 1, 0);
+    let at_s = 0.025;
+    assert!(schedules[0].activity_at(at_s).device_lost);
+    let trace = vec![TimedRequest {
+        at_s,
+        request: LookupRequest {
+            tenant: 0,
+            keys: r.keys().iter().step_by(131).copied().take(64).collect(),
+            deadline: None,
+        },
+    }];
+    let mut cluster = ClusterServer::new(
+        ClusterConfig {
+            serve,
+            cluster: spec,
+        },
+        r.clone(),
+    )
+    .unwrap();
+    cluster.set_chaos_schedules(schedules).unwrap();
+    let out = cluster.run(&trace).unwrap();
+    let rep = &out.report;
+    assert_eq!(rep.recoveries, 1, "the dispatch met the loss");
+    assert_eq!(rep.per_shard[0].dispatches, 1);
+    let busy_s = rep.per_shard[0].busy_s;
+    let service_s = rep.traces[0].stages.service_s;
+    assert!(
+        (busy_s - service_s).abs() <= 1e-12,
+        "busy {busy_s} s vs the one dispatch's service interval {service_s} s"
+    );
+    assert!(
+        busy_s <= rep.virtual_makespan_s,
+        "busy {busy_s} s exceeds makespan {} s",
+        rep.virtual_makespan_s
+    );
+    assert_oracle_equal(&r, &trace, &out.responses);
+}

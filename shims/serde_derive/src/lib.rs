@@ -1,13 +1,15 @@
 //! Offline stand-in for `serde_derive`: a `#[derive(Serialize)]` macro
 //! implemented directly on `proc_macro` token streams (no syn / quote, which
-//! are unavailable offline).
+//! are unavailable offline). The generated `write_json` streams the value
+//! into a `serde::JsonWriter`, with each field name emitted as a
+//! pre-escaped `"name":` literal.
 //!
-//! Supported shapes — everything this workspace derives:
+//! Supported shapes — everything this workspace derives, in serde's
+//! externally tagged JSON layout:
 //!
-//! - structs with named fields → `SerValue::Map` of field name → value;
-//! - enums with unit variants → `SerValue::Str(variant_name)`;
-//! - enums with named-field variants → externally tagged
-//!   `{"Variant": {fields…}}`;
+//! - structs with named fields → `{"field": value, …}`;
+//! - enums with unit variants → `"Variant"`;
+//! - enums with named-field variants → `{"Variant": {fields…}}`;
 //! - enums with tuple variants → `{"Variant": value}` (newtype) or
 //!   `{"Variant": [values…]}`.
 //!
@@ -68,16 +70,10 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 
     let impl_body = if kind == "struct" {
         let fields = parse_named_fields(body.stream());
-        let entries: String = fields
+        let members = fields
             .iter()
-            .map(|f| {
-                format!(
-                    "(::std::string::String::from(\"{f}\"), \
-                      ::serde::Serialize::to_ser_value(&self.{f})),"
-                )
-            })
-            .collect();
-        format!("::serde::SerValue::Map(::std::vec![{entries}])")
+            .map(|f| member(f, &write(&format!("&self.{f}"))));
+        object(members.collect())
     } else {
         let variants = parse_variants(body.stream());
         let arms: String = variants.iter().map(|v| variant_arm(&name, v)).collect();
@@ -86,11 +82,27 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 
     let out = format!(
         "impl ::serde::Serialize for {name} {{\n\
-            fn to_ser_value(&self) -> ::serde::SerValue {{ {impl_body} }}\n\
+            fn write_json(&self, w: &mut ::serde::JsonWriter) {{ {impl_body} }}\n\
         }}"
     );
     out.parse()
         .expect("derive(Serialize) shim: generated impl parses")
+}
+
+/// Statement writing the borrowed `expr` as one JSON value.
+fn write(expr: &str) -> String {
+    format!("::serde::Serialize::write_json({expr}, w);")
+}
+
+/// Statements writing one object member: the pre-escaped `"name":`
+/// literal, then `value`'s statements.
+fn member(name: &str, value: &str) -> String {
+    format!("w.field(\"\\\"{name}\\\":\"); {value}")
+}
+
+/// Statements writing an object around `members`.
+fn object(members: String) -> String {
+    format!("w.begin_object(); {members} w.end_object();")
 }
 
 /// One enum variant: name plus field shape.
@@ -107,46 +119,33 @@ struct Variant {
 
 fn variant_arm(enum_name: &str, v: &Variant) -> String {
     let vname = &v.name;
-    match &v.fields {
-        Fields::Unit => format!(
-            "{enum_name}::{vname} => \
-             ::serde::SerValue::Str(::std::string::String::from(\"{vname}\")),"
-        ),
+    let (pat, inner) = match &v.fields {
+        Fields::Unit => return format!("{enum_name}::{vname} => w.str(\"{vname}\"),"),
+        // Bindings get an `f_` prefix so no field can shadow the writer `w`.
         Fields::Named(fields) => {
-            let binds = fields.join(", ");
-            let entries: String = fields
-                .iter()
-                .map(|f| {
-                    format!(
-                        "(::std::string::String::from(\"{f}\"), \
-                          ::serde::Serialize::to_ser_value({f})),"
-                    )
-                })
-                .collect();
-            format!(
-                "{enum_name}::{vname} {{ {binds} }} => ::serde::SerValue::Map(::std::vec![\
-                    (::std::string::String::from(\"{vname}\"), \
-                     ::serde::SerValue::Map(::std::vec![{entries}]))]),"
+            let binds: Vec<String> = fields.iter().map(|f| format!("{f}: f_{f}")).collect();
+            let members = fields.iter().map(|f| member(f, &write(&format!("f_{f}"))));
+            (
+                format!("{{ {} }}", binds.join(", ")),
+                object(members.collect()),
             )
         }
+        Fields::Tuple(1) => ("(f0)".to_string(), write("f0")),
         Fields::Tuple(n) => {
             let binds: Vec<String> = (0..*n).map(|k| format!("f{k}")).collect();
-            let pat = binds.join(", ");
-            let inner = if *n == 1 {
-                "::serde::Serialize::to_ser_value(f0)".to_string()
-            } else {
-                let items: String = binds
-                    .iter()
-                    .map(|b| format!("::serde::Serialize::to_ser_value({b}),"))
-                    .collect();
-                format!("::serde::SerValue::Seq(::std::vec![{items}])")
-            };
-            format!(
-                "{enum_name}::{vname}({pat}) => ::serde::SerValue::Map(::std::vec![\
-                    (::std::string::String::from(\"{vname}\"), {inner})]),"
+            let items: String = binds
+                .iter()
+                .map(|b| format!("w.element(); {}", write(b)))
+                .collect();
+            (
+                format!("({})", binds.join(", ")),
+                format!("w.begin_array(); {items} w.end_array();"),
             )
         }
-    }
+    };
+    // Externally tagged: `{"Variant": inner}`.
+    let tagged = object(member(vname, &inner));
+    format!("{enum_name}::{vname} {pat} => {{ {tagged} }}")
 }
 
 /// Parse `name: Type, ...` field lists, skipping attributes and visibility.
