@@ -148,12 +148,9 @@ pub fn hash_join(
                         for warp in warps_of(0..probe.len()) {
                             let start = warp.start;
                             let keys = probe.stream_read(gpu, start, warp.len());
-                            for (i, &k) in keys.iter().enumerate() {
-                                let rid = (start + i) as u64;
-                                pass_matches += table.probe(gpu, k, |gpu, build_rid| {
-                                    sink.emit(gpu, rid, build_rid);
-                                });
-                            }
+                            pass_matches += table.probe_warp(gpu, keys, |gpu, lane, build_rid| {
+                                sink.emit(gpu, (start + lane) as u64, build_rid);
+                            });
                         }
                         pass_matches
                     })

@@ -17,13 +17,18 @@
 //! indexes.
 
 use crate::error::{with_join_retries, JoinError};
-use windex_sim::{Buffer, Gpu, MemLocation};
+use windex_sim::{Buffer, Gpu, MemLocation, WARP_SIZE};
 
 /// Sentinel for an empty slot / null block pointer.
 const EMPTY: u64 = u64::MAX;
 
 /// Block header layout: `[capacity, len, next, values…]`.
 const BLOCK_HEADER: usize = 3;
+
+/// Slot reads [`MultiValueHashTable::probe_warp`] buffers before accounting
+/// them in one batch: a warp's expected slot reads at the paper's 50 % load
+/// factor, where a missing key probes about two slots.
+const SLOT_BATCH: usize = 2 * WARP_SIZE;
 
 /// Hash-table configuration (paper defaults).
 #[derive(Debug, Clone, Copy)]
@@ -253,59 +258,93 @@ impl MultiValueHashTable {
 
     /// Probe for `key`, invoking `emit` for every stored value (the GPU
     /// handle is passed through so the callback can materialize results).
-    /// Returns the number of matches. The first access is one random slot
-    /// read; chain blocks are read contiguously (the locality §3.1
-    /// describes).
+    /// Returns the number of matches. The one-key case of
+    /// [`MultiValueHashTable::probe_warp`].
     pub fn probe<F: FnMut(&mut Gpu, u64)>(&self, gpu: &mut Gpu, key: u64, mut emit: F) -> usize {
-        // Probe reads account immediately rather than through the deferred
-        // issue queue: every read here is sequentially *dependent* (the
-        // value decides the next slot), so there is never a batch to
-        // coalesce — the queue round-trip would be pure overhead. The
-        // accounting stream is identical either way: reads land in probe
-        // order, before any `emit` writes, exactly as the drained queue
-        // would have replayed them.
-        let mut slot = hash64(key) & self.mask;
-        // Double-hash step, computed lazily: most probes resolve at the
-        // first slot (empty or direct hit) and never need it. The step is
-        // forced odd, so 0 is a safe "not yet computed" sentinel.
-        let mut step = 0u64;
-        loop {
-            let pair = self.slots.read_range(gpu, (slot * 2) as usize, 2);
-            let (k, head) = (pair[0], pair[1]);
-            if k == EMPTY {
-                return 0;
-            }
-            if k == key {
-                let mut count = 0;
-                let mut b = head as usize;
-                while b != EMPTY as usize {
-                    let hdr = self.pool.read_range(gpu, b, BLOCK_HEADER);
-                    let (used, next) = (hdr[1] as usize, hdr[2]);
-                    if used > 0 {
-                        let vals = self.pool.read_range(gpu, b + BLOCK_HEADER, used);
-                        for &v in vals {
-                            emit(gpu, v);
-                        }
-                        count += used;
-                    }
-                    b = if next == EMPTY {
-                        EMPTY as usize
-                    } else {
-                        next as usize
-                    };
-                }
-                return count;
-            }
-            if step == 0 {
-                step = hash64_step(key);
-            }
-            slot = (slot + step) & self.mask;
-        }
+        self.probe_warp(gpu, &[key], |gpu, _, value| emit(gpu, value))
     }
 
     /// Probe returning only the match count (no value materialization).
     pub fn count(&self, gpu: &mut Gpu, key: u64) -> usize {
         self.probe(gpu, key, |_, _| {})
+    }
+
+    /// Probe every key of a warp, lane by lane, invoking `emit(gpu, lane,
+    /// value)` for every stored value of `keys[lane]`. Returns the total
+    /// number of matches. The first access per key is one random slot
+    /// read; chain blocks are read contiguously (the locality §3.1
+    /// describes).
+    ///
+    /// The slot walk runs on host data, so the slot reads of consecutive
+    /// lanes are known before they are accounted: the walk records their
+    /// offsets in a stack buffer and hands it to [`Buffer::read_batch`]
+    /// when it is full, and always before a chain header read, a value
+    /// read or an `emit`. The accounting order is therefore exactly the
+    /// key-by-key scalar order.
+    pub fn probe_warp<F: FnMut(&mut Gpu, usize, u64)>(
+        &self,
+        gpu: &mut Gpu,
+        keys: &[u64],
+        mut emit: F,
+    ) -> usize {
+        let slots = self.slots.host();
+        let mut pending = [0usize; SLOT_BATCH];
+        let mut queued = 0;
+        let mut matches = 0;
+        for (lane, &key) in keys.iter().enumerate() {
+            let mut slot = hash64(key) & self.mask;
+            // Double-hash step, computed lazily: most probes resolve at the
+            // first slot (empty or direct hit) and never need it. The step
+            // is forced odd, so 0 is a safe "not yet computed" sentinel.
+            let mut step = 0u64;
+            loop {
+                // One slot = (key, head): an adjacent pair, one line.
+                let at = (slot * 2) as usize;
+                if queued == SLOT_BATCH {
+                    self.slots.read_batch(gpu, &pending, 2);
+                    queued = 0;
+                }
+                pending[queued] = at;
+                queued += 1;
+                let (k, head) = (slots[at], slots[at + 1]);
+                if k == EMPTY {
+                    break;
+                }
+                if k == key {
+                    self.slots.read_batch(gpu, &pending[..queued], 2);
+                    queued = 0;
+                    matches += self.walk_chain(gpu, head, |gpu, value| emit(gpu, lane, value));
+                    break;
+                }
+                if step == 0 {
+                    step = hash64_step(key);
+                }
+                slot = (slot + step) & self.mask;
+            }
+        }
+        if queued > 0 {
+            self.slots.read_batch(gpu, &pending[..queued], 2);
+        }
+        matches
+    }
+
+    /// Read the value blocks of the chain starting at `head`, emitting
+    /// every value; returns the number of values.
+    fn walk_chain(&self, gpu: &mut Gpu, head: u64, mut emit: impl FnMut(&mut Gpu, u64)) -> usize {
+        let mut count = 0;
+        let mut b = head;
+        while b != EMPTY {
+            let hdr = self.pool.read_range(gpu, b as usize, BLOCK_HEADER);
+            let (used, next) = (hdr[1] as usize, hdr[2]);
+            if used > 0 {
+                for &v in self.pool.read_range(gpu, b as usize + BLOCK_HEADER, used) {
+                    emit(gpu, v);
+                }
+                count += used;
+            }
+            b = next;
+        }
+        count
     }
 }
 

@@ -47,6 +47,7 @@ impl Cache {
     /// [`access`](Self::access) with the line tag's hash precomputed via
     /// [`crate::lru::hash_of`]. L1 and L2 share a line size, so the engine's
     /// per-line hot path hashes each tag once and probes both caches with it.
+    #[inline]
     pub(crate) fn access_hashed(&mut self, addr: u64, hash: u64) -> bool {
         self.store.access_hashed(addr >> self.line_shift, hash)
     }

@@ -91,7 +91,6 @@ pub struct Gpu {
     l2: Cache,
     counters: Counters,
     next_addr: u64,
-    line_mask: u64,
     line_shift: u32,
     page_shift: u32,
     /// Line-access clock for re-miss distance measurement.
@@ -109,12 +108,6 @@ pub struct Gpu {
     /// drains this queue first, so the global accounting order always
     /// equals program order and batching is observationally invisible.
     issue: Vec<IssuedAccess>,
-    /// Reusable scratch for the drain's data-parallel precompute pass:
-    /// expanded per-lane line addresses and their set/tag hashes (shared by
-    /// the L1 and L2 selectors). Kept on the engine so steady-state drains
-    /// never allocate.
-    drain_lines: Vec<u64>,
-    drain_hashes: Vec<u64>,
     /// Optional access-trace recorder.
     trace: Option<Trace>,
     /// Deterministic fault-injection plan (defaults to no faults).
@@ -152,7 +145,6 @@ impl Gpu {
         let tlb = Tlb::new(spec.tlb_entries, spec.tlb_assoc, spec.page_bytes);
         let l1 = Cache::new(spec.l1_bytes, spec.cacheline_bytes, spec.l1_assoc);
         let l2 = Cache::new(spec.l2_bytes, spec.cacheline_bytes, spec.l2_assoc);
-        let line_mask = spec.cacheline_bytes - 1;
         let line_shift = spec.cacheline_bytes.trailing_zeros();
         let page_shift = spec.page_bytes.trailing_zeros();
         let first_addr = spec.page_bytes;
@@ -165,7 +157,6 @@ impl Gpu {
             counters: Counters::default(),
             // Reserve the zero page so no valid buffer starts at address 0.
             next_addr: first_addr,
-            line_mask,
             line_shift,
             page_shift,
             access_clock: 0,
@@ -175,8 +166,6 @@ impl Gpu {
             // evicts it. A few thousand slots even for generous specs.
             missed_pages: PageStampTable::new(spec_tlb_pages * 8, THRASH_DISTANCE),
             issue: Vec::with_capacity(crate::exec::MAX_LANES * 4),
-            drain_lines: Vec::with_capacity(crate::exec::MAX_LANES * 4),
-            drain_hashes: Vec::with_capacity(crate::exec::MAX_LANES * 4),
             trace: None,
             fault_plan: FaultPlan::none(),
             fault_seq: [0; 3],
@@ -242,8 +231,13 @@ impl Gpu {
     /// Current cumulative counters. Callers observe counters only at points
     /// where the issue queue has been drained (every immediate accounting
     /// entry point drains, and `lockstep` drains per round).
+    ///
+    /// # Panics
+    ///
+    /// If issued accesses are still queued: their accounting is missing
+    /// from the counters. Call [`Gpu::access_lines`] first.
     pub fn counters(&self) -> Counters {
-        debug_assert!(self.issue.is_empty(), "issued accesses not yet resolved");
+        assert!(self.issue.is_empty(), "issued accesses not yet resolved");
         self.counters
     }
 
@@ -611,17 +605,23 @@ impl Gpu {
     #[inline]
     pub fn touch_read(&mut self, loc: MemLocation, addr: u64, bytes: u64) {
         self.access_lines();
-        debug_assert!(bytes > 0);
-        if loc == MemLocation::Cpu {
-            self.draw_transfer_fault();
-        }
-        // Hoist the trace check out of the per-line loop: the untraced
-        // instantiation compiles to a loop with no recorder branches at all.
-        if self.trace.is_some() {
-            self.read_lines::<true>(loc, addr, bytes);
-        } else {
-            self.read_lines::<false>(loc, addr, bytes);
-        }
+        self.read_requests(std::iter::once((loc, addr, bytes)));
+    }
+
+    /// Record one data-dependent read of `bytes` at each address of
+    /// `addrs`, in order: the same accounting as one [`Gpu::touch_read`]
+    /// per address, resolved in one pass of the line-walk kernel. Callers
+    /// that work out a run of independent reads from host data first (a
+    /// warp's hash-table slot reads) hand the run over here.
+    #[inline]
+    pub fn touch_read_batch(
+        &mut self,
+        loc: MemLocation,
+        bytes: u64,
+        addrs: impl IntoIterator<Item = u64>,
+    ) {
+        self.access_lines();
+        self.read_requests(addrs.into_iter().map(|addr| (loc, addr, bytes)));
     }
 
     /// Defer a data-dependent read: the access is queued and resolved — in
@@ -658,79 +658,19 @@ impl Gpu {
     /// and cheap when the queue is empty.
     #[inline]
     pub fn access_lines(&mut self) {
-        match self.issue.len() {
-            0 => {}
-            // Dominant non-lockstep case (pointer-chasing probes drain after
-            // every dependent load): resolve the lone request in place and
-            // skip the batch scratch machinery entirely. Same accounting
-            // order by construction.
-            1 => {
-                let req = self.issue[0];
-                self.issue.clear();
-                if req.write {
-                    self.write_accounting(req.loc, req.addr, req.bytes);
-                } else {
-                    if req.loc == MemLocation::Cpu {
-                        self.draw_transfer_fault();
-                    }
-                    if self.trace.is_some() {
-                        self.read_lines::<true>(req.loc, req.addr, req.bytes);
-                    } else {
-                        self.read_lines::<false>(req.loc, req.addr, req.bytes);
-                    }
-                }
-            }
-            _ => self.drain_issue_queue(),
+        if !self.issue.is_empty() {
+            self.drain_issue_queue();
         }
     }
 
-    /// The cold path of [`Gpu::access_lines`]: replay the queue through the
-    /// same accounting the immediate entry points use. Runs of reads go
-    /// through a two-pass batch resolve (see [`Gpu::replay_read_run`]);
-    /// interleaved writes are applied in place so program order holds.
+    /// The cold path of [`Gpu::access_lines`]: maximal runs of queued reads
+    /// go through the line-walk kernel together; interleaved writes are
+    /// applied in place so program order holds.
     fn drain_issue_queue(&mut self) {
-        let queue = std::mem::take(&mut self.issue);
-        if self.trace.is_some() {
-            self.replay_queue::<true>(&queue);
-        } else {
-            self.replay_queue::<false>(&queue);
-        }
-        // Hand the allocation back so steady-state issue never reallocates.
-        let mut queue = queue;
-        queue.clear();
-        self.issue = queue;
-    }
-
-    /// Batches below this size skip the two-pass scratch machinery: the
-    /// per-run setup (scratch swap, run splitting, cursor bookkeeping)
-    /// costs more than it saves until the hash/address precompute has a
-    /// handful of lanes to amortize over. Pointer-chasing probes drain 2–3
-    /// requests at a time; warp-lockstep rounds drain 32+.
-    const SMALL_DRAIN: usize = 8;
-
-    /// Scalar replay for small batches — the plain program-order loop the
-    /// pre-batch engine ran, with identical accounting per request.
-    fn replay_small<const TRACED: bool>(&mut self, queue: &[IssuedAccess]) {
-        for req in queue {
-            if req.write {
-                self.write_accounting(req.loc, req.addr, req.bytes);
-            } else {
-                if req.loc == MemLocation::Cpu {
-                    self.draw_transfer_fault();
-                }
-                self.read_lines::<TRACED>(req.loc, req.addr, req.bytes);
-            }
-        }
-    }
-
-    fn replay_queue<const TRACED: bool>(&mut self, queue: &[IssuedAccess]) {
-        if queue.len() <= Self::SMALL_DRAIN {
-            self.replay_small::<TRACED>(queue);
-            return;
-        }
+        let mut queue = std::mem::take(&mut self.issue);
         let mut i = 0;
         while i < queue.len() {
-            let req = &queue[i];
+            let req = queue[i];
             if req.write {
                 self.write_accounting(req.loc, req.addr, req.bytes);
                 i += 1;
@@ -740,65 +680,169 @@ impl Gpu {
                 .iter()
                 .position(|r| r.write)
                 .map_or(queue.len(), |p| i + p);
-            self.replay_read_run::<TRACED>(&queue[i..run_end]);
+            self.read_requests(queue[i..run_end].iter().map(|r| (r.loc, r.addr, r.bytes)));
             i = run_end;
         }
+        // Hand the allocation back so steady-state issue never reallocates.
+        queue.clear();
+        self.issue = queue;
     }
 
-    /// Resolve a maximal run of queued reads in two passes.
-    ///
-    /// **Pass 1 — data-parallel lane math (pure).** Expand every request
-    /// into its cacheline sequence and precompute each lane's line address
-    /// and the set/tag hash shared by the L1 and L2 selectors. Nothing here
-    /// reads or writes simulator state, so hoisting it out of the replay
-    /// loop commutes with everything and the compiler is free to pipeline
-    /// the multiply-heavy hash math across all lanes of the batch.
-    ///
-    /// **Pass 2 — program-order application.** State transitions (LRU
-    /// refreshes, fills, evictions, TLB walks), counters, fault draws, and
-    /// trace events happen in exactly the order the scalar path produced
-    /// them. Lanes are *not* independent — a duplicate line or a same-set
-    /// conflict within one batch changes the later lane's hit/miss outcome
-    /// — so classification against mutable state cannot be hoisted; only
-    /// the pure lane math can. The differential suite's anchor cases pin
-    /// this boundary.
-    fn replay_read_run<const TRACED: bool>(&mut self, run: &[IssuedAccess]) {
-        let mut lines = std::mem::take(&mut self.drain_lines);
-        let mut hashes = std::mem::take(&mut self.drain_hashes);
-        lines.clear();
-        hashes.clear();
-        let shift = self.line_shift;
-        for req in run {
-            let first = req.addr >> shift;
-            let last = (req.addr + req.bytes - 1) >> shift;
-            for line in first..=last {
-                lines.push(line << shift);
-                hashes.push(lru::hash_of(line));
-            }
-        }
-        let mut cursor = 0usize;
-        for req in run {
-            if req.loc == MemLocation::Cpu {
-                self.draw_transfer_fault();
-            }
-            let n = (((req.addr + req.bytes - 1) >> shift) - (req.addr >> shift)) as usize + 1;
-            for k in cursor..cursor + n {
-                self.access_line_hashed::<TRACED>(req.loc, lines[k], hashes[k]);
-            }
-            cursor += n;
-        }
-        self.drain_lines = lines;
-        self.drain_hashes = hashes;
-    }
-
-    /// Per-line accounting of one read request.
+    /// Account program-ordered read requests `(loc, addr, bytes)`. Every
+    /// CPU request draws its transfer fault just before its lines are
+    /// walked. With no fault plan, no device loss and no link flap a draw
+    /// changes no state, so the check is hoisted and the whole list goes
+    /// through one kernel call.
     #[inline]
-    fn read_lines<const TRACED: bool>(&mut self, loc: MemLocation, addr: u64, bytes: u64) {
-        let first = addr >> self.line_shift;
-        let last = (addr + bytes - 1) >> self.line_shift;
-        for line in first..=last {
-            self.access_line_read::<TRACED>(loc, line << self.line_shift);
+    fn read_requests(&mut self, reads: impl Iterator<Item = (MemLocation, u64, u64)>) {
+        if !self.fault_plan.is_active() && !self.chaos.device_lost && !self.chaos.link_flap {
+            self.walk_lines(reads);
+        } else {
+            for read in reads {
+                if read.0 == MemLocation::Cpu {
+                    self.draw_transfer_fault();
+                }
+                self.walk_lines(std::iter::once(read));
+            }
         }
+    }
+
+    /// Run the line-walk kernel, traced or not. The trace check is hoisted
+    /// out of the walk: the untraced instantiation has no recorder
+    /// branches at all.
+    #[inline]
+    fn walk_lines(&mut self, reads: impl Iterator<Item = (MemLocation, u64, u64)>) {
+        if self.trace.is_some() {
+            self.line_walk::<true>(reads);
+        } else {
+            self.line_walk::<false>(reads);
+        }
+    }
+
+    /// The line-walk kernel: the one place a cacheline read is classified
+    /// against L1, L2 and the TLB and accounted.
+    ///
+    /// Every covered line of every request is, in program order: an L1
+    /// hit, an L2 hit, or a miss that ends in device memory (an ECC
+    /// refetch inside a storm) or crosses the interconnect (a TLB lookup,
+    /// with sweep/thrash classification of a miss, plus brownout stall).
+    ///
+    /// The kernel destructures `self` once per call into separate borrows
+    /// — the L1, L2 and TLB tag stores, the page-stamp table, the
+    /// counters, the chaos state and the trace — keeps the line clock and
+    /// the last line in locals, written back once per call, and runs one
+    /// loop over every line of every request with the tag-store lookups
+    /// inlined into it. Two further steps measured slower and were left
+    /// out: copying each tag store's set geometry into locals up front
+    /// (the copies spill to the stack), and counting into a local tally
+    /// (its write-back costs every counter on each one-line call).
+    #[inline]
+    fn line_walk<const TRACED: bool>(
+        &mut self,
+        reads: impl Iterator<Item = (MemLocation, u64, u64)>,
+    ) {
+        let Gpu {
+            spec,
+            tlb,
+            l1,
+            l2,
+            counters,
+            line_shift,
+            page_shift,
+            access_clock,
+            last_line,
+            missed_pages,
+            trace,
+            chaos_schedule,
+            chaos,
+            ..
+        } = self;
+        let mut trace = if TRACED { trace.as_mut() } else { None };
+        let (line_shift, page_shift) = (*line_shift, *page_shift);
+        let line_bytes = spec.cacheline_bytes;
+        let mut clock = *access_clock;
+        let mut last = *last_line;
+        for (loc, addr, bytes) in reads {
+            debug_assert!(bytes > 0);
+            for line in addr >> line_shift..=(addr + bytes - 1) >> line_shift {
+                let line_addr = line << line_shift;
+                clock += 1;
+                let hit = if line_addr == last {
+                    // Consecutive-same-line fast path: the previous access
+                    // left this line MRU in its L1 set, so it is a hit and
+                    // the refresh is a no-op. (Addresses are unique across
+                    // buffers, so a line address implies its location.)
+                    counters.l1_hits += 1;
+                    HitLevel::L1
+                } else {
+                    last = line_addr;
+                    // L1 and L2 share the line size: hash the tag once.
+                    let hash = lru::hash_of(line);
+                    if l1.access_hashed(line_addr, hash) {
+                        counters.l1_hits += 1;
+                        HitLevel::L1
+                    } else if l2.access_hashed(line_addr, hash) {
+                        counters.l1_misses += 1;
+                        counters.l2_hits += 1;
+                        HitLevel::L2
+                    } else {
+                        counters.l1_misses += 1;
+                        counters.l2_misses += 1;
+                        let page = line_addr >> page_shift;
+                        match loc {
+                            MemLocation::Gpu => {
+                                if chaos.ecc_page_rate > 0.0
+                                    && chaos_schedule.page_quarantined(page, chaos.ecc_page_rate)
+                                {
+                                    // ECC storm: the page's HBM copy is
+                                    // quarantined; the line is re-fetched
+                                    // over the interconnect (priced at the
+                                    // fine-grained-read bandwidth by the
+                                    // cost model). The caches still fill,
+                                    // so the penalty is paid once per
+                                    // (re-)fetch.
+                                    counters.ecc_refetch_lines += 1;
+                                    if let Some(t) = trace.as_deref_mut() {
+                                        t.record(TraceEvent::EccRefetch { line_addr });
+                                    }
+                                } else {
+                                    counters.gpu_bytes_read += line_bytes;
+                                }
+                                HitLevel::GpuMem
+                            }
+                            MemLocation::Cpu => {
+                                let tlb_hit = tlb.access(line_addr);
+                                if tlb_hit {
+                                    counters.tlb_hits += 1;
+                                } else {
+                                    counters.tlb_misses += 1;
+                                    if missed_pages.note_miss(page, clock) {
+                                        counters.tlb_sweep_misses += 1;
+                                    }
+                                }
+                                counters.ic_lines_random += 1;
+                                counters.ic_bytes_random += line_bytes;
+                                let per_byte = chaos.random_stall_ns_per_byte;
+                                if per_byte > 0.0 {
+                                    counters.chaos_stall_ns +=
+                                        (line_bytes as f64 * per_byte) as u64;
+                                }
+                                HitLevel::Remote { tlb_hit }
+                            }
+                        }
+                    }
+                };
+                if let Some(t) = trace.as_deref_mut() {
+                    t.record(TraceEvent::ReadLine {
+                        loc,
+                        line_addr,
+                        hit,
+                    });
+                }
+            }
+        }
+        *access_clock = clock;
+        *last_line = last;
     }
 
     /// Record a device-side write of `bytes` at `addr`. Writes are modeled
@@ -882,8 +926,12 @@ impl Gpu {
     }
 
     /// Snapshot the counters (use with `-` for interval deltas).
+    ///
+    /// # Panics
+    ///
+    /// If issued accesses are still queued (see [`Gpu::counters`]).
     pub fn snapshot(&self) -> Counters {
-        debug_assert!(self.issue.is_empty(), "issued accesses not yet resolved");
+        assert!(self.issue.is_empty(), "issued accesses not yet resolved");
         self.counters
     }
 
@@ -912,122 +960,6 @@ impl Gpu {
         self.tlb.is_resident(addr)
     }
 
-    #[inline]
-    fn access_line_read<const TRACED: bool>(&mut self, loc: MemLocation, line_addr: u64) {
-        self.access_clock += 1;
-        // Consecutive-same-line fast path: the previous access left this
-        // line MRU (rank 0) in its L1 set, so it is a guaranteed hit and
-        // the refresh is a no-op — skip the hash and the set walk entirely.
-        // (Addresses are unique across buffers, so a line address implies
-        // its location; no `loc` check is needed.)
-        if line_addr == self.last_line {
-            self.counters.l1_hits += 1;
-            if TRACED {
-                self.record_event(TraceEvent::ReadLine {
-                    loc,
-                    line_addr,
-                    hit: HitLevel::L1,
-                });
-            }
-            return;
-        }
-        // L1 and L2 share the line size: hash the tag once for both.
-        let hash = lru::hash_of(line_addr >> self.line_shift);
-        self.access_line_cold::<TRACED>(loc, line_addr, hash);
-    }
-
-    /// [`Gpu::access_line_read`] with the tag hash precomputed by the
-    /// drain's batch pass (pure lane math, so it is identical to what the
-    /// scalar path would compute here).
-    #[inline]
-    fn access_line_hashed<const TRACED: bool>(
-        &mut self,
-        loc: MemLocation,
-        line_addr: u64,
-        hash: u64,
-    ) {
-        self.access_clock += 1;
-        if line_addr == self.last_line {
-            self.counters.l1_hits += 1;
-            if TRACED {
-                self.record_event(TraceEvent::ReadLine {
-                    loc,
-                    line_addr,
-                    hit: HitLevel::L1,
-                });
-            }
-            return;
-        }
-        self.access_line_cold::<TRACED>(loc, line_addr, hash);
-    }
-
-    /// The shared cold body: classify against L1/L2/TLB state and account.
-    #[inline]
-    fn access_line_cold<const TRACED: bool>(
-        &mut self,
-        loc: MemLocation,
-        line_addr: u64,
-        hash: u64,
-    ) {
-        self.last_line = line_addr;
-        let hit = if self.l1.access_hashed(line_addr, hash) {
-            self.counters.l1_hits += 1;
-            HitLevel::L1
-        } else {
-            self.counters.l1_misses += 1;
-            if self.l2.access_hashed(line_addr, hash) {
-                self.counters.l2_hits += 1;
-                HitLevel::L2
-            } else {
-                self.counters.l2_misses += 1;
-                match loc {
-                    MemLocation::Gpu => {
-                        if self.chaos.ecc_page_rate > 0.0
-                            && self.chaos_schedule.page_quarantined(
-                                line_addr >> self.page_shift,
-                                self.chaos.ecc_page_rate,
-                            )
-                        {
-                            // ECC storm: the page's HBM copy is quarantined;
-                            // the line is re-fetched over the interconnect
-                            // (priced at the fine-grained-read bandwidth by
-                            // the cost model) instead of read from device
-                            // memory. The caches still fill, so the penalty
-                            // is paid once per (re-)fetch.
-                            self.counters.ecc_refetch_lines += 1;
-                            if TRACED {
-                                self.record_event(TraceEvent::EccRefetch { line_addr });
-                            }
-                        } else {
-                            self.counters.gpu_bytes_read += self.spec.cacheline_bytes;
-                        }
-                        HitLevel::GpuMem
-                    }
-                    MemLocation::Cpu => {
-                        let tlb_hit = self.tlb.access(line_addr);
-                        if tlb_hit {
-                            self.counters.tlb_hits += 1;
-                        } else {
-                            self.record_tlb_miss(line_addr >> self.page_shift);
-                        }
-                        self.counters.ic_lines_random += 1;
-                        self.counters.ic_bytes_random += self.spec.cacheline_bytes;
-                        let per_byte = self.chaos.random_stall_ns_per_byte;
-                        self.chaos_stall(self.spec.cacheline_bytes, per_byte);
-                        HitLevel::Remote { tlb_hit }
-                    }
-                }
-            }
-        };
-        if TRACED {
-            self.record_event(TraceEvent::ReadLine {
-                loc,
-                line_addr,
-                hit,
-            });
-        }
-    }
-
     /// TLB traffic for a (possibly multi-page) sequential or write access.
     /// Each page translation is traced as [`TraceEvent::Translate`] so the
     /// trace carries *every* TLB access the counters see (random reads
@@ -1054,11 +986,6 @@ impl Gpu {
     #[inline]
     pub fn cacheline_bytes(&self) -> u64 {
         self.spec.cacheline_bytes
-    }
-
-    #[allow(dead_code)]
-    fn line_mask(&self) -> u64 {
-        self.line_mask
     }
 }
 
@@ -1351,6 +1278,17 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)));
         assert!(g.chaos_schedule().is_empty());
+    }
+
+    /// Observing counters with accesses still queued would return stale
+    /// numbers; release builds refuse it too.
+    #[test]
+    #[should_panic(expected = "issued accesses not yet resolved")]
+    fn counters_refuse_pending_issued_accesses() {
+        let mut g = gpu();
+        let buf = g.alloc_host_from_vec(vec![0u64; 16]);
+        let _ = buf.read_issued(&mut g, 0);
+        let _ = g.snapshot();
     }
 
     #[test]

@@ -132,7 +132,10 @@ impl SetAssocLru {
     /// [`access`](Self::access) with the tag hash precomputed by the caller.
     /// Dispatches to a compile-time-specialized body for the spec
     /// associativities (one perfectly predicted branch per structure).
-    #[inline]
+    /// Always inlined: the engine's line-walk kernel calls it up to three
+    /// times per line, and an outlined call spills the kernel's state
+    /// around every one.
+    #[inline(always)]
     pub fn access_hashed(&mut self, tag: u64, hash: u64) -> bool {
         debug_assert_ne!(tag, EMPTY, "tag collides with the empty sentinel");
         debug_assert_eq!(hash, hash_of(tag), "hash must be hash_of(tag)");
@@ -147,7 +150,7 @@ impl SetAssocLru {
     /// The specialized hot body: with `ASSOC` known at compile time the
     /// residency scan unrolls into a branchless match mask and the
     /// move-to-front shift on a miss is a fixed-size block move.
-    #[inline]
+    #[inline(always)]
     fn access_const<const ASSOC: usize>(&mut self, tag: u64, hash: u64) -> bool {
         debug_assert_eq!(self.assoc, ASSOC);
         let base = self.set_from_hash(hash) * ASSOC;

@@ -147,6 +147,16 @@ impl<T: Copy> Buffer<T> {
         &self.data.as_slice()[i..i + count]
     }
 
+    /// Device-side reads of `count` contiguous elements at each index of
+    /// `starts`, accounted in order in one call (see
+    /// [`Gpu::touch_read_batch`]). Returns nothing: a caller batching reads
+    /// has already read the values through [`Buffer::host`].
+    #[inline]
+    pub fn read_batch(&self, gpu: &mut Gpu, starts: &[usize], count: usize) {
+        let bytes = (count * size_of::<T>()) as u64;
+        gpu.touch_read_batch(self.loc, bytes, starts.iter().map(|&i| self.addr_of(i)));
+    }
+
     /// Device-side read of element `i` on the warp-coalesced issue path:
     /// the value returns immediately (data is host-resident) while the
     /// memory-system accounting is queued for the next

@@ -34,6 +34,7 @@ impl Tlb {
 
     /// Translate the page containing `addr`. Returns `true` on a TLB hit;
     /// `false` means an address-translation request must be sent to the CPU.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.store.access(addr >> self.page_shift)
     }

@@ -1,22 +1,24 @@
-//! Differential equivalence suite for the deferred (batched) issue path.
+//! Differential equivalence suite for the engine's read paths.
 //!
-//! The engine has two ways to account a data-dependent access: the
-//! immediate entry points (`touch_read` / `touch_write`) and the issue
-//! queue (`issue_read` / `issue_write` + `access_lines`) that `lockstep`
-//! and the warp-cooperative index loops use. The whole point of the queue
-//! is to be *observationally invisible*: because every immediate
-//! accounting call drains the queue first, global accounting order equals
-//! program order exactly — so counters, trace events, and fault draws must
-//! come out byte-identical however the same access stream is split between
-//! the two paths.
+//! The engine has three ways to account a data-dependent read: the
+//! immediate entry point (`touch_read`), the issue queue (`issue_read` +
+//! `access_lines`) that `lockstep` and the warp-cooperative index loops
+//! use, and the batch entry point (`touch_read_batch`) that the hash-table
+//! probe uses. Because every immediate accounting call drains the queue
+//! first, global accounting order equals program order exactly — so
+//! counters, trace events, and fault draws must come out byte-identical
+//! however the same access stream is split between the paths.
 //!
 //! These tests drive random interleavings of reads, writes, streams,
-//! drains, and memory-system resets through one GPU on the immediate path
-//! and a twin GPU on the issued path, and assert the twins never diverge.
+//! drains, and memory-system resets over a CPU-located and a GPU-located
+//! buffer through three twin GPUs, calm and under chaos windows and fault
+//! plans, and assert the twins never diverge. All three paths share one
+//! line-walk kernel, so `line_walk_oracle.rs` checks that kernel against
+//! an independent reference model.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-use windex_sim::{Gpu, GpuSpec, MemLocation, Scale};
+use windex_sim::{ChaosKind, ChaosSchedule, Counters, FaultPlan, Gpu, GpuSpec, MemLocation, Scale};
 
 /// Elements of the shared probe buffer.
 const N: usize = 1 << 14;
@@ -24,68 +26,189 @@ const N: usize = 1 << 14;
 /// Trace capacity comfortably above the maximum events a case can emit.
 const TRACE_CAP: usize = 1 << 14;
 
-/// A twin with a caller-sized probe buffer — the TLB-thrashing and
-/// cross-page anchors need a working set spanning many pages (one page is
-/// 1 MiB at paper scale, far wider than the default buffer).
-fn twin_sized(elems: usize) -> (Gpu, u64) {
-    let mut gpu = Gpu::new(GpuSpec::v100_nvlink2(Scale::PAPER));
-    let buf = gpu.alloc_host_from_vec(vec![0u64; elems]);
-    (gpu, buf.base_addr())
+/// What the twins run under: calm, or one chaos window or fault plan that
+/// stays active for the whole case.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Env {
+    Calm,
+    EccStorm,
+    Brownout,
+    LinkFlap,
+    Faults,
 }
 
-/// Replay `ops` on both engines. `(sel, i, bytes)` decodes to an access at
-/// element `i`: reads (immediate vs issued), writes (immediate vs issued),
-/// streaming reads (immediate on both — they drain the twin's queue),
-/// explicit drain points, and full memory-system resets.
-fn replay(traced: bool, ops: &[(u8, usize, u64)]) {
-    replay_sized(N, traced, ops);
-}
-
-/// `replay` over a caller-sized buffer (for streams wider than one page).
-fn replay_sized(elems: usize, traced: bool, ops: &[(u8, usize, u64)]) {
-    let (mut imm, base_a) = twin_sized(elems);
-    let (mut iss, base_b) = twin_sized(elems);
-    assert_eq!(base_a, base_b, "twin allocators must agree on addresses");
-    if traced {
-        imm.start_trace(TRACE_CAP);
-        iss.start_trace(TRACE_CAP);
+impl Env {
+    /// Calm runs use the preset; the others use 4 KiB pages so the GPU
+    /// buffer spans many pages and an ECC storm quarantines some of them.
+    fn gpu(self) -> Gpu {
+        let mut spec = GpuSpec::v100_nvlink2(Scale::PAPER);
+        if self != Env::Calm {
+            spec.page_bytes = 4096;
+        }
+        let mut gpu = Gpu::new(spec);
+        let window = |kind| ChaosSchedule::seeded(11).with_window(kind, 0.0, 1.0);
+        match self {
+            Env::Calm => {}
+            Env::EccStorm => gpu
+                .set_chaos_schedule(window(ChaosKind::EccStorm { page_rate: 0.5 }))
+                .unwrap(),
+            Env::Brownout => gpu
+                .set_chaos_schedule(window(ChaosKind::Brownout {
+                    bandwidth_scale: 0.4,
+                }))
+                .unwrap(),
+            Env::LinkFlap => gpu.set_chaos_schedule(window(ChaosKind::LinkFlap)).unwrap(),
+            Env::Faults => gpu
+                .set_fault_plan(FaultPlan::seeded(5).with_transfer_faults(0.2))
+                .unwrap(),
+        }
+        gpu
     }
+}
+
+/// One twin: a GPU with a CPU-located buffer of the caller's size and a
+/// GPU-located buffer of at most `N` elements (device memory is small).
+struct Twin {
+    gpu: Gpu,
+    cpu_base: u64,
+    gpu_base: u64,
+    gpu_elems: usize,
+}
+
+fn twin(env: Env, elems: usize) -> Twin {
+    let mut gpu = env.gpu();
+    let cpu_base = gpu.alloc_host_from_vec(vec![0u64; elems]).base_addr();
+    let gpu_elems = elems.min(N);
+    let gpu_base = gpu
+        .alloc_from_vec(MemLocation::Gpu, vec![0u64; gpu_elems])
+        .unwrap()
+        .base_addr();
+    Twin {
+        gpu,
+        cpu_base,
+        gpu_base,
+        gpu_elems,
+    }
+}
+
+/// The batch twin's open run of same-location, same-width reads.
+#[derive(Default)]
+struct OpenBatch {
+    key: Option<(MemLocation, u64)>,
+    addrs: Vec<u64>,
+}
+
+impl OpenBatch {
+    fn push(&mut self, gpu: &mut Gpu, loc: MemLocation, bytes: u64, addr: u64) {
+        if self.key != Some((loc, bytes)) {
+            self.flush(gpu);
+            self.key = Some((loc, bytes));
+        }
+        self.addrs.push(addr);
+    }
+
+    fn flush(&mut self, gpu: &mut Gpu) {
+        if let Some((loc, bytes)) = self.key.take() {
+            gpu.touch_read_batch(loc, bytes, self.addrs.drain(..));
+        }
+    }
+}
+
+/// Replay `ops` on the three twins. `(sel, i, bytes)` decodes to an access
+/// at element `i`: CPU reads (0–59) and GPU reads (60–69) — immediate,
+/// issued, and grouped into same-location, same-width batches — CPU
+/// writes (70–74) and GPU writes (75–79), immediate vs issued; streaming
+/// reads (80–86, immediate everywhere, so they drain the queue and close
+/// the batch); explicit drain points (87–94, which also close the batch);
+/// and full memory-system resets (95–99).
+fn replay(traced: bool, ops: &[(u8, usize, u64)]) {
+    replay_sized(Env::Calm, N, traced, ops);
+}
+
+/// `replay` under `env` with a caller-sized CPU buffer (for streams wider
+/// than one page). Returns the twins' common counters.
+fn replay_sized(env: Env, elems: usize, traced: bool, ops: &[(u8, usize, u64)]) -> Counters {
+    let mut imm = twin(env, elems);
+    let mut iss = twin(env, elems);
+    let mut bat = twin(env, elems);
+    assert_eq!(
+        (imm.cpu_base, imm.gpu_base),
+        (iss.cpu_base, iss.gpu_base),
+        "twin allocators must agree on addresses"
+    );
+    if traced {
+        for t in [&mut imm, &mut iss, &mut bat] {
+            t.gpu.start_trace(TRACE_CAP);
+        }
+    }
+    let mut batch = OpenBatch::default();
     for &(sel, i, bytes) in ops {
-        let addr = base_a + (i * 8) as u64;
+        let loc = if (60..=69).contains(&sel) || (75..=79).contains(&sel) {
+            MemLocation::Gpu
+        } else {
+            MemLocation::Cpu
+        };
+        let addr = match loc {
+            MemLocation::Cpu => imm.cpu_base + (i * 8) as u64,
+            // Keep the span inside the (smaller) device buffer.
+            MemLocation::Gpu => {
+                let bytes_elems = bytes.div_ceil(8) as usize;
+                let room = imm.gpu_elems - bytes_elems.min(imm.gpu_elems);
+                imm.gpu_base + ((i % room.max(1)) * 8) as u64
+            }
+        };
         match sel {
             0..=69 => {
-                imm.touch_read(MemLocation::Cpu, addr, bytes);
-                iss.issue_read(MemLocation::Cpu, addr, bytes);
+                imm.gpu.touch_read(loc, addr, bytes);
+                iss.gpu.issue_read(loc, addr, bytes);
+                batch.push(&mut bat.gpu, loc, bytes, addr);
             }
             70..=79 => {
-                imm.touch_write(MemLocation::Cpu, addr, bytes);
-                iss.issue_write(MemLocation::Cpu, addr, bytes);
+                imm.gpu.touch_write(loc, addr, bytes);
+                iss.gpu.issue_write(loc, addr, bytes);
+                batch.flush(&mut bat.gpu);
+                bat.gpu.touch_write(loc, addr, bytes);
             }
             80..=86 => {
-                imm.stream_read(MemLocation::Cpu, addr, bytes);
-                iss.stream_read(MemLocation::Cpu, addr, bytes);
+                imm.gpu.stream_read(loc, addr, bytes);
+                iss.gpu.stream_read(loc, addr, bytes);
+                batch.flush(&mut bat.gpu);
+                bat.gpu.stream_read(loc, addr, bytes);
             }
             87..=94 => {
-                iss.access_lines(); // immediate path has nothing queued
+                iss.gpu.access_lines(); // immediate path has nothing queued
+                batch.flush(&mut bat.gpu);
             }
             _ => {
-                imm.reset_memory_system();
-                iss.reset_memory_system();
+                batch.flush(&mut bat.gpu);
+                for t in [&mut imm, &mut iss, &mut bat] {
+                    t.gpu.reset_memory_system();
+                }
             }
         }
     }
-    iss.access_lines();
-    assert_eq!(
-        imm.counters(),
-        iss.counters(),
-        "issued path diverged from the immediate path"
-    );
+    batch.flush(&mut bat.gpu);
+    iss.gpu.access_lines();
+    let c = imm.gpu.counters();
+    assert_eq!(c, iss.gpu.counters(), "issued path diverged ({env:?})");
+    assert_eq!(c, bat.gpu.counters(), "batch path diverged ({env:?})");
     if traced {
-        let ta = imm.stop_trace();
-        let tb = iss.stop_trace();
-        assert_eq!(ta.offered(), tb.offered());
-        assert_eq!(ta.events(), tb.events(), "trace event streams differ");
+        let ta = imm.gpu.stop_trace();
+        for (name, t) in [("issued", &mut iss), ("batch", &mut bat)] {
+            let tb = t.gpu.stop_trace();
+            assert_eq!(ta.offered(), tb.offered(), "{name} ({env:?})");
+            assert_eq!(ta.events(), tb.events(), "{name} trace differs ({env:?})");
+        }
     }
+    c
+}
+
+/// Widen generated ops' byte counts to 8, 16 or 64 so consecutive reads
+/// often share a width and the batch twin resolves multi-read batches.
+fn quantized(ops: &[(u8, usize, u64)]) -> Vec<(u8, usize, u64)> {
+    ops.iter()
+        .map(|&(sel, i, b)| (sel, i, [8u64, 16, 64][b as usize % 3]))
+        .collect()
 }
 
 proptest! {
@@ -107,6 +230,61 @@ proptest! {
         ops in pvec((0u8..100, 0usize..(N - 8), 1u64..=64), 1..300),
     ) {
         replay(true, &ops);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Quantized widths: runs of same-width reads reach the batch twin as
+    /// multi-read batches.
+    #[test]
+    fn batched_reads_match_immediate(
+        ops in pvec((0u8..100, 0usize..(N - 8), 0u64..3), 1..300),
+        traced in 0u8..2,
+    ) {
+        replay(traced == 1, &quantized(&ops));
+    }
+}
+
+/// Every chaos window that changes per-line accounting (ECC storm,
+/// brownout), every one that fires per-request faults (link flap), and an
+/// active fault plan, each traced and untraced: the three paths must draw
+/// faults per request in program order and account every line alike.
+#[test]
+fn chaos_and_fault_plans_match_on_every_path() {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let ops: Vec<(u8, usize, u64)> = (0..600)
+        .map(|_| {
+            let r = next();
+            // Mostly reads, with bursts of one width so batches form.
+            let sel = if r % 8 == 0 {
+                (r >> 8) % 100
+            } else {
+                (r >> 8) % 70
+            } as u8;
+            let i = (r >> 20) as usize % (N - 8);
+            (sel, i, [8u64, 16, 64, 8][(r >> 60) as usize % 4])
+        })
+        .collect();
+    for env in [Env::EccStorm, Env::Brownout, Env::LinkFlap, Env::Faults] {
+        for traced in [false, true] {
+            let c = replay_sized(env, N, traced, &ops);
+            let felt = match env {
+                Env::EccStorm => c.ecc_refetch_lines > 0 && c.gpu_bytes_read > 0,
+                Env::Brownout => c.chaos_stall_ns > 0,
+                Env::LinkFlap => c.faults_link_flap > 0,
+                Env::Faults => c.faults_transfer > 0 && c.faults_link_flap == 0,
+                Env::Calm => true,
+            };
+            assert!(felt, "{env:?} left no trace in the counters: {c:?}");
+        }
     }
 }
 
@@ -184,7 +362,7 @@ fn tlb_thrashing_stream_matches() {
         }
         ops.push((87, 0, 0));
     }
-    replay_sized(PAGES * page_elems, true, &ops);
+    replay_sized(Env::Calm, PAGES * page_elems, true, &ops);
 }
 
 /// Cross-page accesses: spans whose byte range straddles a page boundary
@@ -205,7 +383,7 @@ fn cross_page_accesses_match() {
     ops.push((87, 0, 0));
     // A streaming read across a boundary drains and must match too.
     ops.push((80, 3 * page_elems - 4, 64));
-    replay_sized(7 * page_elems, true, &ops);
+    replay_sized(Env::Calm, 7 * page_elems, true, &ops);
 }
 
 /// The flat page-stamp table must keep a multi-query session's footprint
