@@ -135,24 +135,32 @@ fn run_cell(
     (entry, accesses)
 }
 
-/// Compute the seed matrix with `jobs` workers, also returning the total
-/// simulated memory-system accesses (for `simperf`).
-pub(crate) fn compute_counted(jobs: usize) -> (Baseline, u64) {
-    let scale = Scale::PAPER;
-    let spec = GpuSpec::v100_nvlink2(scale);
-    // Relations are deterministic functions of their seeds; build each R
-    // size once and share it read-only across that size's cells.
-    let inputs: Vec<(f64, Relation, Relation)> = R_GIB
+/// The matrix's indexed relations, one per `R_GIB` size. Relations are
+/// deterministic functions of their seeds; each R is shared read-only
+/// across its size's cells (and its index fits with them).
+pub(crate) fn r_columns() -> Vec<Relation> {
+    R_GIB
         .iter()
         .map(|&gib| {
-            let r = Relation::unique_sorted(
-                scale.sim_tuples_for_paper_gib(gib),
+            Relation::unique_sorted(
+                Scale::PAPER.sim_tuples_for_paper_gib(gib),
                 KeyDistribution::Dense,
                 42,
-            );
-            let s = Relation::foreign_keys_uniform(&r, S_TUPLES, 7);
-            (gib, r, s)
+            )
         })
+        .collect()
+}
+
+/// Compute the seed matrix over `rs` (from [`r_columns`]) with `jobs`
+/// workers, also returning the total simulated memory-system accesses (for
+/// `simperf`).
+pub(crate) fn compute_counted(jobs: usize, rs: &[Relation]) -> (Baseline, u64) {
+    let scale = Scale::PAPER;
+    let spec = GpuSpec::v100_nvlink2(scale);
+    let inputs: Vec<(f64, &Relation, Relation)> = R_GIB
+        .iter()
+        .zip(rs)
+        .map(|(&gib, r)| (gib, r, Relation::foreign_keys_uniform(r, S_TUPLES, 7)))
         .collect();
     let cells: Vec<(usize, JoinStrategy)> = (0..inputs.len())
         .flat_map(|input| strategies().into_iter().map(move |st| (input, st)))
@@ -179,7 +187,7 @@ pub(crate) fn compute_counted(jobs: usize) -> (Baseline, u64) {
 /// The seed matrix computed with `jobs` workers; byte-identical output for
 /// any `jobs`.
 fn compute(jobs: usize) -> Baseline {
-    compute_counted(jobs).0
+    compute_counted(jobs, &r_columns()).0
 }
 
 /// The `baseline` target: renders the matrix as an experiment table and

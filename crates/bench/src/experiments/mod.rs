@@ -93,16 +93,10 @@ pub fn inlj_strategies(make: impl Fn(IndexKind) -> JoinStrategy) -> Vec<JoinStra
 /// computes: for a deterministic `f` the result is identical for any job
 /// count.
 pub fn par_map<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    // Serial runs stay on the calling thread: the relation and index memo
-    // caches are thread-local, and simperf's best-of-N repetitions rely on
-    // them staying warm.
-    if jobs <= 1 {
-        return (0..n).map(f).collect();
-    }
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..jobs.min(n))
+        let workers: Vec<_> = (0..jobs.max(1).min(n))
             .map(|_| {
                 scope.spawn(|| {
                     let mut mine = Vec::new();

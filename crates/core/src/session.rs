@@ -684,6 +684,25 @@ mod tests {
     }
 
     #[test]
+    fn misdeclared_sorted_relation_is_rejected_by_every_index() {
+        // Declared sorted+unique but not: every build refuses the relation
+        // instead of panicking or answering from a bogus index.
+        let mut g = gpu();
+        let r = Relation::from_keys(vec![30, 10, 20], true);
+        let s = Relation::from_keys(vec![10, 20], false);
+        let mut sess = QuerySession::new(&mut g, QueryExecutor::new(), r, s).unwrap();
+        for index in IndexKind::all() {
+            assert_eq!(
+                sess.run(&mut g, JoinStrategy::Inlj { index }).unwrap_err(),
+                WindexError::Query(QueryError::IndexedRelationNotSorted),
+                "{index}"
+            );
+        }
+        let rep = sess.run(&mut g, JoinStrategy::HashJoin).unwrap();
+        assert_eq!(rep.result_tuples, 2);
+    }
+
+    #[test]
     fn rejects_probe_keys_outside_indexed_domain() {
         let mut g = gpu();
         let r = Relation::from_keys(vec![10, 20, 30], true);

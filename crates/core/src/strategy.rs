@@ -112,7 +112,7 @@ impl BuiltIndex {
                 BuiltIndex::BPlusTree(BPlusTree::bulk_load(gpu, column.host(), configs.btree))
             }
             IndexKind::Harmonia => {
-                BuiltIndex::Harmonia(Harmonia::build_shared(gpu, column, configs.harmonia))
+                BuiltIndex::Harmonia(Harmonia::build(gpu, column, configs.harmonia))
             }
             IndexKind::RadixSpline => BuiltIndex::RadixSpline(RadixSpline::build(
                 gpu,

@@ -22,10 +22,7 @@
 //! updates, which a rebuild models at the same interface).
 
 use crate::traits::{IndexKind, OutOfCoreIndex};
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::{Arc, Weak};
-use windex_sim::{lockstep, Buffer, Gpu, SubWarp, WARP_SIZE};
+use windex_sim::{lockstep, Buffer, Gpu, SharedColumn, SubWarp, WARP_SIZE};
 
 /// Padding value for unused key slots. `u64::MAX` is therefore not an
 /// indexable key.
@@ -49,46 +46,15 @@ impl Default for HarmoniaConfig {
     }
 }
 
-/// Host-side build artifacts: a pure function of (key column, node width).
-/// Same memoization scheme as the RadixSpline fit cache — identity is the
-/// shared column `Arc`, held weakly so a dropped column frees its entry.
-#[derive(Clone)]
+/// Host-side build artifacts: a pure function of (key column, node width),
+/// stored on a staged shared column like the RadixSpline fit (see
+/// [`Buffer::derived`]).
 struct TreeArtifacts {
-    nk: usize,
-    region: Arc<[u64]>,
-    prefix: Arc<[u64]>,
+    region: SharedColumn<u64>,
+    prefix: SharedColumn<u64>,
     first_leaf: u64,
     height: u32,
     len: usize,
-}
-
-/// Tree-memo entries kept per thread (see the RadixSpline fit cache).
-const TREE_CACHE_CAP: usize = 4;
-
-thread_local! {
-    static TREE_CACHE: RefCell<Vec<(Weak<[u64]>, TreeArtifacts)>> = const { RefCell::new(Vec::new()) };
-}
-
-fn cached_tree(col: &Arc<[u64]>, nk: usize) -> Option<TreeArtifacts> {
-    TREE_CACHE.with(|c| {
-        let mut cache = c.borrow_mut();
-        let hit = cache.iter().position(|(weak, art)| {
-            art.nk == nk && weak.upgrade().is_some_and(|alive| Arc::ptr_eq(&alive, col))
-        })?;
-        let entry = cache.remove(hit);
-        let art = entry.1.clone();
-        cache.insert(0, entry);
-        Some(art)
-    })
-}
-
-fn remember_tree(col: &Arc<[u64]>, art: TreeArtifacts) {
-    TREE_CACHE.with(|c| {
-        let mut cache = c.borrow_mut();
-        cache.retain(|(weak, _)| weak.strong_count() > 0);
-        cache.insert(0, (Arc::downgrade(col), art));
-        cache.truncate(TREE_CACHE_CAP);
-    });
 }
 
 /// The Harmonia index: key region + child prefix array, in CPU memory.
@@ -107,62 +73,27 @@ pub struct Harmonia {
 }
 
 impl Harmonia {
-    /// Build from unique sorted keys; rid `i` is assigned to `keys[i]`.
-    pub fn build(gpu: &mut Gpu, keys: &[u64], config: HarmoniaConfig) -> Self {
-        Self::validate(keys, &config);
-        let (region, prefix, first_leaf, height) = Self::fit(keys, config.keys_per_node);
-        Harmonia {
-            key_region: gpu.alloc_host_from_vec(region),
-            prefix: gpu.alloc_host_from_vec(prefix),
-            nk: config.keys_per_node,
-            lanes_per_key: config.lanes_per_key,
-            first_leaf,
-            height,
-            len: keys.len(),
-        }
-    }
-
-    /// [`build`](Self::build) over a staged shared column: repeated builds
-    /// of the same column on one thread reuse the fitted tree (the region
-    /// and prefix arrays are pure functions of the keys and the node
-    /// width). `alloc_host_shared` assigns addresses and accounts exactly
-    /// like `alloc_host_from_vec`, so a memo hit changes wall time only.
-    pub fn build_shared(gpu: &mut Gpu, data: &Rc<Buffer<u64>>, config: HarmoniaConfig) -> Self {
-        let col = match data.shared_storage() {
-            Some(c) => c,
-            None => return Self::build(gpu, data.host(), config),
-        };
+    /// Build over the unique sorted column `data`; rid `i` is assigned to
+    /// its `i`-th key. The fitted tree is the column's derived artifact for
+    /// this node width, and `alloc_host_shared` assigns addresses and
+    /// accounts like `alloc_host_from_vec`, so reusing a fit changes wall
+    /// time only.
+    pub fn build(gpu: &mut Gpu, data: &Buffer<u64>, config: HarmoniaConfig) -> Self {
         Self::validate(data.host(), &config);
         let nk = config.keys_per_node;
-        if let Some(art) = cached_tree(&col, nk) {
-            return Harmonia {
-                key_region: gpu.alloc_host_shared(Arc::clone(&art.region)),
-                prefix: gpu.alloc_host_shared(Arc::clone(&art.prefix)),
-                nk,
-                lanes_per_key: config.lanes_per_key,
-                first_leaf: art.first_leaf,
-                height: art.height,
-                len: art.len,
-            };
-        }
-        let (region, prefix, first_leaf, height) = Self::fit(&col, nk);
-        let art = TreeArtifacts {
-            nk,
-            region: region.into(),
-            prefix: prefix.into(),
-            first_leaf,
-            height,
-            len: col.len(),
-        };
-        remember_tree(&col, art.clone());
+        let tree = data.derived(nk, |keys| Self::fit(keys, nk));
+        Self::from_tree(gpu, &tree, config)
+    }
+
+    fn from_tree(gpu: &mut Gpu, tree: &TreeArtifacts, config: HarmoniaConfig) -> Self {
         Harmonia {
-            key_region: gpu.alloc_host_shared(Arc::clone(&art.region)),
-            prefix: gpu.alloc_host_shared(art.prefix),
-            nk,
+            key_region: gpu.alloc_host_shared(tree.region.clone()),
+            prefix: gpu.alloc_host_shared(tree.prefix.clone()),
+            nk: config.keys_per_node,
             lanes_per_key: config.lanes_per_key,
-            first_leaf,
-            height,
-            len: art.len,
+            first_leaf: tree.first_leaf,
+            height: tree.height,
+            len: tree.len,
         }
     }
 
@@ -177,8 +108,8 @@ impl Harmonia {
     }
 
     /// The pure fit: level geometry plus the filled key region and child
-    /// prefix array. Returns `(region, prefix, first_leaf, height)`.
-    fn fit(keys: &[u64], nk: usize) -> (Vec<u64>, Vec<u64>, u64, u32) {
+    /// prefix array.
+    fn fit(keys: &[u64], nk: usize) -> TreeArtifacts {
         // Level geometry, top-down node counts. The leaf level packs the
         // keys nk at a time; every level above holds the min key of each
         // child node, so its node count is ceil(children / nk). Computing
@@ -241,7 +172,13 @@ impl Harmonia {
             mins = (0..counts[li]).map(|j| mins[j * nk]).collect();
         }
 
-        (region, prefix, first_leaf, height)
+        TreeArtifacts {
+            region: region.into(),
+            prefix: prefix.into(),
+            first_leaf,
+            height,
+            len: keys.len(),
+        }
     }
 
     /// Tree height in levels (1 = the root is a leaf).
@@ -282,15 +219,12 @@ impl Harmonia {
         if all.windows(2).any(|w| w[0] == w[1]) {
             return Err("duplicate key in batch".into());
         }
-        let rebuilt = Harmonia::build(
-            gpu,
-            &all,
-            HarmoniaConfig {
-                keys_per_node: self.nk,
-                lanes_per_key: self.lanes_per_key,
-            },
-        );
-        *self = rebuilt;
+        let config = HarmoniaConfig {
+            keys_per_node: self.nk,
+            lanes_per_key: self.lanes_per_key,
+        };
+        Self::validate(&all, &config);
+        *self = Self::from_tree(gpu, &Self::fit(&all, self.nk), config);
         Ok(())
     }
 
@@ -457,7 +391,8 @@ mod tests {
 
     fn build(keys: &[u64]) -> (Gpu, Harmonia) {
         let mut g = gpu();
-        let h = Harmonia::build(&mut g, keys, HarmoniaConfig::default());
+        let col = g.alloc_host_from_vec(keys.to_vec());
+        let h = Harmonia::build(&mut g, &col, HarmoniaConfig::default());
         (g, h)
     }
 
@@ -560,9 +495,10 @@ mod tests {
     fn custom_subwarp_width() {
         let keys: Vec<u64> = (0..5000).map(|i| i * 2 + 1).collect();
         let mut g = gpu();
+        let col = g.alloc_host_from_vec(keys.clone());
         let h = Harmonia::build(
             &mut g,
-            &keys,
+            &col,
             HarmoniaConfig {
                 keys_per_node: 16,
                 lanes_per_key: 4,

@@ -16,27 +16,19 @@
 //! removes TLB thrashing (§6 recommends it at 1.1–1.8× over Harmonia).
 
 use crate::traits::{IndexKind, OutOfCoreIndex};
-use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::{Arc, Weak};
-use windex_sim::{lockstep, Buffer, Gpu, WARP_SIZE};
+use windex_sim::{lockstep, Buffer, Gpu, SharedColumn, WARP_SIZE};
 
 /// Host-side build artifacts: a pure function of (key column, config).
 ///
 /// Fitting the corridor and measuring its observed error are by far the
-/// dominant build cost (two O(n) passes over the column), so builds over
-/// the *same* shared column — e.g. the baseline matrix, which runs three
-/// RadixSpline strategies against one staged relation — memoize the
-/// artifacts per thread. Identity is the column `Arc`'s pointer, held as a
-/// `Weak` so the cache never keeps a dropped column alive (and a freed
-/// address can never be mistaken for its reincarnation: a hit requires the
-/// original `Arc` to still be alive via `upgrade`).
-#[derive(Clone)]
+/// dominant build cost (two O(n) passes over the column), so a build over
+/// a staged shared column stores them on the column (see
+/// [`Buffer::derived`]): every later build with the same config, on any
+/// thread, reuses them.
 struct FitArtifacts {
-    max_error: usize,
-    radix_bits_cfg: Option<u32>,
-    spline: Arc<[u64]>,
-    radix_table: Arc<[u64]>,
+    spline: SharedColumn<u64>,
+    radix_table: SharedColumn<u64>,
     min_key: u64,
     max_key: u64,
     shift: u32,
@@ -44,40 +36,57 @@ struct FitArtifacts {
     lookup_error: usize,
 }
 
-/// Fit-memo entries kept per thread: enough for a benchmark matrix cycling
-/// through a few relation sizes without the sizes evicting each other.
-const FIT_CACHE_CAP: usize = 4;
+impl FitArtifacts {
+    fn fit(keys: &[u64], config: RadixSplineConfig) -> Self {
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        let n = keys.len();
+        let min_key = keys.first().copied().unwrap_or(0);
+        let max_key = keys.last().copied().unwrap_or(0);
 
-thread_local! {
-    static FIT_CACHE: RefCell<Vec<(Weak<[u64]>, FitArtifacts)>> = const { RefCell::new(Vec::new()) };
-}
+        let spline_pts = greedy_spline_corridor(keys, config.max_error as f64);
+        let lookup_error = observed_max_error(keys, &spline_pts).ceil() as usize;
 
-/// Cached artifacts for `col` under `config`, if this thread built them
-/// while the column was (and still is) alive.
-fn cached_fit(col: &Arc<[u64]>, config: &RadixSplineConfig) -> Option<FitArtifacts> {
-    FIT_CACHE.with(|c| {
-        let mut cache = c.borrow_mut();
-        let hit = cache.iter().position(|(weak, art)| {
-            art.max_error == config.max_error
-                && art.radix_bits_cfg == config.radix_bits
-                && weak.upgrade().is_some_and(|alive| Arc::ptr_eq(&alive, col))
-        })?;
-        // Move-to-front: keep the benchmark loop's working set resident.
-        let entry = cache.remove(hit);
-        let art = entry.1.clone();
-        cache.insert(0, entry);
-        Some(art)
-    })
-}
+        // Radix table geometry.
+        let radix_bits = config.radix_bits.unwrap_or_else(|| {
+            let lg = (n.max(2) as f64).log2().floor() as u32;
+            lg.saturating_sub(2).clamp(1, 24)
+        });
+        let domain = max_key - min_key;
+        let domain_bits = 64 - domain.leading_zeros();
+        let shift = domain_bits.saturating_sub(radix_bits);
 
-/// Remember `art` as the fit of `col`, evicting dead and overflow entries.
-fn remember_fit(col: &Arc<[u64]>, art: FitArtifacts) {
-    FIT_CACHE.with(|c| {
-        let mut cache = c.borrow_mut();
-        cache.retain(|(weak, _)| weak.strong_count() > 0);
-        cache.insert(0, (Arc::downgrade(col), art));
-        cache.truncate(FIT_CACHE_CAP);
-    });
+        let cells = (1usize << radix_bits) + 1;
+        // table[p] = first spline index whose prefix >= p. Built in one
+        // append-only pass (each cell is written exactly once) instead of a
+        // full default fill followed by a second overwrite pass — the table
+        // is megabytes at high bit counts and the double write was ~half
+        // the non-spline build cost.
+        let mut table = Vec::with_capacity(cells);
+        for (i, &(k, _)) in spline_pts.iter().enumerate() {
+            let p = ((k - min_key) >> shift) as usize;
+            while table.len() <= p {
+                table.push(i as u64);
+            }
+        }
+        // Remaining cells (prefixes beyond the last spline key) get len().
+        table.resize(cells, spline_pts.len() as u64);
+
+        let mut interleaved = Vec::with_capacity(spline_pts.len() * 2);
+        for &(k, p) in &spline_pts {
+            interleaved.push(k);
+            interleaved.push(p);
+        }
+
+        FitArtifacts {
+            spline: interleaved.into(),
+            radix_table: table.into(),
+            min_key,
+            max_key,
+            shift,
+            radix_bits,
+            lookup_error,
+        }
+    }
 }
 
 /// RadixSpline tuning knobs.
@@ -125,89 +134,25 @@ pub struct RadixSpline {
 impl RadixSpline {
     /// Build over `data` (sorted ascending, unique). Single pass, host-side
     /// (index construction is pre-query work, §3.2).
+    ///
+    /// The fit is the column's derived artifact for this config, and
+    /// `alloc_host_shared` assigns addresses and accounts like
+    /// `alloc_host_from_vec`, so reusing a fit changes wall time only.
     pub fn build(gpu: &mut Gpu, data: Rc<Buffer<u64>>, config: RadixSplineConfig) -> Self {
         assert!(config.max_error >= 1);
-        // Same staged column, same config, same thread → reuse the fit.
-        // `alloc_host_shared` has the same address assignment and accounting
-        // as `alloc_host_from_vec`, so a hit changes wall time only.
-        let col = data.shared_storage();
-        if let Some(art) = col.as_ref().and_then(|c| cached_fit(c, &config)) {
-            return RadixSpline {
-                data,
-                spline: gpu.alloc_host_shared(Arc::clone(&art.spline)),
-                radix_table: gpu.alloc_host_shared(Arc::clone(&art.radix_table)),
-                min_key: art.min_key,
-                max_key: art.max_key,
-                shift: art.shift,
-                radix_bits: art.radix_bits,
-                max_error: art.max_error,
-                lookup_error: art.lookup_error,
-            };
-        }
-        let keys = data.host();
-        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
-        let n = keys.len();
-        let min_key = keys.first().copied().unwrap_or(0);
-        let max_key = keys.last().copied().unwrap_or(0);
-
-        let spline_pts = greedy_spline_corridor(keys, config.max_error as f64);
-        let lookup_error = observed_max_error(keys, &spline_pts).ceil() as usize;
-
-        // Radix table geometry.
-        let radix_bits = config.radix_bits.unwrap_or_else(|| {
-            let lg = (n.max(2) as f64).log2().floor() as u32;
-            lg.saturating_sub(2).clamp(1, 24)
+        let art = data.derived((config.max_error, config.radix_bits), |keys| {
+            FitArtifacts::fit(keys, config)
         });
-        let domain = max_key - min_key;
-        let domain_bits = 64 - domain.leading_zeros();
-        let shift = domain_bits.saturating_sub(radix_bits);
-
-        let cells = (1usize << radix_bits) + 1;
-        // table[p] = first spline index whose prefix >= p. Built in one
-        // append-only pass (each cell is written exactly once) instead of a
-        // full default fill followed by a second overwrite pass — the table
-        // is megabytes at high bit counts and the double write was ~half
-        // the non-spline build cost.
-        let mut table = Vec::with_capacity(cells);
-        for (i, &(k, _)) in spline_pts.iter().enumerate() {
-            let p = ((k - min_key) >> shift) as usize;
-            while table.len() <= p {
-                table.push(i as u64);
-            }
-        }
-        // Remaining cells (prefixes beyond the last spline key) get len().
-        table.resize(cells, spline_pts.len() as u64);
-
-        let mut interleaved = Vec::with_capacity(spline_pts.len() * 2);
-        for &(k, p) in &spline_pts {
-            interleaved.push(k);
-            interleaved.push(p);
-        }
-
-        let art = FitArtifacts {
-            max_error: config.max_error,
-            radix_bits_cfg: config.radix_bits,
-            spline: interleaved.into(),
-            radix_table: table.into(),
-            min_key,
-            max_key,
-            shift,
-            radix_bits,
-            lookup_error,
-        };
-        if let Some(c) = &col {
-            remember_fit(c, art.clone());
-        }
         RadixSpline {
             data,
-            spline: gpu.alloc_host_shared(Arc::clone(&art.spline)),
-            radix_table: gpu.alloc_host_shared(art.radix_table),
-            min_key,
-            max_key,
-            shift,
-            radix_bits,
+            spline: gpu.alloc_host_shared(art.spline.clone()),
+            radix_table: gpu.alloc_host_shared(art.radix_table.clone()),
+            min_key: art.min_key,
+            max_key: art.max_key,
+            shift: art.shift,
+            radix_bits: art.radix_bits,
             max_error: config.max_error,
-            lookup_error,
+            lookup_error: art.lookup_error,
         }
     }
 

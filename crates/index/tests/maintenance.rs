@@ -108,7 +108,8 @@ proptest! {
         sorted.sort_unstable();
         sorted.dedup();
         let mut g = gpu();
-        let mut h = Harmonia::build(&mut g, &sorted, HarmoniaConfig::default());
+        let col = g.alloc_host_from_vec(sorted.clone());
+        let mut h = Harmonia::build(&mut g, &col, HarmoniaConfig::default());
 
         let fresh: Vec<u64> = {
             let mut b = batch.clone();
@@ -151,7 +152,7 @@ proptest! {
                 node_bytes: 128,
                 ..Default::default()
             })),
-            Box::new(Harmonia::build(&mut g, &sorted, HarmoniaConfig::default())),
+            Box::new(Harmonia::build(&mut g, &col, HarmoniaConfig::default())),
             Box::new(windex_index::RadixSpline::build(
                 &mut g,
                 std::rc::Rc::clone(&col),

@@ -19,12 +19,13 @@
 //!    (sessions hold `Rc`s, so a lane is constructed *inside* the worker
 //!    thread that runs it), its own server, and its own chaos schedule
 //!    clone. The only shared inputs are immutable: the relation's
-//!    `Arc<[u64]>` column, the config, and the sub-traces.
+//!    `SharedColumn`, the config, and the sub-traces.
 //! 2. **A lane's result is a pure function of its inputs.** Virtual time
 //!    restarts at zero per lane; fault windows, retry jitter, and tuner
-//!    exploration draws are all seeded per tenant, not per thread. The
-//!    thread-local generator/fit caches a lane may hit only change wall
-//!    time — their outputs are accounting-identical by construction.
+//!    exploration draws are all seeded per tenant, not per thread. An
+//!    index fit a lane finds on the shared column, whichever thread made
+//!    it, only changes wall time — it is accounting-identical to a cold
+//!    fit by construction.
 //! 3. **The merge order is fixed before any thread runs.** Lanes are
 //!    ascending tenant id; worker threads claim lane *indices* from an
 //!    atomic counter and write results into that lane's pre-allocated

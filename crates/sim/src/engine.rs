@@ -24,6 +24,7 @@
 
 use crate::cache::Cache;
 use crate::chaos::{ChaosActivity, ChaosSchedule};
+use crate::column::SharedColumn;
 use crate::counters::Counters;
 use crate::fault::{FaultKind, FaultPlan, RetryPolicy, SimError};
 use crate::lru;
@@ -310,12 +311,14 @@ impl Gpu {
             .expect("host allocations are infallible")
     }
 
-    /// Allocate a host (CPU-memory) buffer that *aliases* `data` instead of
-    /// copying it — staging a multi-megabyte base column is an `Arc` clone.
+    /// Allocate a host (CPU-memory) buffer that *aliases* the shared column
+    /// `data` instead of copying it — staging a multi-megabyte base column is
+    /// an `Arc` clone, and builds over the buffer reuse the column's derived
+    /// artifacts (see [`Buffer::derived`]).
     /// Address assignment, accounting, and access semantics are identical to
     /// [`Gpu::alloc_host_from_vec`]; a later device-side write converts the
     /// buffer to owned storage (copy-on-write).
-    pub fn alloc_host_shared<T: Copy>(&mut self, data: std::sync::Arc<[T]>) -> Buffer<T> {
+    pub fn alloc_host_shared<T: Copy>(&mut self, data: SharedColumn<T>) -> Buffer<T> {
         self.access_lines();
         let reserved = self.reservation_bytes::<T>(data.len());
         let base = self.next_addr;

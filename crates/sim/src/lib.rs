@@ -49,6 +49,7 @@
 
 pub mod cache;
 pub mod chaos;
+pub mod column;
 pub mod cost;
 pub mod counters;
 pub mod engine;
@@ -65,6 +66,7 @@ pub mod tlb;
 pub mod trace;
 
 pub use chaos::{ChaosActivity, ChaosKind, ChaosScenario, ChaosSchedule, ChaosWindow};
+pub use column::SharedColumn;
 pub use cost::{CandidateProfile, CostModel, TimeBreakdown};
 pub use counters::Counters;
 pub use engine::Gpu;

@@ -1,8 +1,8 @@
 //! Simulated memory: placement-aware buffers in a shared virtual address
 //! space.
 //!
-//! A [`Buffer`] holds real host data (an owned `Vec<T>`, or shared
-//! `Arc<[T]>` storage aliasing a staged column — see [`Storage`]) and
+//! A [`Buffer`] holds real host data (an owned `Vec<T>`, or a
+//! [`SharedColumn`] aliasing a staged column — see [`Storage`]) and
 //! carries a base virtual address plus a placement ([`MemLocation::Cpu`] for out-of-core base
 //! relations and indexes, [`MemLocation::Gpu`] for device-resident state such
 //! as hash tables and partition buffers). Every device-side access goes
@@ -12,6 +12,7 @@
 //! as bulk-loading an index (§3.2: "we assume the index already exists when
 //! the query is run").
 
+use crate::column::SharedColumn;
 use crate::engine::Gpu;
 use std::mem::{size_of, size_of_val};
 use std::sync::Arc;
@@ -30,12 +31,13 @@ pub enum MemLocation {
 /// Backing storage of a [`Buffer`]: exclusively owned, or aliasing a
 /// read-mostly column shared with the workload layer (e.g. a staged base
 /// relation). Shared storage turns staging a multi-megabyte column into an
-/// `Arc` clone; the first device-side *write* silently converts to owned
-/// (copy-on-write), so buffer semantics are unchanged either way.
+/// `Arc` clone, and builds over it find the column's derived artifacts (see
+/// [`Buffer::derived`]); the first device-side *write* silently converts to
+/// owned (copy-on-write), so buffer semantics are unchanged either way.
 #[derive(Debug, Clone)]
 enum Storage<T> {
     Owned(Vec<T>),
-    Shared(Arc<[T]>),
+    Shared(SharedColumn<T>),
 }
 
 impl<T: Copy> Storage<T> {
@@ -79,7 +81,7 @@ impl<T: Copy> Buffer<T> {
 
     /// Internal constructor for shared (zero-copy) storage; use
     /// [`Gpu::alloc_host_shared`].
-    pub(crate) fn from_shared(data: Arc<[T]>, base: u64, loc: MemLocation) -> Self {
+    pub(crate) fn from_shared(data: SharedColumn<T>, base: u64, loc: MemLocation) -> Self {
         Buffer {
             data: Storage::Shared(data),
             base,
@@ -87,16 +89,19 @@ impl<T: Copy> Buffer<T> {
         }
     }
 
-    /// The shared (`Arc`) storage backing this buffer, if it was allocated
-    /// zero-copy via [`Gpu::alloc_host_shared`] and has not been converted
-    /// to owned by a write. While the column stays alive, the returned
-    /// `Arc`'s pointer identity is a stable identity for its contents —
-    /// callers use it to recognize the same staged column across queries
-    /// (e.g. to reuse an index fit).
-    pub fn shared_storage(&self) -> Option<Arc<[T]>> {
+    /// The artifact `fit` derives from this buffer's contents under `key`
+    /// (see [`SharedColumn::derived`]). A buffer aliasing a shared column
+    /// stores the artifact on the column, so every build over that column,
+    /// on any thread, fits once; an owned buffer fits every time. Host-side
+    /// work only: nothing is accounted.
+    pub fn derived<K, A>(&self, key: K, fit: impl FnOnce(&[T]) -> A) -> Arc<A>
+    where
+        K: PartialEq + Send + Sync + 'static,
+        A: Send + Sync + 'static,
+    {
         match &self.data {
-            Storage::Shared(a) => Some(Arc::clone(a)),
-            Storage::Owned(_) => None,
+            Storage::Shared(col) => col.derived(key, fit),
+            Storage::Owned(v) => Arc::new(fit(v)),
         }
     }
 

@@ -9,23 +9,8 @@
 use crate::zipf::ZipfSampler;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
 use std::sync::Arc;
-
-/// Generator memo: [`Relation::unique_sorted`] is a pure function of its
-/// arguments, and the benchmark harnesses regenerate the same handful of
-/// columns over and over (every `simperf` repetition, every served tenant
-/// staging the same R). Remembering the last few columns per thread turns
-/// those rebuilds into an `Arc` clone — and, because the column keeps its
-/// allocation identity, downstream identity-keyed caches (the RadixSpline
-/// fit memo) stay warm across repetitions too.
-const GEN_MEMO_CAP: usize = 8;
-
-thread_local! {
-    #[allow(clippy::type_complexity)]
-    static GEN_MEMO: RefCell<Vec<((usize, KeyDistribution, u64), Arc<[u64]>)>> =
-        const { RefCell::new(Vec::new()) };
-}
+use windex_sim::SharedColumn;
 
 /// Key-space shape for the unique sorted build side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,69 +25,35 @@ pub enum KeyDistribution {
 
 /// A single-column relation of 8-byte integer keys.
 ///
-/// The column is held behind an `Arc`, so cloning a relation (or handing a
+/// The column is a [`SharedColumn`], so cloning a relation (or handing a
 /// copy to a query session, a served tenant, or a worker thread) shares the
-/// storage instead of duplicating a potentially multi-megabyte column.
+/// storage instead of duplicating a potentially multi-megabyte column, and
+/// every index built over a staged copy of it, on any thread, reuses the
+/// fit stored on the column.
 #[derive(Debug, Clone)]
 pub struct Relation {
-    keys: Arc<[u64]>,
+    keys: SharedColumn<u64>,
     sorted_unique: bool,
 }
 
 impl Relation {
-    /// Wrap an existing column. `sorted_unique` must be declared truthfully;
-    /// it is verified in debug builds.
+    /// Wrap an existing column. A `sorted_unique` declaration is verified:
+    /// keys that are not strictly ascending make an unsorted relation,
+    /// which index strategies reject instead of answering wrongly.
     pub fn from_keys(keys: Vec<u64>, sorted_unique: bool) -> Self {
-        debug_assert!(
-            !sorted_unique || keys.windows(2).all(|w| w[0] < w[1]),
-            "keys declared sorted+unique but are not"
-        );
         Relation {
+            sorted_unique: sorted_unique && keys.windows(2).all(|w| w[0] < w[1]),
             keys: keys.into(),
-            sorted_unique,
         }
     }
 
     /// Generate `n` unique sorted keys (the indexed relation *R*).
-    ///
-    /// Deterministic in `(n, dist, seed)`; repeated calls with the same
-    /// arguments on one thread share the previously generated column (an
-    /// `Arc` clone, no regeneration and no copy).
+    /// Deterministic in `(n, dist, seed)`.
     pub fn unique_sorted(n: usize, dist: KeyDistribution, seed: u64) -> Self {
-        let memo_key = (n, dist, seed);
-        let cached = GEN_MEMO.with(|m| {
-            let mut memo = m.borrow_mut();
-            let hit = memo.iter().position(|(k, _)| *k == memo_key)?;
-            // Move-to-front so the working set of a benchmark loop stays in.
-            let entry = memo.remove(hit);
-            let col = Arc::clone(&entry.1);
-            memo.insert(0, entry);
-            Some(col)
-        });
-        if let Some(keys) = cached {
-            return Relation {
-                keys,
-                sorted_unique: true,
-            };
-        }
-        let keys = Self::generate_unique_sorted(n, dist, seed);
-        GEN_MEMO.with(|m| {
-            let mut memo = m.borrow_mut();
-            memo.insert(0, (memo_key, Arc::clone(&keys)));
-            memo.truncate(GEN_MEMO_CAP);
-        });
-        Relation {
-            keys,
-            sorted_unique: true,
-        }
-    }
-
-    /// The uncached generator body behind [`Relation::unique_sorted`].
-    fn generate_unique_sorted(n: usize, dist: KeyDistribution, seed: u64) -> Arc<[u64]> {
-        match dist {
+        let keys = match dist {
             // Range is `TrustedLen`, so collecting straight into the `Arc`
             // writes the shared allocation once — no staging `Vec`, no copy.
-            KeyDistribution::Dense => (0..n as u64).collect(),
+            KeyDistribution::Dense => (0..n as u64).collect::<Arc<[u64]>>().into(),
             KeyDistribution::SparseUniform => {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut k: u64 = 0;
@@ -116,6 +67,10 @@ impl Relation {
                 }
                 keys.into()
             }
+        };
+        Relation {
+            keys,
+            sorted_unique: true,
         }
     }
 
@@ -181,10 +136,10 @@ impl Relation {
         &self.keys
     }
 
-    /// The key column's shared storage (an `Arc` clone: no copy). Lets a
-    /// staged device buffer alias the relation's column directly.
-    pub fn keys_shared(&self) -> Arc<[u64]> {
-        Arc::clone(&self.keys)
+    /// The key column itself (an `Arc` clone: no copy). Lets a staged
+    /// buffer alias the relation's column, and so share its index fits.
+    pub fn keys_shared(&self) -> SharedColumn<u64> {
+        self.keys.clone()
     }
 
     /// Consume into the key column (copies when the column is shared).
@@ -326,6 +281,19 @@ mod tests {
         // n = 0 against a non-empty relation also stays well-formed.
         let r = Relation::unique_sorted(16, KeyDistribution::Dense, 1);
         assert!(Relation::foreign_keys_zipf(&r, 0, 1.0, 1).is_empty());
+    }
+
+    #[test]
+    fn sorted_declaration_is_verified_in_every_build() {
+        // A false declaration used to pass in release builds (the check was
+        // a `debug_assert!`) and silently yield wrong index answers.
+        for (keys, max) in [(vec![3, 1, 2], 3), (vec![1, 1, 2], 2)] {
+            let r = Relation::from_keys(keys, true);
+            assert!(!r.is_sorted_unique());
+            assert_eq!((r.min_key(), r.max_key()), (Some(1), Some(max)));
+        }
+        assert!(Relation::from_keys(vec![1, 2, 5], true).is_sorted_unique());
+        assert!(!Relation::from_keys(vec![1, 2, 5], false).is_sorted_unique());
     }
 
     #[test]
