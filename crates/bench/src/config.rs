@@ -23,7 +23,7 @@ pub struct ExpConfig {
     pub fixed_r_gib: f64,
     /// Where result files are written.
     pub out_dir: PathBuf,
-    /// Reduced sweep for CI / `cargo bench`.
+    /// Reduced sweep (`--quick`).
     pub quick: bool,
     /// Worker threads for the sweep targets (`baseline`, `simperf`,
     /// `chaos`, `cluster`, `tuner`, `requests`). Sweep points are
@@ -31,12 +31,6 @@ pub struct ExpConfig {
     /// in fixed point order — so any job count produces byte-identical
     /// reports.
     pub jobs: usize,
-    /// Worker threads for `simperf`'s tenant-parallel serve axis (the
-    /// multi-thread point; 1 thread is always measured too). Lanes are
-    /// independent per-tenant simulations merged in fixed tenant order, so
-    /// any thread count produces byte-identical outcomes — simperf fails
-    /// if they ever diverge.
-    pub serve_threads: usize,
     /// Gated targets write their committed `BENCH_*.json` golden instead
     /// of checking the fresh run against it.
     pub record: bool,
@@ -56,7 +50,6 @@ impl ExpConfig {
             out_dir: PathBuf::from("results"),
             quick: false,
             jobs: 1,
-            serve_threads: 4,
             record: false,
         }
     }
@@ -72,17 +65,7 @@ impl ExpConfig {
             out_dir: PathBuf::from("results"),
             quick: true,
             jobs: 1,
-            serve_threads: 4,
             record: false,
-        }
-    }
-
-    /// Pick full or quick from a flag / the `WINDEX_QUICK` env var.
-    pub fn from_env(quick_flag: bool) -> Self {
-        if quick_flag || std::env::var_os("WINDEX_QUICK").is_some() {
-            Self::quick()
-        } else {
-            Self::full()
         }
     }
 

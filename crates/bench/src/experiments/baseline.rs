@@ -10,11 +10,11 @@
 //! golden, and its diff shows exactly which phase moved.
 
 use crate::config::ExpConfig;
-use crate::experiments::par_map;
 use crate::gate::{self, GateSpec, Tol};
 use crate::output::{num, num6, r6, Experiment};
 use serde::Serialize;
 use serde_json::json;
+use windex_core::par_map;
 use windex_core::prelude::*;
 use windex_sim::phase;
 

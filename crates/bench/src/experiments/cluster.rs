@@ -24,11 +24,11 @@
 //! relative band for benign cost-model churn.
 
 use crate::config::ExpConfig;
-use crate::experiments::par_map;
 use crate::gate::{self, GateSpec, Tol};
 use crate::output::{num, num6, r6, Experiment};
 use serde::Serialize;
 use serde_json::{json, Value};
+use windex_core::par_map;
 use windex_serve::prelude::*;
 use windex_sim::ChaosScenario;
 

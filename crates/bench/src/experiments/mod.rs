@@ -26,7 +26,6 @@ pub mod validate;
 pub mod whatif;
 
 use crate::config::ExpConfig;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use windex_core::prelude::*;
 
 /// Build the indexed relation for a paper-scale size in GiB.
@@ -87,43 +86,6 @@ pub fn inlj_strategies(make: impl Fn(IndexKind) -> JoinStrategy) -> Vec<JoinStra
     IndexKind::all().into_iter().map(make).collect()
 }
 
-/// Compute `f(0)`, …, `f(n - 1)` on up to `jobs` scoped worker threads and
-/// return the results in index order. Workers claim indices from an atomic
-/// counter, so they decide only *when* an item runs, never *what* it
-/// computes: for a deterministic `f` the result is identical for any job
-/// count.
-pub fn par_map<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..jobs.max(1).min(n))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        // Relaxed: the counter only hands out indices; the
-                        // results are published by the join below.
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            return mine;
-                        }
-                        mine.push((i, f(i)));
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            for (i, v) in w.join().expect("par_map worker panicked") {
-                slots[i] = Some(v);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index was claimed by a worker"))
-        .collect()
-}
-
 /// Interpolate the R size (paper GiB) where the `inlj` series crosses above
 /// the `hash` series; both series are (gib, q/s) aligned on the same xs.
 /// Returns `None` if no crossover occurs inside the sweep.
@@ -162,16 +124,6 @@ mod tests {
         let hash = [(1.0, 4.0), (2.0, 3.0)];
         let inlj = [(1.0, 1.0), (2.0, 1.0)];
         assert_eq!(crossover_gib(&hash, &inlj), None);
-    }
-
-    #[test]
-    fn par_map_merges_in_index_order_for_any_job_count() {
-        let serial = par_map(1, 10, |i| i * i);
-        assert_eq!(serial, (0..10).map(|i| i * i).collect::<Vec<_>>());
-        for jobs in [2, 4, 16] {
-            assert_eq!(par_map(jobs, 10, |i| i * i), serial, "jobs {jobs}");
-        }
-        assert!(par_map(4, 0, |i| i).is_empty());
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //!    accesses performed (L1 lookups plus TLB lookups — the unit of work
 //!    of the engine's hot path).
 //! 2. **Serve axis** — a fixed multi-tenant trace served tenant-parallel
-//!    (one `Gpu` lane per tenant) at 1 worker thread and at
-//!    `--serve-threads` workers. Both points are timed, and the two
+//!    (one `Gpu` lane per tenant) at 1 and at 4 worker threads. The two
 //!    outcomes must serialize **byte-identically** — the run fails
 //!    otherwise, making the determinism contract a gate, not a test-only
-//!    property.
+//!    property. The axis is not timed: perfbench's `serve-tenants`
+//!    workload reports tenant-parallel wall-clock speedup
+//!    (`serve.parallel_speedup`).
 //!
 //! The target *fails* if the fresh accesses-per-second falls more than
 //! 20 % below the committed `BENCH_simperf.json` — the engine-speed
@@ -38,12 +39,12 @@ use windex_sim::{GpuSpec, Scale};
 use windex_workload::{KeyDistribution, Relation};
 
 /// Format-version marker.
-const SCHEMA_VERSION: u32 = 2;
+const SCHEMA_VERSION: u32 = 3;
 
-/// Repetitions per measured point; best-of is reported. Five, because the
-/// first rep fits the indexes the later reps find on the shared R columns,
-/// so it is structurally slower — more reps let best-of settle on a warm,
-/// quiet run.
+/// Repetitions of the engine matrix; best-of is reported. Five, because
+/// the first rep fits the indexes the later reps find on the shared R
+/// columns, so it is structurally slower — more reps let best-of settle
+/// on a warm, quiet run.
 const REPS: usize = 5;
 
 /// The committed golden: wall-clock fields are skipped; accesses/sec may
@@ -64,10 +65,12 @@ const HISTORICAL_PRE_REWORK_MATRIX_SECONDS: f64 = 0.5972;
 /// Serve-axis workload shape (fixed so recorded numbers are comparable).
 const SERVE_TENANTS: u32 = 8;
 const SERVE_REQUESTS: usize = 512;
+/// Worker threads at the serve axis's parallel point.
+const SERVE_THREADS: usize = 4;
 
-/// The serve-axis measurement: tenant-parallel serving at 1 and N worker
-/// threads over the same fixed trace, with the byte-identity of the two
-/// outcomes enforced.
+/// The serve-axis check: tenant-parallel serving at 1 and
+/// [`SERVE_THREADS`] worker threads over the same fixed trace, with the
+/// byte-identity of the two outcomes enforced.
 #[derive(Debug, Clone, Serialize)]
 struct ServeAxis {
     /// Tenant lanes in the fixed trace.
@@ -76,18 +79,8 @@ struct ServeAxis {
     requests: usize,
     /// Probe keys across the trace.
     keys: usize,
-    /// Worker threads at the parallel point (`--serve-threads`).
+    /// Worker threads at the parallel point.
     threads: usize,
-    /// Best-of-reps wall seconds at 1 worker thread.
-    serial_wall_seconds: f64,
-    /// Best-of-reps wall seconds at `threads` workers.
-    parallel_wall_seconds: f64,
-    /// `serial_wall_seconds / parallel_wall_seconds` (≈ 1 on one core —
-    /// the axis buys wall time only where cores exist; determinism is the
-    /// invariant being gated).
-    parallel_speedup: f64,
-    /// Keys served per wall second at the faster of the two points.
-    keys_per_second: f64,
     /// Whether the 1-thread and N-thread outcomes serialized identically.
     /// Always `true` in a written report (a mismatch fails the run).
     byte_identical: bool,
@@ -115,7 +108,7 @@ struct Simperf {
     /// Matrix wall seconds of the pre-PR 5 scalar engine. Historical
     /// context only; not the basis of any derived figure.
     historical_pre_rework_matrix_seconds: f64,
-    /// The tenant-parallel serving measurement.
+    /// The tenant-parallel serving check.
     serve: ServeAxis,
 }
 
@@ -152,26 +145,18 @@ fn serve_workload() -> (Relation, Vec<TimedRequest>) {
     (r, trace)
 }
 
-/// Measure tenant-parallel serving at 1 and `threads` workers and enforce
-/// the byte-identity of the two outcomes.
-fn measure_serve(threads: usize) -> Result<ServeAxis, String> {
+/// Serve the fixed trace tenant-parallel at 1 and `threads` workers and
+/// enforce the byte-identity of the two outcomes.
+fn check_serve(threads: usize) -> Result<ServeAxis, String> {
     let (r, trace) = serve_workload();
     let keys: usize = trace.iter().map(|t| t.request.keys.len()).sum();
     let spec = GpuSpec::v100_nvlink2(Scale::PAPER);
-    let cfg = ServeConfig::default();
-    let mut walls = [f64::INFINITY; 2];
-    let mut payloads: [Option<String>; 2] = [None, None];
-    for (slot, workers) in [(0usize, 1usize), (1, threads)] {
-        for _ in 0..REPS {
-            let started = std::time::Instant::now();
-            let out = serve_tenant_parallel(&spec, cfg, &r, &trace, workers, None)
-                .map_err(|e| format!("serve axis failed at {workers} threads: {e}"))?;
-            walls[slot] = walls[slot].min(started.elapsed().as_secs_f64());
-            payloads[slot] = Some(serde_json::to_string(&out).expect("outcome serializes"));
-        }
-    }
-    let byte_identical = payloads[0] == payloads[1];
-    if !byte_identical {
+    let outcome = |workers: usize| {
+        serve_tenant_parallel(&spec, ServeConfig::default(), &r, &trace, workers, None)
+            .map(|out| serde_json::to_string(&out).expect("outcome serializes"))
+            .map_err(|e| format!("serve axis failed at {workers} threads: {e}"))
+    };
+    if outcome(1)? != outcome(threads)? {
         return Err(format!(
             "tenant-parallel serving diverged between 1 and {threads} worker threads \
              (the outcome must be byte-identical for any thread count)"
@@ -182,11 +167,7 @@ fn measure_serve(threads: usize) -> Result<ServeAxis, String> {
         requests: SERVE_REQUESTS,
         keys,
         threads,
-        serial_wall_seconds: walls[0],
-        parallel_wall_seconds: walls[1],
-        parallel_speedup: walls[0] / walls[1],
-        keys_per_second: keys as f64 / walls[0].min(walls[1]),
-        byte_identical,
+        byte_identical: true,
     })
 }
 
@@ -210,7 +191,7 @@ fn committed_accesses_per_second(record: bool) -> Result<Option<f64>, String> {
 pub fn simperf(cfg: &ExpConfig) -> Result<Experiment, String> {
     let (accesses, best_wall) = measure(cfg.jobs);
     let accesses_per_second = accesses as f64 / best_wall;
-    let serve = measure_serve(cfg.serve_threads)?;
+    let serve = check_serve(SERVE_THREADS)?;
 
     let committed = committed_accesses_per_second(cfg.record)?;
     let fresh = Simperf {
@@ -237,8 +218,7 @@ pub fn simperf(cfg: &ExpConfig) -> Result<Experiment, String> {
             "best_wall_s".into(),
             "accesses_per_s".into(),
             "speedup_vs_committed".into(),
-            "serve_keys_per_s".into(),
-            "serve_par_speedup".into(),
+            "serve_byte_identical".into(),
         ],
         rows: vec![vec![
             json!(fresh.jobs),
@@ -246,8 +226,7 @@ pub fn simperf(cfg: &ExpConfig) -> Result<Experiment, String> {
             num(fresh.best_wall_seconds),
             num(fresh.accesses_per_second),
             fresh.speedup_vs_committed.map_or(json!(null), num),
-            num(fresh.serve.keys_per_second),
-            num(fresh.serve.parallel_speedup),
+            json!(fresh.serve.byte_identical),
         ]],
         notes: vec![
             format!("best of {REPS} runs of the baseline seed matrix; accesses = L1 + TLB lookups"),
@@ -287,10 +266,9 @@ mod tests {
     }
 
     #[test]
-    fn serve_axis_measures_and_enforces_identity() {
-        let axis = measure_serve(2).unwrap();
+    fn serve_axis_enforces_identity() {
+        let axis = check_serve(2).unwrap();
         assert!(axis.byte_identical);
-        assert!(axis.serial_wall_seconds > 0.0 && axis.parallel_wall_seconds > 0.0);
         assert!(axis.keys > 0);
         assert_eq!(axis.requests, SERVE_REQUESTS);
     }
@@ -301,11 +279,7 @@ mod tests {
             tenants: SERVE_TENANTS,
             requests: SERVE_REQUESTS,
             keys: 1,
-            threads: 4,
-            serial_wall_seconds: 1.0,
-            parallel_wall_seconds: 1.0,
-            parallel_speedup: 1.0,
-            keys_per_second: 1.0,
+            threads: SERVE_THREADS,
             byte_identical: true,
         };
         let fresh = Simperf {
@@ -332,7 +306,6 @@ mod tests {
         };
         let mut slower_wall = fresh.clone();
         slower_wall.best_wall_seconds = 9.0;
-        slower_wall.serve.parallel_speedup = 0.1;
         gate::check_or_record(&tmp, &slower_wall, true).unwrap();
         gate::check_or_record(&tmp, &fresh, false).expect("wall clock is skipped");
         let _ = std::fs::remove_file(&path);

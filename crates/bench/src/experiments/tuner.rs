@@ -24,12 +24,11 @@
 //! for benign cost-model churn.
 
 use crate::config::ExpConfig;
-use crate::experiments::par_map;
 use crate::gate::{self, GateSpec, Tol};
 use crate::output::{num, num6, r6, Experiment};
 use serde::Serialize;
 use serde_json::json;
-use windex_core::{default_candidates, CandidatePlan, TunerConfig};
+use windex_core::{default_candidates, par_map, CandidatePlan, TunerConfig};
 use windex_serve::prelude::*;
 
 /// Format-version marker for `BENCH_tuner.json`.

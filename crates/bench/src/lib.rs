@@ -6,7 +6,7 @@
 //! written to `results/<id>.csv` and `results/<id>.json`.
 //!
 //! Run `cargo run --release -p windex-bench --bin experiments -- all`
-//! (add `--quick` for a reduced sweep; `cargo bench` uses the quick mode).
+//! (add `--quick` for a reduced sweep).
 
 #![warn(missing_docs)]
 

@@ -1,8 +1,7 @@
 //! `experiments` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! experiments [--quick] [--charts] [--out DIR] [--jobs N] [--serve-threads N]
-//!             [--record] <target>...
+//! experiments [--quick] [--charts] [--out DIR] [--jobs N] [--record] <target>...
 //!
 //! targets:
 //!   all          every table, figure, ablation, and the summary
@@ -122,7 +121,6 @@ fn main() {
     let mut charts = false;
     let mut out_dir: Option<PathBuf> = None;
     let mut jobs: usize = 1;
-    let mut serve_threads: usize = 4;
     let mut record = false;
     let mut targets: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
@@ -147,26 +145,15 @@ fn main() {
                         std::process::exit(2);
                     });
             }
-            "--serve-threads" => {
-                serve_threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--serve-threads requires a positive integer");
-                        std::process::exit(2);
-                    });
-            }
             "--help" | "-h" => {
                 println!(
-                    "usage: experiments [--quick] [--charts] [--out DIR] [--jobs N] [--serve-threads N] [--record] <target>..."
+                    "usage: experiments [--quick] [--charts] [--out DIR] [--jobs N] [--record] <target>..."
                 );
                 println!("targets: all table1 fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 serve observe whatif-gh200 validate-scale");
                 println!("         summary ablations ablation-{{bits,overlap,pages,node-size,fanout,keydist,warm,spill,subwarp}}");
                 println!("gated:   baseline simperf chaos cluster tuner requests (check vs the committed BENCH_<target>.json)");
                 println!("--record rewrites the gated targets' committed BENCH_<target>.json instead of checking it");
                 println!("--jobs N runs the gated sweeps on N worker threads; reports are byte-identical for any N");
-                println!("--serve-threads N sets simperf's tenant-parallel serve point (1 thread is always measured too; outcomes must byte-match)");
                 return;
             }
             t => targets.push(t.to_string()),
@@ -176,12 +163,15 @@ fn main() {
         targets.push("all".to_string());
     }
 
-    let mut cfg = ExpConfig::from_env(quick);
+    let mut cfg = if quick {
+        ExpConfig::quick()
+    } else {
+        ExpConfig::full()
+    };
     if let Some(dir) = out_dir {
         cfg.out_dir = dir;
     }
     cfg.jobs = jobs;
-    cfg.serve_threads = serve_threads;
     cfg.record = record;
     println!(
         "windex experiments — scale 1:{} ({}), S = 2^{} tuples, sweep {:?} GiB\n",

@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod error;
+pub mod pool;
 pub mod query;
 pub mod session;
 pub mod strategy;
@@ -40,6 +41,7 @@ pub mod tuner;
 pub mod window;
 
 pub use error::WindexError;
+pub use pool::par_map;
 pub use query::{DegradationEvent, QueryError, QueryExecutor, QueryReport};
 pub use session::{IndexCheckpoint, QuerySession, MAX_DEVICE_LOSS_RECOVERIES};
 pub use strategy::{BuiltIndex, IndexConfigs, JoinStrategy};

@@ -54,6 +54,36 @@ pub const MIN_WINDOW_TUPLES: usize = 32;
 /// recoverable weather.
 pub const MAX_DEVICE_LOSS_RECOVERIES: usize = 4;
 
+/// The degradation ladder's shrink rung: half the window, never below
+/// [`MIN_WINDOW_TUPLES`]. Shared by [`QuerySession`] and the serving lanes.
+pub fn halved_window(window_tuples: usize) -> usize {
+    (window_tuples / 2).max(MIN_WINDOW_TUPLES)
+}
+
+/// Recover from a whole-device loss at virtual instant `lost_at_s` — the
+/// one recovery rule of [`QuerySession`] and the serving lanes. Flushes the
+/// memory system (the replacement device has cold caches and a cold TLB;
+/// nothing the lost device cached survives), waits out the loss window
+/// (and any chained ones) on the virtual clock, runs `rebuild` against the
+/// replacement, prices the rebuild through the cost model, and leaves the
+/// clock at the rebuild's end. Returns the MTTR in seconds: outage wait
+/// plus rebuild.
+pub fn recover_lost_device(
+    gpu: &mut Gpu,
+    lost_at_s: f64,
+    rebuild: impl FnOnce(&mut Gpu) -> Result<(), WindexError>,
+) -> Result<f64, WindexError> {
+    gpu.reset_memory_system();
+    let clearance_s = gpu.chaos_clearance_s().max(lost_at_s);
+    gpu.set_virtual_time(clearance_s);
+    let before = gpu.snapshot();
+    rebuild(gpu)?;
+    let delta = gpu.snapshot() - before;
+    let rebuild_s = CostModel::new(gpu.spec()).estimate(&delta, false).total_s;
+    gpu.set_virtual_time(clearance_s + rebuild_s);
+    Ok((clearance_s - lost_at_s) + rebuild_s)
+}
+
 /// Host-resident recipe for rebuilding every device-dependent structure a
 /// session has staged — the state needed to bring a *replacement* device to
 /// parity after a whole-device loss.
@@ -220,33 +250,20 @@ impl QuerySession {
         }
     }
 
-    /// Recover from a whole-device loss: discard every built index (the
-    /// replacement device starts empty), flush the memory system, wait out
-    /// the loss window on the virtual clock, and rebuild from the
-    /// checkpoint. Returns the recovery event carrying the MTTR — outage
-    /// wait plus the cost-model estimate of the rebuild.
-    fn recover_from_device_loss(&mut self, gpu: &mut Gpu) -> DegradationEvent {
-        let lost_at_s = gpu.virtual_now_s();
+    /// Recover from a whole-device loss ([`recover_lost_device`]):
+    /// discard every built index (the replacement device starts empty) and
+    /// rebuild them from the checkpoint. Returns the recovery event
+    /// carrying the MTTR.
+    fn recover_from_device_loss(&mut self, gpu: &mut Gpu) -> Result<DegradationEvent, WindexError> {
         let ckpt = self.checkpoint();
         self.built.clear();
-        // The replacement device has cold caches and a cold TLB; nothing
-        // the lost device cached survives.
-        gpu.reset_memory_system();
-        // Wait out the loss window (and any chained ones) on the virtual
-        // clock before touching the device again.
-        let clearance_s = gpu.chaos_clearance_s().max(lost_at_s);
-        gpu.set_virtual_time(clearance_s);
-        // Rebuild from the host-resident relation, pricing the rebuild
-        // through the cost model so MTTR reflects the work done.
-        let before = gpu.snapshot();
-        self.restore(gpu, &ckpt);
-        let delta = gpu.snapshot() - before;
-        let rebuild_s = CostModel::new(gpu.spec()).estimate(&delta, false).total_s;
-        gpu.advance_virtual_time(rebuild_s);
-        let mttr_s = (clearance_s - lost_at_s) + rebuild_s;
-        DegradationEvent::DeviceLossRecovered {
+        let mttr_s = recover_lost_device(gpu, gpu.virtual_now_s(), |gpu| {
+            self.restore(gpu, &ckpt);
+            Ok(())
+        })?;
+        Ok(DegradationEvent::DeviceLossRecovered {
             mttr_ns: (mttr_s * 1e9).round() as u64,
-        }
+        })
     }
 
     fn page_round(page: u64, bytes: u64) -> u64 {
@@ -298,7 +315,7 @@ impl QuerySession {
                 index,
                 window_tuples,
             } if window_tuples > MIN_WINDOW_TUPLES => {
-                let to = (window_tuples / 2).max(MIN_WINDOW_TUPLES);
+                let to = halved_window(window_tuples);
                 events.push(DegradationEvent::WindowShrunk {
                     from: window_tuples,
                     to,
@@ -310,7 +327,7 @@ impl QuerySession {
                 true
             }
             JoinStrategy::PartitionedInlj { index } => {
-                let window_tuples = (probe_tuples / 2).max(MIN_WINDOW_TUPLES);
+                let window_tuples = halved_window(probe_tuples);
                 events.push(DegradationEvent::PartitionDegradedToWindow { window_tuples });
                 *plan = JoinStrategy::WindowedInlj {
                     index,
@@ -414,7 +431,7 @@ impl QuerySession {
             // would fail its first allocation; recover up front instead.
             if gpu.device_lost() && loss_recoveries < MAX_DEVICE_LOSS_RECOVERIES {
                 loss_recoveries += 1;
-                degradations.push(self.recover_from_device_loss(gpu));
+                degradations.push(self.recover_from_device_loss(gpu)?);
             }
             // Admission check: degrade until the staging footprint fits the
             // device-memory headroom (or the ladder bottoms out at the
@@ -514,7 +531,7 @@ impl QuerySession {
                     sink.free(gpu);
                     if e.is_device_loss() && loss_recoveries < MAX_DEVICE_LOSS_RECOVERIES {
                         loss_recoveries += 1;
-                        degradations.push(self.recover_from_device_loss(gpu));
+                        degradations.push(self.recover_from_device_loss(gpu)?);
                         continue;
                     }
                     if e.is_capacity()

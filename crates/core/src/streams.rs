@@ -8,10 +8,10 @@
 //! probe-side of the join" (§5.1). Only one window of state is ever held.
 
 use crate::error::WindexError;
-use crate::window::{WindowConfig, WindowSpan, WindowStats};
+use crate::window::{close_window, WindowConfig, WindowSpan, WindowStats};
 use windex_index::OutOfCoreIndex;
-use windex_join::{inlj_pairs, RadixPartitioner, ResultSink};
-use windex_sim::{phase, Buffer, CostModel, Gpu, PhaseRecorder};
+use windex_join::ResultSink;
+use windex_sim::{Buffer, CostModel, Gpu, PhaseRecorder};
 
 /// A stateful windowed-INLJ operator fed by pushed probe batches.
 ///
@@ -202,64 +202,26 @@ impl StreamingWindowJoin {
         index: &dyn OutOfCoreIndex,
         sink: &mut ResultSink,
     ) -> Result<(), WindexError> {
-        let w0 = gpu.snapshot();
-        let keys = self.fill;
-        let partitioner = RadixPartitioner::new(self.config.bits, self.config.min_key);
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.begin(gpu, phase::PARTITION);
-        }
-        let mut window = match partitioner.partition_stream(gpu, &self.staging, 0..self.fill) {
-            Ok(w) => w,
-            Err(e) => {
-                // Close the span so the fault/retry activity stays
-                // attributed to the partition phase.
-                if let Some(rec) = self.recorder.as_mut() {
-                    rec.end(gpu);
-                }
-                return Err(e.into());
-            }
-        };
-        // The partitioner labeled pairs with staging positions; relabel to
-        // the caller's rids. On the device this relabeling is fused into
-        // the scatter kernel (the rid column is scattered alongside the
-        // key), so it costs no extra traffic.
-        for i in 0..window.len() {
-            let staged = window.pairs.host()[i * 2 + 1] as usize;
-            window.pairs.host_mut()[i * 2 + 1] = self.rids[staged];
-        }
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.begin(gpu, phase::LOOKUP);
-        }
-        // Long-lived sinks (serving layers batch many clients into one
-        // sink) must never observe a failed window's partial output, so a
-        // probe that fails past its retries is rolled back here.
-        let mark = sink.len();
-        let probed = inlj_pairs(gpu, index, &window.pairs, 0..window.len(), sink);
-        window.free(gpu);
-        if let Some(rec) = self.recorder.as_mut() {
-            rec.end(gpu);
-        }
-        match probed {
-            Ok(m) => {
-                let delta = gpu.snapshot() - w0;
-                self.timeline.push(WindowSpan {
-                    window: self.windows,
-                    keys,
-                    matches: m,
-                    counters: delta,
-                    est_s: self.cost.estimate(&delta, false).total_s,
-                });
-                self.matches += m;
-                self.windows += 1;
-                self.fill = 0;
-                self.rids.clear();
-                Ok(())
-            }
-            Err(e) => {
-                sink.truncate(mark);
-                Err(e.into())
-            }
-        }
+        let span = close_window(
+            gpu,
+            index,
+            &self.config,
+            &self.staging,
+            0..self.fill,
+            Some(&self.rids),
+            sink,
+            self.recorder.as_mut(),
+            Some(&self.cost),
+        )?;
+        self.timeline.push(WindowSpan {
+            window: self.windows,
+            ..span
+        });
+        self.matches += span.matches;
+        self.windows += 1;
+        self.fill = 0;
+        self.rids.clear();
+        Ok(())
     }
 }
 
@@ -469,7 +431,7 @@ mod tests {
 
     #[test]
     fn timeline_and_recorder_observe_every_closed_window() {
-        use windex_sim::Counters;
+        use windex_sim::{phase, Counters};
         let (mut g, idx, r) = setup(2000);
         let s = Relation::foreign_keys_uniform(&r, 600, 9);
         let mut op = StreamingWindowJoin::new(&mut g, config(128)).unwrap();

@@ -17,6 +17,7 @@
 //! the cost model turns into transfer/compute overlap.
 
 use crate::error::WindexError;
+use std::ops::Range;
 use windex_index::OutOfCoreIndex;
 use windex_join::{inlj_pairs, PartitionBits, RadixPartitioner, ResultSink};
 use windex_sim::{phase, Buffer, CostModel, Counters, Gpu, PhaseRecorder};
@@ -125,46 +126,108 @@ pub fn windowed_inlj_observed(
         ));
     }
     let cost = obs.timeline.is_some().then(|| CostModel::new(gpu.spec()));
-    let partitioner = RadixPartitioner::new(config.bits, config.min_key);
     let mut windows = 0;
     let mut matches = 0;
     let mut at = range.start;
     while at < range.end {
         // Close the window at capacity or at end-of-stream (§5.1).
         let end = (at + config.window_tuples).min(range.end);
-        let w0 = gpu.snapshot();
-        if let Some(rec) = obs.phases.as_deref_mut() {
-            rec.begin(gpu, phase::PARTITION);
-        }
-        let window = partitioner.partition_stream(gpu, s, at..end)?;
-        if let Some(rec) = obs.phases.as_deref_mut() {
-            rec.begin(gpu, phase::LOOKUP);
-        }
-        let probed = inlj_pairs(gpu, index, &window.pairs, 0..window.len(), sink);
-        window.free(gpu);
-        if let Some(rec) = obs.phases.as_deref_mut() {
-            rec.end(gpu);
-        }
-        let window_matches = probed?;
+        let span = close_window(
+            gpu,
+            index,
+            &config,
+            s,
+            at..end,
+            None,
+            sink,
+            obs.phases.as_deref_mut(),
+            cost.as_ref(),
+        )?;
         if let Some(timeline) = obs.timeline.as_deref_mut() {
-            let delta = gpu.snapshot() - w0;
-            let est_s = cost
-                .as_ref()
-                .map(|c| c.estimate(&delta, false).total_s)
-                .unwrap_or(0.0);
             timeline.push(WindowSpan {
                 window: windows,
-                keys: end - at,
-                matches: window_matches,
-                counters: delta,
-                est_s,
+                ..span
             });
         }
-        matches += window_matches;
+        matches += span.matches;
         windows += 1;
         at = end;
     }
     Ok(WindowStats { windows, matches })
+}
+
+/// Close one tumbling window over `src[range]` — the body both the batch
+/// operator and [`StreamingWindowJoin`](crate::streams::StreamingWindowJoin)
+/// run: radix-partition the range, relabel each pair's rid through `rids`
+/// (indexed by position in `src`) if given, probe `index` with the
+/// partition-ordered pairs, and free the window. The partition and probe
+/// work is marked on `phases`, and the window is priced on `cost` (`est_s`
+/// is 0 without one); the caller numbers the returned span. A failed probe
+/// rolls `sink` back to its entry length, so a long-lived sink never holds
+/// a failed window's partial output.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn close_window(
+    gpu: &mut Gpu,
+    index: &dyn OutOfCoreIndex,
+    config: &WindowConfig,
+    src: &Buffer<u64>,
+    range: Range<usize>,
+    rids: Option<&[u64]>,
+    sink: &mut ResultSink,
+    mut phases: Option<&mut PhaseRecorder>,
+    cost: Option<&CostModel>,
+) -> Result<WindowSpan, WindexError> {
+    let w0 = gpu.snapshot();
+    let keys = range.len();
+    if let Some(rec) = phases.as_deref_mut() {
+        rec.begin(gpu, phase::PARTITION);
+    }
+    let partitioner = RadixPartitioner::new(config.bits, config.min_key);
+    let mut window = match partitioner.partition_stream(gpu, src, range) {
+        Ok(w) => w,
+        Err(e) => {
+            // Close the span so the fault/retry activity stays attributed
+            // to the partition phase.
+            if let Some(rec) = phases {
+                rec.end(gpu);
+            }
+            return Err(e.into());
+        }
+    };
+    if let Some(rids) = rids {
+        // The partitioner labeled pairs with source positions; relabel to
+        // the caller's rids. On the device this relabeling is fused into
+        // the scatter kernel (the rid column is scattered alongside the
+        // key), so it costs no extra traffic.
+        for i in 0..window.len() {
+            let staged = window.pairs.host()[i * 2 + 1] as usize;
+            window.pairs.host_mut()[i * 2 + 1] = rids[staged];
+        }
+    }
+    if let Some(rec) = phases.as_deref_mut() {
+        rec.begin(gpu, phase::LOOKUP);
+    }
+    let mark = sink.len();
+    let probed = inlj_pairs(gpu, index, &window.pairs, 0..window.len(), sink);
+    window.free(gpu);
+    if let Some(rec) = phases {
+        rec.end(gpu);
+    }
+    let matches = match probed {
+        Ok(m) => m,
+        Err(e) => {
+            sink.truncate(mark);
+            return Err(e.into());
+        }
+    };
+    let counters = gpu.snapshot() - w0;
+    Ok(WindowSpan {
+        window: 0,
+        keys,
+        matches,
+        counters,
+        est_s: cost.map_or(0.0, |c| c.estimate(&counters, false).total_s),
+    })
 }
 
 #[cfg(test)]
@@ -299,6 +362,30 @@ mod tests {
         assert_eq!(bd.counter_sum(), bd.total, "span-sum invariant");
         assert!(bd.get(windex_sim::phase::PARTITION).is_some());
         assert!(bd.get(windex_sim::phase::LOOKUP).is_some());
+    }
+
+    #[test]
+    fn failed_probe_rolls_the_sink_back() {
+        // The probe keys live in device memory, so only the probe's index
+        // reads cross the interconnect: a transfer fault fails the probe
+        // part-way through its output, never the partition.
+        use windex_sim::{FaultPlan, RetryPolicy};
+        let mut g = gpu();
+        let (idx, _, s_keys) = fixture(&mut g, 1000, 256);
+        let s = g.alloc_from_vec(MemLocation::Gpu, s_keys).unwrap();
+        let mut sink = ResultSink::with_capacity(&mut g, 256, MemLocation::Gpu).unwrap();
+        windowed_inlj(&mut g, &idx, &s, 0..128, config(128), &mut sink).unwrap();
+        assert_eq!(sink.len(), 128);
+
+        g.set_retry_policy(RetryPolicy {
+            max_retries: 0,
+            base_backoff_ns: 10,
+        });
+        g.set_fault_plan(FaultPlan::seeded(3).with_transfer_faults(0.01))
+            .unwrap();
+        let err = windowed_inlj(&mut g, &idx, &s, 128..256, config(128), &mut sink).unwrap_err();
+        assert!(err.is_transient(), "{err}");
+        assert_eq!(sink.len(), 128, "a failed window leaves no output behind");
     }
 
     #[test]

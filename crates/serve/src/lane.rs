@@ -20,7 +20,9 @@
 use crate::resilience::{jittered_backoff_s, RetryBudget, RetryConfig};
 use crate::server::ServeConfig;
 use std::rc::Rc;
-use windex_core::session::{MAX_DEVICE_LOSS_RECOVERIES, MIN_WINDOW_TUPLES};
+use windex_core::session::{
+    halved_window, recover_lost_device, MAX_DEVICE_LOSS_RECOVERIES, MIN_WINDOW_TUPLES,
+};
 use windex_core::strategy::{BuiltIndex, IndexConfigs};
 use windex_core::streams::StreamingWindowJoin;
 use windex_core::window::WindowConfig;
@@ -268,7 +270,7 @@ impl Lane {
             } else if err.is_capacity() {
                 let from = self.window.window_tuples;
                 if from > MIN_WINDOW_TUPLES {
-                    let to = (from / 2).max(MIN_WINDOW_TUPLES);
+                    let to = halved_window(from);
                     d.steps.push(LaneStep::WindowShrunk { from, to });
                     self.window.window_tuples = to;
                     let rec = self.op.take_phase_recorder();
@@ -303,25 +305,18 @@ impl Lane {
         }
     }
 
-    /// Rebuild after a whole-device loss at `*clock`: wait out the loss
-    /// window, flush the memory system (the replacement device starts
-    /// cold), and rebuild index, operator and sink from the host column.
-    /// Advances `*clock` past the rebuild.
+    /// Rebuild after a whole-device loss at `*clock`
+    /// ([`recover_lost_device`]): index, operator and sink are rebuilt from
+    /// the host column. Advances `*clock` past the rebuild.
     fn rebuild(&mut self, gpu: &mut Gpu, clock: &mut f64) -> Result<LaneStep, WindexError> {
-        let lost_at_s = *clock;
         let rec = self.op.take_phase_recorder();
-        gpu.reset_memory_system();
-        let clearance_s = gpu.chaos_clearance_s().max(lost_at_s);
-        gpu.set_virtual_time(clearance_s);
-        let before = gpu.snapshot();
-        self.index = BuiltIndex::build(gpu, self.kind, &self.col, &IndexConfigs::default());
-        self.op = StreamingWindowJoin::new(gpu, self.window)?;
-        self.op.set_phase_recorder(rec);
-        self.replace_sink(gpu)?;
-        let rebuild_s = self.priced(gpu.snapshot() - before);
-        *clock = clearance_s + rebuild_s;
-        gpu.set_virtual_time(*clock);
-        let mttr_s = (clearance_s - lost_at_s) + rebuild_s;
+        let mttr_s = recover_lost_device(gpu, *clock, |gpu| {
+            self.index = BuiltIndex::build(gpu, self.kind, &self.col, &IndexConfigs::default());
+            self.op = StreamingWindowJoin::new(gpu, self.window)?;
+            self.op.set_phase_recorder(rec);
+            self.replace_sink(gpu)
+        })?;
+        *clock = gpu.virtual_now_s();
         Ok(LaneStep::Recovered { mttr_s })
     }
 

@@ -28,10 +28,11 @@
 //!   the degradation ladder under memory pressure, and the
 //!   [`ServerReport`] with virtual-time tail latencies ([`server`],
 //!   [`report`]);
-//! - [`serve_tenant_parallel`] (and the tuned/cluster variants) — the
+//! - [`serve_tenant_parallel`] (and the tuned variant) — the
 //!   tenant-parallel axis: independent tenants on independent `Gpu`
-//!   lanes, executed by a work-stealing pool, merged in fixed order so
-//!   the outcome is byte-identical for any thread count ([`parallel`]);
+//!   lanes, run on the shared worker pool (`windex_core::par_map`),
+//!   merged in fixed order so the outcome is byte-identical for any
+//!   thread count ([`parallel`]);
 //! - [`ClusterServer`] — the multi-GPU layer: [`ClusterSpec`] topologies,
 //!   radix-sharded or replicated placement of R, shard-aware routing with
 //!   deterministic fan-out/merge over a priced inter-GPU link, and
@@ -78,9 +79,8 @@ pub use metrics::{
     render_tuner_openmetrics, validate_openmetrics,
 };
 pub use parallel::{
-    serve_cluster_tenant_parallel, serve_tenant_parallel, serve_tuned_tenant_parallel,
-    shard_by_tenant, ParallelClusterOutcome, ParallelServeOutcome, ParallelSummary,
-    ParallelTunedOutcome, TenantLane, TenantShard,
+    serve_tenant_parallel, serve_tuned_tenant_parallel, shard_by_tenant, ParallelServeOutcome,
+    ParallelSummary, ParallelTunedOutcome, TenantLane, TenantShard,
 };
 pub use report::{BatchSpan, LatencyHistogram, LatencyStats, ServeEvent, ServerReport, TenantLoad};
 pub use request::{LookupRequest, LookupResponse, RequestOutcome, TenantId};
@@ -110,9 +110,8 @@ pub mod prelude {
         render_tuner_openmetrics,
     };
     pub use crate::parallel::{
-        serve_cluster_tenant_parallel, serve_tenant_parallel, serve_tuned_tenant_parallel,
-        ParallelClusterOutcome, ParallelServeOutcome, ParallelSummary, ParallelTunedOutcome,
-        TenantLane, TenantShard,
+        serve_tenant_parallel, serve_tuned_tenant_parallel, ParallelServeOutcome, ParallelSummary,
+        ParallelTunedOutcome, TenantLane, TenantShard,
     };
     pub use crate::report::{
         BatchSpan, LatencyHistogram, LatencyStats, ServeEvent, ServerReport, TenantLoad,

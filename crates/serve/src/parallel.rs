@@ -1,5 +1,5 @@
 //! Tenant-parallel serving: independent tenants on independent `Gpu`
-//! lanes, executed by a work-stealing thread pool, merged in fixed order.
+//! lanes, run on the workspace's one worker pool, merged in fixed order.
 //!
 //! The shared-window [`Server`](crate::server::Server) interleaves every
 //! tenant on one device — right for studying cross-query batching, but it
@@ -27,29 +27,24 @@
 //!    it, only changes wall time — it is accounting-identical to a cold
 //!    fit by construction.
 //! 3. **The merge order is fixed before any thread runs.** Lanes are
-//!    ascending tenant id; worker threads claim lane *indices* from an
-//!    atomic counter and write results into that lane's pre-allocated
-//!    slot, so which thread ran a lane is unobservable in the output.
-//!    Responses are re-keyed to their global (whole-trace) request ids and
-//!    merged by that id.
+//!    ascending tenant id and run on [`par_map`], which returns results in
+//!    lane order whichever worker ran a lane; collected into a `Result`,
+//!    the lowest-tenant failure wins. Responses are re-keyed to their
+//!    global (whole-trace) request ids and merged by that id.
 //!
 //! Against the serial shared-window server the *semantics* differ — there
 //! is no cross-tenant batching, and each tenant sees a dedicated device —
 //! so this is an opt-in mode, not a drop-in replacement. Within the mode,
-//! `threads = 1` and `threads = N` serialize byte-identically; the CI
-//! byte-diff and `crates/serve/tests/parallel.rs` hold that line.
+//! `threads = 1` and `threads = N` serialize byte-identically; the
+//! `simperf` gate and `crates/serve/tests/parallel.rs` hold that line.
 
-use crate::cluster::{ClusterConfig, ClusterReport, ClusterServer};
 use crate::report::{LatencyHistogram, LatencyStats, RunTally, ServerReport};
 use crate::request::{LookupResponse, TenantId};
-use crate::resilience::SloConfig;
 use crate::server::{ServeConfig, Server};
 use crate::trace::TimedRequest;
 use crate::tuned::{TunedConfig, TunedReport, TunedServer};
 use serde::Serialize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use windex_core::WindexError;
+use windex_core::{par_map, WindexError};
 use windex_sim::{ChaosSchedule, Gpu, GpuSpec};
 use windex_workload::Relation;
 
@@ -88,49 +83,6 @@ pub fn shard_by_tenant(trace: &[TimedRequest]) -> Vec<TenantShard> {
     }
     shards.sort_by_key(|s| s.tenant);
     shards
-}
-
-/// Run `lane` over every shard on up to `threads` workers and return the
-/// results in shard order. Workers claim shard *indices* from an atomic
-/// counter and write into that index's slot, so the result vector — and
-/// therefore everything merged from it — is independent of the thread
-/// count and of which worker ran which lane. Errors propagate by lane
-/// order (the lowest-tenant failure wins), again thread-count independent.
-fn run_lanes<T, F>(shards: &[TenantShard], threads: usize, lane: F) -> Result<Vec<T>, WindexError>
-where
-    T: Send,
-    F: Fn(&TenantShard) -> Result<T, WindexError> + Sync,
-{
-    let threads = threads.max(1).min(shards.len().max(1));
-    let slots: Vec<Mutex<Option<Result<T, WindexError>>>> =
-        (0..shards.len()).map(|_| Mutex::new(None)).collect();
-    if threads == 1 {
-        // Serial reference path: same claim order a single worker would
-        // take, without spawning.
-        for (shard, slot) in shards.iter().zip(&slots) {
-            *slot.lock().unwrap() = Some(lane(shard));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(shard) = shards.get(i) else { break };
-                    *slots[i].lock().unwrap() = Some(lane(shard));
-                });
-            }
-        });
-    }
-    let mut out = Vec::with_capacity(shards.len());
-    for slot in slots {
-        out.push(
-            slot.into_inner()
-                .map_err(|_| WindexError::InvalidState("tenant lane worker panicked"))?
-                .ok_or(WindexError::InvalidState("tenant lane never ran"))??,
-        );
-    }
-    Ok(out)
 }
 
 /// One tenant lane's report. The report's internal request ids are
@@ -238,52 +190,6 @@ pub struct ParallelTunedOutcome {
     pub summary: ParallelSummary,
 }
 
-/// Outcome of [`serve_cluster_tenant_parallel`].
-#[derive(Debug, Clone, Serialize)]
-pub struct ParallelClusterOutcome {
-    /// Every response, re-keyed to global request ids and merged by id.
-    pub responses: Vec<LookupResponse>,
-    /// Per-tenant lane reports, ascending tenant id.
-    pub lanes: Vec<TenantLane<ClusterReport>>,
-    /// Cross-lane aggregate.
-    pub summary: ParallelSummary,
-}
-
-/// Merge lanes that answer requests, in tenant order: re-key every
-/// response to its global id and tally the merged responses over the
-/// longest lane's makespan. `totals` reads a lane report's keys probed and
-/// virtual makespan.
-fn merge_answered_lanes<R>(
-    trace_len: usize,
-    shards: &[TenantShard],
-    outcomes: impl Iterator<Item = (Vec<LookupResponse>, R)>,
-    slo: &SloConfig,
-    totals: impl Fn(&R) -> (usize, f64),
-) -> (Vec<LookupResponse>, Vec<TenantLane<R>>, ParallelSummary) {
-    let mut responses = Vec::with_capacity(trace_len);
-    let mut lanes = Vec::with_capacity(shards.len());
-    let mut keys_probed = 0usize;
-    let mut makespan_s = 0.0f64;
-    for (shard, (lane_responses, report)) in shards.iter().zip(outcomes) {
-        responses.extend(lane_responses.into_iter().map(|mut r| {
-            r.request = shard.global_ids[r.request as usize];
-            r
-        }));
-        let (keys, lane_makespan_s) = totals(&report);
-        keys_probed += keys;
-        makespan_s = makespan_s.max(lane_makespan_s);
-        lanes.push(TenantLane {
-            tenant: shard.tenant,
-            requests: shard.trace.len(),
-            report,
-        });
-    }
-    responses.sort_by_key(|r| r.request);
-    let (tally, _) = RunTally::of_responses(&responses, makespan_s, slo);
-    let summary = ParallelSummary::new(lanes.len(), trace_len, keys_probed, makespan_s, tally);
-    (responses, lanes, summary)
-}
-
 /// Serve `trace` with one shared-window [`Server`] per tenant, each on its
 /// own fresh `Gpu` lane, using up to `threads` workers. `chaos` (if any)
 /// is installed on **every** lane, so each tenant's device replays the
@@ -298,21 +204,38 @@ pub fn serve_tenant_parallel(
     chaos: Option<&ChaosSchedule>,
 ) -> Result<ParallelServeOutcome, WindexError> {
     let shards = shard_by_tenant(trace);
-    let outcomes = run_lanes(&shards, threads, |shard| {
+    let outcomes = par_map(threads, shards.len(), |i| {
         let mut gpu = Gpu::new(spec.clone());
         if let Some(schedule) = chaos {
             gpu.set_chaos_schedule(schedule.clone())?;
         }
         let mut server = Server::new(&mut gpu, cfg, r.clone())?;
-        server.run(&mut gpu, &shard.trace)
-    })?;
-    let (responses, lanes, summary) = merge_answered_lanes(
-        trace.len(),
-        &shards,
-        outcomes.into_iter().map(|o| (o.responses, o.report)),
-        &cfg.resilience.slo,
-        |rep| (rep.keys_probed, rep.virtual_makespan_s),
-    );
+        server.run(&mut gpu, &shards[i].trace)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, WindexError>>()?;
+    // Merge in tenant order: re-key every response to its global id and
+    // tally the merged responses over the longest lane's makespan.
+    let mut responses = Vec::with_capacity(trace.len());
+    let mut lanes = Vec::with_capacity(shards.len());
+    let mut keys_probed = 0usize;
+    let mut makespan_s = 0.0f64;
+    for (shard, outcome) in shards.iter().zip(outcomes) {
+        responses.extend(outcome.responses.into_iter().map(|mut r| {
+            r.request = shard.global_ids[r.request as usize];
+            r
+        }));
+        keys_probed += outcome.report.keys_probed;
+        makespan_s = makespan_s.max(outcome.report.virtual_makespan_s);
+        lanes.push(TenantLane {
+            tenant: shard.tenant,
+            requests: shard.trace.len(),
+            report: outcome.report,
+        });
+    }
+    responses.sort_by_key(|r| r.request);
+    let (tally, _) = RunTally::of_responses(&responses, makespan_s, &cfg.resilience.slo);
+    let summary = ParallelSummary::new(lanes.len(), trace.len(), keys_probed, makespan_s, tally);
     Ok(ParallelServeOutcome {
         responses,
         lanes,
@@ -335,7 +258,8 @@ pub fn serve_tuned_tenant_parallel(
     chaos: Option<&ChaosSchedule>,
 ) -> Result<ParallelTunedOutcome, WindexError> {
     let shards = shard_by_tenant(trace);
-    let reports = run_lanes(&shards, threads, |shard| {
+    let reports = par_map(threads, shards.len(), |i| {
+        let shard = &shards[i];
         let r = tenants
             .iter()
             .find(|(id, _)| *id == shard.tenant)
@@ -348,7 +272,9 @@ pub fn serve_tuned_tenant_parallel(
             server.gpu_mut().set_chaos_schedule(schedule.clone())?;
         }
         server.run(&shard.trace)
-    })?;
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, WindexError>>()?;
     let mut lanes = Vec::with_capacity(shards.len());
     let mut counts = (0usize, 0usize, 0usize);
     let mut matches = 0usize;
@@ -377,39 +303,6 @@ pub fn serve_tuned_tenant_parallel(
     let tally = RunTally::new(counts, matches, samples, makespan_s);
     let summary = ParallelSummary::new(lanes.len(), trace.len(), keys_probed, makespan_s, tally);
     Ok(ParallelTunedOutcome { lanes, summary })
-}
-
-/// Serve `trace` with one [`ClusterServer`] per tenant — every tenant gets
-/// a dedicated multi-GPU cluster lane built from the same `ClusterConfig`
-/// and relation. `chaos` (if any) must hold one schedule per cluster GPU
-/// and is installed on every lane's cluster.
-pub fn serve_cluster_tenant_parallel(
-    cfg: &ClusterConfig,
-    r: &Relation,
-    trace: &[TimedRequest],
-    threads: usize,
-    chaos: Option<&[ChaosSchedule]>,
-) -> Result<ParallelClusterOutcome, WindexError> {
-    let shards = shard_by_tenant(trace);
-    let outcomes = run_lanes(&shards, threads, |shard| {
-        let mut server = ClusterServer::new(cfg.clone(), r.clone())?;
-        if let Some(schedules) = chaos {
-            server.set_chaos_schedules(schedules.to_vec())?;
-        }
-        server.run(&shard.trace)
-    })?;
-    let (responses, lanes, summary) = merge_answered_lanes(
-        trace.len(),
-        &shards,
-        outcomes.into_iter().map(|o| (o.responses, o.report)),
-        &cfg.serve.resilience.slo,
-        |rep| (rep.keys_probed, rep.virtual_makespan_s),
-    );
-    Ok(ParallelClusterOutcome {
-        responses,
-        lanes,
-        summary,
-    })
 }
 
 #[cfg(test)]

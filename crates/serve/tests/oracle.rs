@@ -127,20 +127,14 @@ fn check_all_hosts(r: &Relation, trace: &[TimedRequest], loss_seed: Option<u64>)
     for gpus in [1, 2, 8] {
         for sharded in [true, false] {
             let host = format!("cluster x{gpus} sharded={sharded}");
-            let cfg = cluster_cfg(gpus, sharded);
             let schedules =
                 loss_seed.map(|s| ChaosScenario::DeviceLoss.cluster_schedules(s, gpus, 0));
-            let mut cluster = ClusterServer::new(cfg.clone(), r.clone()).unwrap();
+            let mut cluster = ClusterServer::new(cluster_cfg(gpus, sharded), r.clone()).unwrap();
             if let Some(s) = &schedules {
                 cluster.set_chaos_schedules(s.clone()).unwrap();
             }
             let out = cluster.run(trace).unwrap();
             check_responses(&host, r, trace, &out.responses, calm);
-            if gpus == 2 {
-                let out =
-                    serve_cluster_tenant_parallel(&cfg, r, trace, 2, schedules.as_deref()).unwrap();
-                check_responses(&format!("{host} lanes"), r, trace, &out.responses, calm);
-            }
         }
     }
 

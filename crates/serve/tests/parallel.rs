@@ -1,7 +1,7 @@
 //! Tenant-parallel determinism acceptance: the merged outcome — responses,
 //! per-lane reports, span trees, and OpenMetrics text — must serialize
 //! byte-identically for any worker-thread count, calm and under chaos,
-//! for all three lane hosts (`Server`, `TunedServer`, `ClusterServer`).
+//! for both lane hosts (`Server`, `TunedServer`).
 //! A lane must also match a standalone server fed the same sub-trace, so
 //! the parallel mode adds scheduling, never semantics.
 
@@ -156,22 +156,6 @@ fn tuned_outcome_is_byte_identical_across_thread_counts_calm_and_chaotic() {
         );
         assert_eq!(json1, run(3));
     }
-}
-
-#[test]
-fn cluster_outcome_is_byte_identical_across_thread_counts() {
-    let r = relation(41);
-    let trace = trace_for(&r, 48, 3, 9);
-    let cfg = ClusterConfig {
-        serve: ServeConfig::default(),
-        cluster: ClusterSpec::sharded(2, v100(), InterconnectSpec::nvlink4_peer()),
-    };
-    let run = |threads: usize| {
-        let out = serve_cluster_tenant_parallel(&cfg, &r, &trace, threads, None).unwrap();
-        serde_json::to_string(&out).unwrap()
-    };
-    let json1 = run(1);
-    assert_eq!(json1, run(4), "cluster outcome diverged at 4 threads");
 }
 
 #[test]

@@ -392,12 +392,6 @@ impl Gpu {
         }
     }
 
-    /// Advance the virtual clock by `dt_s` seconds (see
-    /// [`Gpu::set_virtual_time`]).
-    pub fn advance_virtual_time(&mut self, dt_s: f64) {
-        self.set_virtual_time(self.virtual_now_s + dt_s);
-    }
-
     /// The current virtual time, in seconds.
     pub fn virtual_now_s(&self) -> f64 {
         self.virtual_now_s
