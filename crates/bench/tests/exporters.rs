@@ -4,14 +4,16 @@
 //! and the exported JSON must actually parse.
 
 use serde_json::Value;
-use windex_bench::experiments::observe::observed_cluster;
+use windex_bench::experiments::observe::{
+    observed_cluster, observed_parallel, observed_server, observed_tuned,
+};
 use windex_bench::export::{
     chrome_trace_json, cluster_request_chrome_trace, query_chrome_trace, server_chrome_trace,
 };
 use windex_core::prelude::*;
 use windex_serve::prelude::{
-    generate_trace, render_cluster_openmetrics, render_openmetrics, BatchPolicy, ServeConfig,
-    Server, ServerReport, TraceConfig,
+    generate_trace, render_cluster_openmetrics, render_openmetrics, render_parallel_openmetrics,
+    render_tuner_openmetrics, BatchPolicy, ServeConfig, Server, ServerReport, TraceConfig,
 };
 use windex_serve::validate_openmetrics;
 use windex_sim::{l2_heatmap, tlb_heatmap, Trace, TraceMode};
@@ -160,37 +162,27 @@ fn openmetrics_snapshot_is_byte_identical_and_well_formed() {
     let a = render_openmetrics(&run_server());
     let b = render_openmetrics(&run_server());
     assert_eq!(a, b, "same seed must expose identical metrics bytes");
-    // Histogram count must equal the +Inf bucket.
-    let inf = a
-        .lines()
-        .find(|l| l.contains("le=\"+Inf\""))
-        .and_then(|l| l.rsplit(' ').next())
-        .expect("+Inf bucket present");
-    let count = a
-        .lines()
-        .find(|l| l.starts_with("windex_request_latency_seconds_count"))
-        .and_then(|l| l.rsplit(' ').next())
-        .expect("count present");
-    assert_eq!(inf, count);
-    // Per-tenant series exist for every configured tenant.
+    // Well-formed, histograms included; per-tenant series exist for every
+    // configured tenant, and the span-tree stage families for every stage.
+    validate_openmetrics(&a).unwrap();
     for tenant in 0..4 {
         assert!(
-            a.contains(&format!("windex_requests_total{{tenant=\"{tenant}\"}}")),
+            a.contains(&format!(
+                "windex_requests_total{{host=\"server\",tenant=\"{tenant}\"}}"
+            )),
             "missing tenant {tenant}"
         );
     }
-    // Every family carries exposition metadata, including the span-tree
-    // stage families.
-    validate_openmetrics(&a).unwrap();
     assert!(a.contains("# TYPE windex_stage_p99_seconds gauge"));
     assert!(a.contains("# TYPE windex_stage_seconds counter"));
     for stage in ["queue", "batch", "service", "merge", "other"] {
+        let labels = format!("{{host=\"server\",stage=\"{stage}\"}}");
         assert!(
-            a.contains(&format!("windex_stage_p99_seconds{{stage=\"{stage}\"}}")),
+            a.contains(&format!("windex_stage_p99_seconds{labels}")),
             "missing stage series {stage}"
         );
         assert!(
-            a.contains(&format!("windex_stage_seconds_total{{stage=\"{stage}\"}}")),
+            a.contains(&format!("windex_stage_seconds_total{labels}")),
             "missing stage total {stage}"
         );
     }
@@ -203,15 +195,15 @@ fn cluster_openmetrics_exposes_stage_and_critical_leg_families() {
     let b = render_cluster_openmetrics(&observed_cluster());
     assert_eq!(a, b, "same seed must expose identical cluster metrics");
     validate_openmetrics(&a).unwrap();
-    assert!(a.contains("# TYPE windex_cluster_stage_p99_seconds gauge"));
+    assert!(a.contains("windex_stage_p99_seconds{host=\"cluster\",stage=\"merge\"}"));
     assert!(a.contains("# TYPE windex_critical_leg counter"));
     // Critical-leg attribution covers every GPU label and sums to the
     // number of fanned-out traces.
     let critical: u64 = (0..report.gpus)
         .map(|g| {
+            let series = format!("windex_critical_leg_total{{host=\"cluster\",gpu=\"{g}\"}} ");
             a.lines()
-                .find(|l| l.starts_with(&format!("windex_critical_leg_total{{gpu=\"{g}\"}}")))
-                .and_then(|l| l.rsplit(' ').next())
+                .find_map(|l| l.strip_prefix(series.as_str()))
                 .and_then(|v| v.parse::<u64>().ok())
                 .unwrap_or_else(|| panic!("missing critical-leg series for gpu {g}"))
         })
@@ -223,6 +215,114 @@ fn cluster_openmetrics_exposes_stage_and_critical_leg_families() {
         .count() as u64;
     assert_eq!(critical, fanned, "critical legs must reconcile with traces");
     assert!(fanned > 0, "cluster run must fan out");
+}
+
+/// The families the hosts share, each with the hosts that have its
+/// concept and so must declare it.
+const SHARED: [(&str, &str); 27] = [
+    ("windex_host_info", ALL),
+    ("windex_requests", ALL),
+    ("windex_requests_completed", ALL),
+    ("windex_requests_shed", "server cluster parallel"),
+    ("windex_requests_deadline_missed", ALL),
+    ("windex_keys_probed", ALL),
+    ("windex_result_tuples", ALL),
+    ("windex_request_latency_seconds", ALL),
+    ("windex_stage_p99_seconds", SPANS),
+    ("windex_stage_seconds", SPANS),
+    ("windex_batches_dispatched", SPANS),
+    ("windex_window_shrinks", LADDER),
+    ("windex_sink_spills", LADDER),
+    ("windex_load_sheds", LADDER),
+    ("windex_batches_abandoned", LADDER),
+    ("windex_dispatch_retries", LADDER),
+    ("windex_retries_exhausted", LADDER),
+    ("windex_recoveries", LADDER),
+    ("windex_recovery_seconds", LADDER),
+    ("windex_slo_availability", LADDER),
+    ("windex_slo_goodput_rps", LADDER),
+    ("windex_slo_p99_seconds", LADDER),
+    ("windex_completed_rps", "server cluster parallel"),
+    ("windex_keys_per_second", "server cluster"),
+    ("windex_max_queue_depth_keys", "server cluster"),
+    ("windex_busy_seconds", "cluster tuned"),
+    ("windex_virtual_makespan_seconds", ALL),
+];
+/// Every host.
+const ALL: &str = "server cluster tuned parallel";
+/// The hosts that record span trees and dispatch batches.
+const SPANS: &str = "server cluster tuned";
+/// The hosts that run the degradation ladder and track SLOs.
+const LADDER: &str = "server cluster";
+
+/// The sum of every `sample` line (a sample name such as `x_total`) in
+/// `text`, added in exposition order.
+fn sum_of(text: &str, sample: &str) -> f64 {
+    text.lines()
+        .filter_map(|l| l.strip_prefix(sample)?.strip_prefix('{'))
+        .map(|rest| rest.rsplit_once(' ').unwrap().1.parse::<f64>().unwrap())
+        .sum()
+}
+
+/// One vocabulary across the four `observe` expositions: each host
+/// declares exactly the shared families it has a concept for, every
+/// sample carries its `host` label, and completed requests sum to the
+/// host's report in every file.
+#[test]
+fn one_query_answers_over_all_four_expositions() {
+    let (server, cluster) = (observed_server(), observed_cluster());
+    let (tuned, parallel) = (observed_tuned(), observed_parallel());
+    // (host, exposition, within-deadline completions). The tuned
+    // report's `completed` counts late requests too.
+    let hosts = [
+        ("server", render_openmetrics(&server), server.completed),
+        (
+            "cluster",
+            render_cluster_openmetrics(&cluster),
+            cluster.completed,
+        ),
+        (
+            "tuned",
+            render_tuner_openmetrics(&tuned),
+            tuned.completed - tuned.deadline_missed,
+        ),
+        (
+            "parallel",
+            render_parallel_openmetrics(&parallel),
+            parallel.summary.completed,
+        ),
+    ];
+    for (host, text, completed) in &hosts {
+        validate_openmetrics(text).unwrap();
+        for (family, has) in SHARED {
+            let declared = text.contains(&format!("# TYPE {family} "));
+            let expected = has.split(' ').any(|h| h == *host);
+            assert_eq!(declared, expected, "{host}: {family}");
+        }
+        let label = format!("{{host=\"{host}\"");
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            assert!(
+                line.contains(&label),
+                "{host}: `{line}` lacks its host label"
+            );
+        }
+        let done = sum_of(text, "windex_requests_completed_total");
+        assert_eq!(done, *completed as f64, "{host}: completed requests");
+    }
+    // Host-wide families the shared ones replaced equal their sum by host:
+    // the parallel outcome buckets and the tuned server's busy time.
+    let (tuned_text, parallel_text) = (&hosts[2].1, &hosts[3].1);
+    let s = &parallel.summary;
+    assert_eq!(
+        sum_of(parallel_text, "windex_requests_shed_total"),
+        s.shed as f64
+    );
+    let missed = sum_of(parallel_text, "windex_requests_deadline_missed_total");
+    assert_eq!(missed, s.deadline_missed as f64);
+    assert_eq!(
+        sum_of(tuned_text, "windex_busy_seconds_total"),
+        tuned.busy_s
+    );
 }
 
 #[test]

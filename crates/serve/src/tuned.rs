@@ -28,8 +28,8 @@ use crate::trace::TimedRequest;
 use serde::Serialize;
 use std::collections::VecDeque;
 use windex_core::{
-    candidate_prior_s_per_key, default_candidates, CandidatePlan, KpiSample, OnlineTuner,
-    QueryExecutor, QuerySession, TuneEvent, TunerConfig, WindexError,
+    candidate_prior_s_per_key, default_candidates, CandidatePlan, JoinStrategy, KpiSample,
+    OnlineTuner, QueryExecutor, QuerySession, TuneEvent, TunerConfig, WindexError,
 };
 use windex_join::PartitionBits;
 use windex_sim::fault::splitmix64;
@@ -95,6 +95,9 @@ pub struct TunedTenantReport {
     pub busy_s: f64,
     /// Plan label the tuner ended on.
     pub final_plan: String,
+    /// Window capacity of that plan in probe tuples (0 when the plan is
+    /// not windowed).
+    pub final_window_tuples: usize,
     /// Argmin strategy switches taken.
     pub switches: u64,
     /// Exploration batches taken.
@@ -485,6 +488,10 @@ impl TunedServer {
                 batches: t.run.batches,
                 busy_s: t.run.busy_s,
                 final_plan: t.tuner.current_label(),
+                final_window_tuples: match t.tuner.current().strategy {
+                    JoinStrategy::WindowedInlj { window_tuples, .. } => window_tuples,
+                    _ => 0,
+                },
                 switches: t.tuner.switch_count(),
                 explorations: t.tuner.exploration_count(),
                 pinned_batches: t.tuner.pinned_batch_count(),

@@ -477,7 +477,34 @@ fn tight_hbm_cluster_shrinks_windows_then_spills_sinks() {
         );
         assert_eq!(outcome.report.shed, 0, "{gpus} GPUs: degrade, not shed");
         assert_oracle_equal(&r, &trace, &outcome.responses);
+        // The exposition counts both rungs per GPU, as the events do.
+        let mut expected = vec![(0, 0); gpus];
+        for e in events {
+            match e {
+                ClusterEvent::ShardWindowShrunk { gpu, .. } => expected[*gpu].0 += 1,
+                ClusterEvent::ShardSinkSpilled { gpu } => expected[*gpu].1 += 1,
+                _ => {}
+            }
+        }
+        let text = render_cluster_openmetrics(&outcome.report);
+        let shrinks = rung_samples(&text, "windex_window_shrinks", gpus);
+        let spills = rung_samples(&text, "windex_sink_spills", gpus);
+        let rendered: Vec<_> = shrinks.into_iter().zip(spills).collect();
+        assert_eq!(rendered, expected, "{gpus} GPUs: (shrinks, spills) per GPU");
     }
+}
+
+/// The per-GPU samples of the counter family `name` in a cluster
+/// exposition, in GPU order.
+fn rung_samples(text: &str, name: &str, gpus: usize) -> Vec<u64> {
+    (0..gpus)
+        .map(|gpu| {
+            let series = format!("{name}_total{{host=\"cluster\",gpu=\"{gpu}\"}} ");
+            let line = text.lines().find_map(|l| l.strip_prefix(series.as_str()));
+            line.and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("no sample `{series}` in\n{text}"))
+        })
+        .collect()
 }
 
 /// A link flap on a serving GPU fails its transfers for 20 ms; jittered
@@ -519,6 +546,15 @@ fn link_flap_on_the_served_gpu_is_ridden_out_by_retries() {
         assert_eq!(rep.shed, 0, "{gpus} GPUs: flap is transient");
         assert_eq!(rep.slo.availability, 1.0);
         assert_oracle_equal(&r, &trace, &outcome.responses);
+        let mut expected = vec![0; gpus];
+        for e in &rep.events {
+            if let ClusterEvent::DispatchRetried { gpu, .. } = e {
+                expected[*gpu] += 1;
+            }
+        }
+        let text = render_cluster_openmetrics(rep);
+        let retries = rung_samples(&text, "windex_dispatch_retries", gpus);
+        assert_eq!(retries, expected, "{gpus} GPUs: retries per GPU");
     }
 }
 
