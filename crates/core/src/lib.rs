@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod pool;
 pub mod query;
 pub mod session;
 pub mod strategy;
@@ -41,7 +40,6 @@ pub mod tuner;
 pub mod window;
 
 pub use error::WindexError;
-pub use pool::par_map;
 pub use query::{DegradationEvent, QueryError, QueryExecutor, QueryReport};
 pub use session::{IndexCheckpoint, QuerySession, MAX_DEVICE_LOSS_RECOVERIES};
 pub use strategy::{BuiltIndex, IndexConfigs, JoinStrategy};
@@ -50,6 +48,7 @@ pub use tuner::{
     candidate_prior_s_per_key, default_candidates, CandidatePlan, KpiSample, OnlineTuner,
     TuneEvent, TuneReason, TunerConfig,
 };
+pub use windex_sim::par_map;
 pub use window::{
     windowed_inlj, windowed_inlj_observed, WindowConfig, WindowObserver, WindowSpan, WindowStats,
 };

@@ -15,8 +15,25 @@
 //! memory"), so it is immune to the GPU TLB cliff but bounded by device
 //! capacity — the design choice the paper challenges with out-of-core
 //! indexes.
+//!
+//! ## A probe is planned, then accounted
+//!
+//! A probe's slot walk depends only on host data: the probe keys and the
+//! slot array that `insert` filled in the build kernel. So a probe runs in
+//! two parts. The *planner* hashes each key and walks its probe sequence
+//! on host data, recording every slot offset it reads, in program order,
+//! with a mark after the last read of each matching key and of each warp.
+//! It touches no `Gpu` state. The *accountant* replays a plan on the
+//! `Gpu`: per warp, the caller's warp hook (the probe kernel streams the
+//! warp's keys there), then the warp's slot reads through
+//! [`Buffer::read_batch`], flushed before every chain walk and its
+//! `emit`s. The accounting order is therefore exactly the key-by-key
+//! order of a scalar probe. `probe`, `count` and `probe_warp` plan on the
+//! calling thread and account at once; the hash join's probe kernel may
+//! plan on a helper thread (see `hash_join`).
 
 use crate::error::{with_join_retries, JoinError};
+use std::ops::Range;
 use windex_sim::{Buffer, Gpu, MemLocation, WARP_SIZE};
 
 /// Sentinel for an empty slot / null block pointer.
@@ -25,10 +42,9 @@ const EMPTY: u64 = u64::MAX;
 /// Block header layout: `[capacity, len, next, values…]`.
 const BLOCK_HEADER: usize = 3;
 
-/// Slot reads [`MultiValueHashTable::probe_warp`] buffers before accounting
-/// them in one batch: a warp's expected slot reads at the paper's 50 % load
-/// factor, where a missing key probes about two slots.
-const SLOT_BATCH: usize = 2 * WARP_SIZE;
+/// Slot reads a [`ProbePlan`] reserves per probe key: twice the expected
+/// reads of a missing key at the paper's 50 % load factor.
+const PLANNED_READS_PER_KEY: usize = 4;
 
 /// Hash-table configuration (paper defaults).
 #[derive(Debug, Clone, Copy)]
@@ -275,55 +291,70 @@ impl MultiValueHashTable {
     /// read; chain blocks are read contiguously (the locality §3.1
     /// describes).
     ///
-    /// The slot walk runs on host data, so the slot reads of consecutive
-    /// lanes are known before they are accounted: the walk records their
-    /// offsets in a stack buffer and hands it to [`Buffer::read_batch`]
-    /// when it is full, and always before a chain header read, a value
-    /// read or an `emit`. The accounting order is therefore exactly the
-    /// key-by-key scalar order.
+    /// The inline case of the split probe (see the module docs): the
+    /// planner works out the slot reads on the calling thread and the
+    /// accountant replays them, so the accounting order is exactly the
+    /// key-by-key order. `keys` may span several warps.
     pub fn probe_warp<F: FnMut(&mut Gpu, usize, u64)>(
         &self,
         gpu: &mut Gpu,
         keys: &[u64],
-        mut emit: F,
+        emit: F,
     ) -> usize {
-        let slots = self.slots.host();
-        let mut pending = [0usize; SLOT_BATCH];
-        let mut queued = 0;
-        let mut matches = 0;
-        for (lane, &key) in keys.iter().enumerate() {
-            let mut slot = hash64(key) & self.mask;
-            // Double-hash step, computed lazily: most probes resolve at the
-            // first slot (empty or direct hit) and never need it. The step
-            // is forced odd, so 0 is a safe "not yet computed" sentinel.
-            let mut step = 0u64;
-            loop {
-                // One slot = (key, head): an adjacent pair, one line.
-                let at = (slot * 2) as usize;
-                if queued == SLOT_BATCH {
-                    self.slots.read_batch(gpu, &pending, 2);
-                    queued = 0;
-                }
-                pending[queued] = at;
-                queued += 1;
-                let (k, head) = (slots[at], slots[at + 1]);
-                if k == EMPTY {
-                    break;
-                }
-                if k == key {
-                    self.slots.read_batch(gpu, &pending[..queued], 2);
-                    queued = 0;
-                    matches += self.walk_chain(gpu, head, |gpu, value| emit(gpu, lane, value));
-                    break;
-                }
-                if step == 0 {
-                    step = hash64_step(key);
-                }
-                slot = (slot + step) & self.mask;
-            }
+        let mut plan = ProbePlan::with_capacity(keys.len());
+        self.planner().plan(keys, &mut plan);
+        self.account(gpu, &plan, 0, |_, _| {}, emit)
+    }
+
+    /// The host-side half of a probe: a view of the slot array that the
+    /// build kernel filled. A probe kernel never writes the slots, so a
+    /// planner may run on another thread while the probe is accounted.
+    pub(crate) fn planner(&self) -> Planner<'_> {
+        Planner {
+            slots: self.slots.host(),
+            mask: self.mask,
         }
-        if queued > 0 {
-            self.slots.read_batch(gpu, &pending[..queued], 2);
+    }
+
+    /// Replay `plan`, whose first key is probe key `first_key`, on `gpu`:
+    /// per warp, `begin_warp(gpu, keys)` (the probe kernel streams the
+    /// warp's keys there), then the warp's slot reads through
+    /// [`Buffer::read_batch`], flushed before every chain walk and its
+    /// `emit(gpu, key, value)` calls. The accounting order is therefore
+    /// the key-by-key scalar order. Returns the number of matches.
+    pub(crate) fn account(
+        &self,
+        gpu: &mut Gpu,
+        plan: &ProbePlan,
+        first_key: usize,
+        mut begin_warp: impl FnMut(&mut Gpu, Range<usize>),
+        mut emit: impl FnMut(&mut Gpu, usize, u64),
+    ) -> usize {
+        let end_key = first_key + plan.keys;
+        let mut warp = first_key..(first_key + WARP_SIZE).min(end_key);
+        if !warp.is_empty() {
+            begin_warp(gpu, warp.clone());
+        }
+        let mut read = 0;
+        let mut matches = 0;
+        for mark in &plan.marks {
+            if read < mark.reads_end {
+                self.slots
+                    .read_batch(gpu, &plan.reads[read..mark.reads_end], 2);
+                read = mark.reads_end;
+            }
+            match mark.kind {
+                MarkKind::Match { key, head } => {
+                    let key = first_key + key;
+                    matches += self.walk_chain(gpu, head, |gpu, value| emit(gpu, key, value));
+                }
+                MarkKind::WarpEnd => {
+                    warp = warp.end..(warp.end + WARP_SIZE).min(end_key);
+                    if !warp.is_empty() {
+                        begin_warp(gpu, warp.clone());
+                    }
+                }
+            }
         }
         matches
     }
@@ -348,10 +379,133 @@ impl MultiValueHashTable {
     }
 }
 
+/// The slot reads of a run of probe keys, worked out on host data: every
+/// slot offset in program order, and a mark after the last read of each
+/// warp and of each matching key. Offsets are kept at full width.
+#[derive(Debug, Default)]
+pub(crate) struct ProbePlan {
+    /// Probe keys planned.
+    keys: usize,
+    /// Slot-array offsets read, in program order.
+    reads: Vec<usize>,
+    /// Warp ends and matches, in program order.
+    marks: Vec<Mark>,
+}
+
+/// A point in a [`ProbePlan`] where the accountant leaves the slot reads.
+#[derive(Debug, Clone, Copy)]
+struct Mark {
+    /// Reads before the mark: the accountant flushes `reads[..reads_end]`.
+    reads_end: usize,
+    kind: MarkKind,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum MarkKind {
+    /// Key `key` (counted from the plan's first key) matched the slot
+    /// whose value chain starts at `head`.
+    Match { key: usize, head: u64 },
+    /// The last key of a warp was resolved.
+    WarpEnd,
+}
+
+impl ProbePlan {
+    /// An empty plan with room for `keys` probe keys at the expected read
+    /// count, so a recycled plan rarely reallocates.
+    pub(crate) fn with_capacity(keys: usize) -> Self {
+        ProbePlan {
+            keys: 0,
+            reads: Vec::with_capacity(keys * PLANNED_READS_PER_KEY),
+            marks: Vec::with_capacity(keys + keys.div_ceil(WARP_SIZE)),
+        }
+    }
+}
+
+/// Plans probes against one table's slot array (see
+/// [`MultiValueHashTable::planner`]). Pure: it reads host data only.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Planner<'a> {
+    slots: &'a [u64],
+    mask: u64,
+}
+
+impl Planner<'_> {
+    /// Replace `plan` with the plan of `keys`, whose first key starts a
+    /// warp: hash each key and walk its probe sequence until an empty
+    /// slot or the key. The empty check comes first, so the sentinel key
+    /// `u64::MAX` never matches.
+    pub(crate) fn plan(&self, keys: &[u64], plan: &mut ProbePlan) {
+        plan.keys = keys.len();
+        plan.reads.clear();
+        plan.marks.clear();
+        for (i, &key) in keys.iter().enumerate() {
+            let mut slot = hash64(key) & self.mask;
+            // Double-hash step, computed lazily: most probes resolve at the
+            // first slot (empty or direct hit) and never need it. The step
+            // is forced odd, so 0 is a safe "not yet computed" sentinel.
+            let mut step = 0u64;
+            loop {
+                // One slot = (key, head): an adjacent pair, one line.
+                let at = (slot * 2) as usize;
+                plan.reads.push(at);
+                let k = self.slots[at];
+                if k == EMPTY {
+                    break;
+                }
+                if k == key {
+                    plan.marks.push(Mark {
+                        reads_end: plan.reads.len(),
+                        kind: MarkKind::Match {
+                            key: i,
+                            head: self.slots[at + 1],
+                        },
+                    });
+                    break;
+                }
+                if step == 0 {
+                    step = hash64_step(key);
+                }
+                slot = (slot + step) & self.mask;
+            }
+            if (i + 1) % WARP_SIZE == 0 || i + 1 == keys.len() {
+                plan.marks.push(Mark {
+                    reads_end: plan.reads.len(),
+                    kind: MarkKind::WarpEnd,
+                });
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use windex_sim::{GpuSpec, Scale};
+
+    impl MultiValueHashTable {
+        /// Test-local reference probe: the scalar walk, key by key, with
+        /// each slot read accounted on its own as it is made. The planned
+        /// probe must account exactly like it.
+        pub(crate) fn probe_key_by_key(
+            &self,
+            gpu: &mut Gpu,
+            key: u64,
+            mut emit: impl FnMut(&mut Gpu, u64),
+        ) -> usize {
+            let mut slot = hash64(key) & self.mask;
+            loop {
+                let pair = self.slots.read_range(gpu, (slot * 2) as usize, 2);
+                let (k, head) = (pair[0], pair[1]);
+                if k == EMPTY {
+                    return 0;
+                }
+                if k == key {
+                    return self.walk_chain(gpu, head, &mut emit);
+                }
+                slot = (slot + hash64_step(key)) & self.mask;
+            }
+        }
+    }
 
     fn gpu() -> Gpu {
         Gpu::new(GpuSpec::v100_nvlink2(Scale::PAPER))

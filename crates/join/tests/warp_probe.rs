@@ -1,9 +1,11 @@
 //! The warp-batched hash-table probe against the key-by-key probe.
 //!
-//! `MultiValueHashTable::probe_warp` walks a warp's slots on host data and
-//! accounts the slot reads in batches, flushing before every chain read and
-//! every `emit`. That must be invisible: counters, trace events and result
-//! pairs equal those of calling `probe` once per key, in lane order. The
+//! `MultiValueHashTable::probe_warp` plans a warp's slot walks on host data
+//! and accounts the slot reads in batches, flushing before every chain read
+//! and every `emit`. That must be invisible: counters, trace events and
+//! result pairs equal those of calling `probe` once per key, in lane order.
+//! (The crate's `hash_join` unit tests compare the pipelined probe kernel,
+//! planned on a helper thread and inline, with a scalar walk.) The
 //! cases cover a duplicate-heavy build side (multi-block value chains), a
 //! nearly full slot array (one warp's slot reads overflow the batch buffer
 //! and force a mid-warp flush), and a multi-pass `hash_join` under a small

@@ -663,11 +663,9 @@ pub fn render_tuner_openmetrics(report: &TunedReport) -> String {
     };
     let mut w = Snapshot {
         identity: &[("policy", &report.policy)],
-        // `TunedReport::completed` counts late requests too; the shared
-        // outcome buckets are disjoint.
         requests: Requests {
             submitted: total(report.requests as f64),
-            completed: total((report.completed - report.deadline_missed) as f64),
+            completed: total(report.completed as f64),
             shed: Series::default(),
             deadline_missed: total(report.deadline_missed as f64),
         },

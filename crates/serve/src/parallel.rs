@@ -296,10 +296,6 @@ pub fn serve_tuned_tenant_parallel(
             report,
         });
     }
-    // `completed` counts deadline-missed requests too in TunedReport
-    // (they were served); mirror the Server-side convention where the
-    // buckets are disjoint.
-    counts.0 -= counts.2;
     let tally = RunTally::new(counts, matches, samples, makespan_s);
     let summary = ParallelSummary::new(lanes.len(), trace.len(), keys_probed, makespan_s, tally);
     Ok(ParallelTunedOutcome { lanes, summary })

@@ -83,7 +83,8 @@ pub struct TunedTenantReport {
     pub paper_r_gib: f64,
     /// Requests the tenant submitted (all are served; no shedding here).
     pub requests: usize,
-    /// Requests completed.
+    /// Requests completed within their deadline (late ones are not
+    /// counted here).
     pub completed: usize,
     /// Probe keys across all requests.
     pub keys: usize,
@@ -118,7 +119,8 @@ pub struct TunedReport {
     pub tenants: usize,
     /// Requests across the whole trace.
     pub requests: usize,
-    /// Requests completed (the tuned server sheds nothing; it queues).
+    /// Requests completed within their deadline. The tuned server sheds
+    /// nothing (it queues), so `completed + deadline_missed == requests`.
     pub completed: usize,
     /// Requests completing past their deadline, if deadlines were set.
     pub deadline_missed: usize,
@@ -137,10 +139,12 @@ pub struct TunedReport {
     /// Virtual time the device spent executing dispatches (excludes
     /// arrival idle gaps and outage waits).
     pub busy_s: f64,
-    /// Completed requests per *busy* virtual second — the throughput the
-    /// tuner optimizes, comparable across policies on the same trace.
+    /// Served requests, on time or late, per *busy* virtual second — the
+    /// throughput the tuner optimizes, comparable across policies on the
+    /// same trace.
     pub aggregate_qps: f64,
-    /// Completed requests per makespan second (includes idle time).
+    /// Requests completed within their deadline per makespan second
+    /// (includes idle time).
     pub completed_rps: f64,
     /// Probe keys per busy virtual second.
     pub keys_per_second: f64,
@@ -361,11 +365,11 @@ impl TunedServer {
         for mut q in batch {
             let latency = end_s - q.at_s;
             latencies.push(latency);
-            t.run.completed += 1;
             let outcome = if q.deadline.is_some_and(|d| latency > d) {
                 t.run.deadline_missed += 1;
                 RequestOutcome::DeadlineMissed
             } else {
+                t.run.completed += 1;
                 RequestOutcome::Completed
             };
             q.ctx.dispatched(start_s);
@@ -472,6 +476,7 @@ impl TunedServer {
         let tail = sample_tail(&traces, &TailConfig::default());
         let busy_s: f64 = self.tenants.iter().map(|t| t.run.busy_s).sum();
         let completed: usize = self.tenants.iter().map(|t| t.run.completed).sum();
+        let deadline_missed: usize = self.tenants.iter().map(|t| t.run.deadline_missed).sum();
         let keys_probed: usize = self.tenants.iter().map(|t| t.run.keys).sum();
         // Latencies stay in dispatch order: the histogram's sum depends on it.
         let (latency, latency_hist) = latency_summary(latencies);
@@ -512,7 +517,7 @@ impl TunedServer {
             tenants: self.tenants.len(),
             requests: self.tenants.iter().map(|t| t.run.requests).sum(),
             completed,
-            deadline_missed: self.tenants.iter().map(|t| t.run.deadline_missed).sum(),
+            deadline_missed,
             keys_probed,
             result_tuples: self.tenants.iter().map(|t| t.run.matches).sum(),
             batches,
@@ -520,7 +525,7 @@ impl TunedServer {
             explorations: per_tenant.iter().map(|t| t.explorations).sum(),
             virtual_makespan_s: clock,
             busy_s,
-            aggregate_qps: rate(completed, busy_s),
+            aggregate_qps: rate(completed + deadline_missed, busy_s),
             completed_rps: rate(completed, clock),
             keys_per_second: rate(keys_probed, busy_s),
             latency,
@@ -624,6 +629,33 @@ mod tests {
             assert_eq!((t.keys, t.matches), (keys, keys));
             assert_eq!(t.batches, rep.batches);
         }
+    }
+
+    #[test]
+    fn late_requests_are_missed_not_completed() {
+        let r = small_relation();
+        let mut trace = mini_trace(&r, 0);
+        // Every other request's deadline is shorter than any batch's
+        // service time, so exactly those requests complete late.
+        for tr in trace.iter_mut().step_by(2) {
+            tr.request.deadline = Some(1e-9);
+        }
+        let late = trace.len().div_ceil(2);
+        let mut srv = TunedServer::new(spec(), TunedConfig::default(), vec![(0, r)], None).unwrap();
+        let rep = srv.run(&trace).unwrap();
+        assert_eq!(rep.deadline_missed, late);
+        assert_eq!(rep.completed + rep.deadline_missed, rep.requests);
+        assert_eq!(rep.per_tenant[0].completed, rep.completed);
+        assert_eq!(
+            rep.completed_rps,
+            rate(rep.completed, rep.virtual_makespan_s)
+        );
+        assert_eq!(rep.aggregate_qps, rate(rep.requests, rep.busy_s));
+        let text = crate::metrics::render_tuner_openmetrics(&rep);
+        assert!(text.contains(&format!(
+            "windex_requests_completed_total{{host=\"tuned\"}} {}\n",
+            rep.completed
+        )));
     }
 
     #[test]

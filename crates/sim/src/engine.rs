@@ -610,15 +610,32 @@ impl Gpu {
     /// per address, resolved in one pass of the line-walk kernel. Callers
     /// that work out a run of independent reads from host data first (a
     /// warp's hash-table slot reads) hand the run over here.
+    ///
+    /// A GPU batch read untraced and outside an ECC storm needs neither
+    /// fault draws nor the location and quarantine checks; when none of
+    /// its requests straddles two lines it takes the kernel's
+    /// one-GPU-line instantiation. Every other batch takes the general
+    /// one.
     #[inline]
-    pub fn touch_read_batch(
-        &mut self,
-        loc: MemLocation,
-        bytes: u64,
-        addrs: impl IntoIterator<Item = u64>,
-    ) {
+    pub fn touch_read_batch<I>(&mut self, loc: MemLocation, bytes: u64, addrs: I)
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: Clone,
+    {
         self.access_lines();
-        self.read_requests(addrs.into_iter().map(|addr| (loc, addr, bytes)));
+        let addrs = addrs.into_iter();
+        let line = self.spec.cacheline_bytes;
+        if loc == MemLocation::Gpu
+            && self.trace.is_none()
+            && self.chaos.ecc_page_rate == 0.0
+            && addrs
+                .clone()
+                .all(|addr| (addr & (line - 1)) + bytes <= line)
+        {
+            self.line_walk::<false, true>(addrs.map(|addr| (loc, addr, bytes)));
+        } else {
+            self.read_requests(addrs.map(|addr| (loc, addr, bytes)));
+        }
     }
 
     /// Defer a data-dependent read: the access is queued and resolved — in
@@ -710,9 +727,9 @@ impl Gpu {
     #[inline]
     fn walk_lines(&mut self, reads: impl Iterator<Item = (MemLocation, u64, u64)>) {
         if self.trace.is_some() {
-            self.line_walk::<true>(reads);
+            self.line_walk::<true, false>(reads);
         } else {
-            self.line_walk::<false>(reads);
+            self.line_walk::<false, false>(reads);
         }
     }
 
@@ -733,8 +750,13 @@ impl Gpu {
     /// out: copying each tag store's set geometry into locals up front
     /// (the copies spill to the stack), and counting into a local tally
     /// (its write-back costs every counter on each one-line call).
+    ///
+    /// `ONE_GPU_LINE` is the instantiation for requests the caller knows
+    /// are GPU-located, one line each, untraced and outside an ECC storm
+    /// (see [`Gpu::touch_read_batch`]): it walks one line per request and
+    /// drops the location and quarantine checks of a miss.
     #[inline]
-    fn line_walk<const TRACED: bool>(
+    fn line_walk<const TRACED: bool, const ONE_GPU_LINE: bool>(
         &mut self,
         reads: impl Iterator<Item = (MemLocation, u64, u64)>,
     ) {
@@ -761,7 +783,15 @@ impl Gpu {
         let mut last = *last_line;
         for (loc, addr, bytes) in reads {
             debug_assert!(bytes > 0);
-            for line in addr >> line_shift..=(addr + bytes - 1) >> line_shift {
+            let first_line = addr >> line_shift;
+            let last_line = if ONE_GPU_LINE {
+                debug_assert!(loc == MemLocation::Gpu);
+                debug_assert_eq!(first_line, (addr + bytes - 1) >> line_shift);
+                first_line
+            } else {
+                (addr + bytes - 1) >> line_shift
+            };
+            for line in first_line..=last_line {
                 let line_addr = line << line_shift;
                 clock += 1;
                 let hit = if line_addr == last {
@@ -782,6 +812,11 @@ impl Gpu {
                         counters.l1_misses += 1;
                         counters.l2_hits += 1;
                         HitLevel::L2
+                    } else if ONE_GPU_LINE {
+                        counters.l1_misses += 1;
+                        counters.l2_misses += 1;
+                        counters.gpu_bytes_read += line_bytes;
+                        HitLevel::GpuMem
                     } else {
                         counters.l1_misses += 1;
                         counters.l2_misses += 1;

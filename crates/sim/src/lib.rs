@@ -59,6 +59,7 @@ pub mod heatmap;
 mod lru;
 pub mod mem;
 mod pagestamps;
+pub mod pool;
 pub mod scale;
 pub mod span;
 pub mod spec;
@@ -77,6 +78,7 @@ pub use exec::{
 pub use fault::{FaultKind, FaultPlan, RetryPolicy, SimError};
 pub use heatmap::{l2_heatmap, tlb_heatmap, Heatmap};
 pub use mem::{Buffer, MemLocation};
+pub use pool::{par_map, try_helper_slot, HelperSlot};
 pub use scale::Scale;
 pub use span::{phase, PhaseBreakdown, PhaseRecorder, PhaseStats, Span};
 pub use spec::{GpuSpec, InterconnectSpec};

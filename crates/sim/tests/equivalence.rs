@@ -109,7 +109,8 @@ impl OpenBatch {
 
     fn flush(&mut self, gpu: &mut Gpu) {
         if let Some((loc, bytes)) = self.key.take() {
-            gpu.touch_read_batch(loc, bytes, self.addrs.drain(..));
+            gpu.touch_read_batch(loc, bytes, self.addrs.iter().copied());
+            self.addrs.clear();
         }
     }
 }
