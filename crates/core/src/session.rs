@@ -139,20 +139,7 @@ impl QuerySession {
         s: Relation,
     ) -> Result<Self, WindexError> {
         if executor.validate_foreign_keys {
-            match (r.min_key(), r.max_key()) {
-                (Some(lo), Some(hi)) => {
-                    if s.keys().iter().any(|&k| k < lo || k > hi) {
-                        return Err(QueryError::ForeignKeyViolation.into());
-                    }
-                }
-                // An empty indexed relation has an empty key domain: any
-                // probe key at all is outside it.
-                _ => {
-                    if !s.keys().is_empty() {
-                        return Err(QueryError::ForeignKeyViolation.into());
-                    }
-                }
-            }
+            check_foreign_keys(&r, s.keys())?;
         }
         // Zero-copy staging: the host columns alias the relations' shared
         // storage (same addresses and accounting as a copied column).
@@ -384,18 +371,7 @@ impl QuerySession {
         keys: &[u64],
     ) -> Result<QueryReport, WindexError> {
         if self.executor.validate_foreign_keys {
-            match (self.r.min_key(), self.r.max_key()) {
-                (Some(lo), Some(hi)) => {
-                    if keys.iter().any(|&k| k < lo || k > hi) {
-                        return Err(QueryError::ForeignKeyViolation.into());
-                    }
-                }
-                _ => {
-                    if !keys.is_empty() {
-                        return Err(QueryError::ForeignKeyViolation.into());
-                    }
-                }
-            }
+            check_foreign_keys(&self.r, keys)?;
         }
         let probe = Rc::new(gpu.alloc_host_from_vec(keys.to_vec()));
         let n = probe.len();
@@ -601,6 +577,20 @@ impl QuerySession {
     /// between runs).
     pub fn executor_mut(&mut self) -> &mut QueryExecutor {
         &mut self.executor
+    }
+}
+
+/// Every probe key must lie inside `r`'s key domain `[min(R), max(R)]`;
+/// an empty `r` has an empty domain, so any probe key at all violates it.
+fn check_foreign_keys(r: &Relation, keys: &[u64]) -> Result<(), WindexError> {
+    let inside = match (r.min_key(), r.max_key()) {
+        (Some(lo), Some(hi)) => keys.iter().all(|&k| (lo..=hi).contains(&k)),
+        _ => keys.is_empty(),
+    };
+    if inside {
+        Ok(())
+    } else {
+        Err(QueryError::ForeignKeyViolation.into())
     }
 }
 

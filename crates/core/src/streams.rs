@@ -435,7 +435,7 @@ mod tests {
         let (mut g, idx, r) = setup(2000);
         let s = Relation::foreign_keys_uniform(&r, 600, 9);
         let mut op = StreamingWindowJoin::new(&mut g, config(128)).unwrap();
-        op.set_phase_recorder(Some(PhaseRecorder::start(&g)));
+        op.set_phase_recorder(Some(PhaseRecorder::start(&mut g)));
         let mut sink = ResultSink::with_capacity(&mut g, 600, MemLocation::Gpu).unwrap();
         let tuples: Vec<(u64, u64)> = s
             .keys()
@@ -461,7 +461,7 @@ mod tests {
             assert_eq!(w.window, i);
         }
 
-        let bd = op.take_phase_recorder().unwrap().finish(&g);
+        let bd = op.take_phase_recorder().unwrap().finish(&mut g);
         assert_eq!(bd.counter_sum(), bd.total, "span-sum invariant");
         // The recorder covers exactly the flushes, which the timeline tiles
         // (staging writes between flushes are uncounted host work).

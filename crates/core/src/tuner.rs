@@ -415,11 +415,6 @@ impl OnlineTuner {
         &self.events
     }
 
-    /// The sliding KPI horizon (most recent last).
-    pub fn recent_kpis(&self) -> &VecDeque<KpiSample> {
-        &self.kpis
-    }
-
     /// Feed the KPI sample of a batch executed under the current plan.
     pub fn observe(&mut self, sample: KpiSample) {
         let realized = sample.seconds / sample.keys.max(1) as f64;

@@ -329,7 +329,7 @@ mod tests {
         let mut g = gpu();
         let (idx, s, _) = fixture(&mut g, 10_000, 2000);
         let mut sink = ResultSink::with_capacity(&mut g, 2000, MemLocation::Gpu).unwrap();
-        let mut rec = PhaseRecorder::start(&g);
+        let mut rec = PhaseRecorder::start(&mut g);
         let mut timeline = Vec::new();
         let before = g.snapshot();
         let st = windowed_inlj_observed(
@@ -357,7 +357,7 @@ mod tests {
             .iter()
             .fold(Counters::default(), |a, w| a + w.counters);
         assert_eq!(sum, total, "window deltas tile the windowed region");
-        let bd = rec.finish(&g);
+        let bd = rec.finish(&mut g);
         assert_eq!(bd.total, total);
         assert_eq!(bd.counter_sum(), bd.total, "span-sum invariant");
         assert!(bd.get(windex_sim::phase::PARTITION).is_some());

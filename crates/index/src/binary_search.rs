@@ -61,13 +61,11 @@ impl OutOfCoreIndex for BinarySearchIndex {
             })
             .collect();
         let data = &self.data;
-        // Lane probes go through the deferred issue path: `lockstep` drains
-        // them once per round, in lane order, as one batched pass.
         lockstep(gpu, &mut lanes, |gpu, lane| {
             if lane.lo < lane.hi {
                 // One halving step: a single data-dependent probe.
                 let mid = lane.lo + (lane.hi - lane.lo) / 2;
-                if data.read_issued(gpu, mid) < lane.key {
+                if data.read(gpu, mid) < lane.key {
                     lane.lo = mid + 1;
                 } else {
                     lane.hi = mid;
@@ -75,7 +73,7 @@ impl OutOfCoreIndex for BinarySearchIndex {
                 false
             } else {
                 // Search exhausted: verify the lower-bound slot.
-                if lane.lo < n && data.read_issued(gpu, lane.lo) == lane.key {
+                if lane.lo < n && data.read(gpu, lane.lo) == lane.key {
                     lane.result = Some(lane.lo as u64);
                 }
                 true

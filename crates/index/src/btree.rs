@@ -654,12 +654,10 @@ impl OutOfCoreIndex for BPlusTree {
             })
             .collect();
         let nodes = &self.nodes;
-        // Node probes go through the deferred issue path: `lockstep` drains
-        // one round's lane loads in lane order as one batched pass.
         lockstep(gpu, &mut lanes, |gpu, lane| {
             let base = lane.node as usize * slots;
             if !lane.header_loaded {
-                let count = nodes.read_issued(gpu, base) as u32;
+                let count = nodes.read(gpu, base) as u32;
                 lane.lo = 0;
                 lane.hi = count;
                 lane.header_loaded = true;
@@ -668,7 +666,7 @@ impl OutOfCoreIndex for BPlusTree {
             if lane.lo < lane.hi {
                 // One binary-search probe within the node.
                 let mid = lane.lo + (lane.hi - lane.lo) / 2;
-                let k = nodes.read_issued(gpu, base + 1 + mid as usize);
+                let k = nodes.read(gpu, base + 1 + mid as usize);
                 let go_right = if lane.level > 1 {
                     k <= lane.key // upper bound over separators
                 } else {
@@ -683,15 +681,15 @@ impl OutOfCoreIndex for BPlusTree {
             }
             if lane.level > 1 {
                 // Descend: child pointer at the lower-bound position.
-                lane.node = nodes.read_issued(gpu, base + 1 + kc + lane.lo as usize);
+                lane.node = nodes.read(gpu, base + 1 + kc + lane.lo as usize);
                 lane.level -= 1;
                 lane.header_loaded = false;
                 return false;
             }
             // Leaf: verify and fetch the rid.
-            let count = nodes.read_issued(gpu, base) as u32; // cached header line
-            if lane.lo < count && nodes.read_issued(gpu, base + 1 + lane.lo as usize) == lane.key {
-                lane.result = Some(nodes.read_issued(gpu, base + 1 + kc + lane.lo as usize));
+            let count = nodes.read(gpu, base) as u32; // cached header line
+            if lane.lo < count && nodes.read(gpu, base + 1 + lane.lo as usize) == lane.key {
+                lane.result = Some(nodes.read(gpu, base + 1 + kc + lane.lo as usize));
             }
             true
         });

@@ -238,16 +238,6 @@ impl Harmonia {
         gpu.op(1); // parallel compare + reduction by the sub-warp
         scan_node_slice(slice, key)
     }
-
-    /// [`search_node`](Self::search_node) on the deferred issue path, used
-    /// inside `lockstep` so a round's node fetches drain as one batched pass.
-    #[inline]
-    fn search_node_issued(&self, gpu: &mut Gpu, node: u64, key: u64) -> Option<usize> {
-        let base = node as usize * self.nk;
-        let slice = self.key_region.read_range_issued(gpu, base, self.nk);
-        gpu.op(1); // parallel compare + reduction by the sub-warp
-        scan_node_slice(slice, key)
-    }
 }
 
 /// Position of the last key ≤ `key` in a `PAD`-terminated node slice.
@@ -299,9 +289,6 @@ impl OutOfCoreIndex for Harmonia {
             })
             .collect();
 
-        // Sub-warp node fetches go through the deferred issue path:
-        // `lockstep` drains each round's loads in group order as one
-        // batched pass over the memory system.
         lockstep(gpu, &mut groups, |gpu, g| {
             if g.cursor >= g.keys.len() {
                 return true;
@@ -309,14 +296,14 @@ impl OutOfCoreIndex for Harmonia {
             let key = g.keys[g.cursor];
             if g.level > 1 {
                 // Internal node: descend via the prefix array.
-                let slot = self.search_node_issued(gpu, g.node, key).unwrap_or(0);
-                let child_base = self.prefix.read_issued(gpu, g.node as usize);
+                let slot = self.search_node(gpu, g.node, key).unwrap_or(0);
+                let child_base = self.prefix.read(gpu, g.node as usize);
                 g.node = child_base + slot as u64;
                 g.level -= 1;
                 return false;
             }
             // Leaf: exact-match check; rid is positional (leaves are packed).
-            let res = self.search_node_issued(gpu, g.node, key).and_then(|slot| {
+            let res = self.search_node(gpu, g.node, key).and_then(|slot| {
                 let base = g.node as usize * self.nk;
                 if self.key_region.host()[base + slot] == key {
                     Some((g.node - self.first_leaf) * self.nk as u64 + slot as u64)

@@ -409,7 +409,7 @@ impl OutOfCoreIndex for RadixSpline {
             match lane.phase {
                 Phase::Radix => {
                     let p = ((lane.key - self.min_key) >> self.shift) as usize;
-                    let cells = self.radix_table.read_range_issued(gpu, p, 2);
+                    let cells = self.radix_table.read_range(gpu, p, 2);
                     lane.phase = Phase::SplineSearch {
                         lo: cells[0],
                         hi: cells[1],
@@ -419,7 +419,7 @@ impl OutOfCoreIndex for RadixSpline {
                 Phase::SplineSearch { lo, hi } => {
                     if lo < hi {
                         let mid = lo + (hi - lo) / 2;
-                        let k = self.spline.read_issued(gpu, (mid * 2) as usize);
+                        let k = self.spline.read(gpu, (mid * 2) as usize);
                         lane.phase = if k < lane.key {
                             Phase::SplineSearch { lo: mid + 1, hi }
                         } else {
@@ -434,17 +434,13 @@ impl OutOfCoreIndex for RadixSpline {
                     // Fetch the bracketing points (coalesced: 2–4 adjacent
                     // u64 slots) and compute the search window.
                     let est = if seg_end == 0 {
-                        let p = self.spline.read_range_issued(gpu, 0, 2);
+                        let p = self.spline.read_range(gpu, 0, 2);
                         p[1] as f64
                     } else if seg_end >= pts {
-                        let p = self
-                            .spline
-                            .read_range_issued(gpu, ((pts - 1) * 2) as usize, 2);
+                        let p = self.spline.read_range(gpu, ((pts - 1) * 2) as usize, 2);
                         p[1] as f64
                     } else {
-                        let quad =
-                            self.spline
-                                .read_range_issued(gpu, ((seg_end - 1) * 2) as usize, 4);
+                        let quad = self.spline.read_range(gpu, ((seg_end - 1) * 2) as usize, 4);
                         let (k0, p0, k1, p1) = (quad[0], quad[1], quad[2], quad[3]);
                         p0 as f64 + (lane.key - k0) as f64 * (p1 - p0) as f64 / (k1 - k0) as f64
                     };
@@ -458,7 +454,7 @@ impl OutOfCoreIndex for RadixSpline {
                 Phase::DataSearch { lo, hi } => {
                     if lo < hi {
                         let mid = lo + (hi - lo) / 2;
-                        let k = self.data.read_issued(gpu, mid as usize);
+                        let k = self.data.read(gpu, mid as usize);
                         lane.phase = if k < lane.key {
                             Phase::DataSearch { lo: mid + 1, hi }
                         } else {
@@ -471,7 +467,7 @@ impl OutOfCoreIndex for RadixSpline {
                     }
                 }
                 Phase::Verify { pos } => {
-                    if pos < n && self.data.read_issued(gpu, pos as usize) == lane.key {
+                    if pos < n && self.data.read(gpu, pos as usize) == lane.key {
                         lane.result = Some(pos);
                     }
                     true

@@ -74,7 +74,6 @@ fn observe(r: &Relation, config: Config) -> Observed {
     for (warp, out) in keys.chunks(WARP_SIZE).zip(answers.chunks_mut(WARP_SIZE)) {
         index.lookup_warp(&mut gpu, warp, out);
     }
-    gpu.access_lines();
     Observed {
         bases: (col.base_addr(), fence),
         after_build,

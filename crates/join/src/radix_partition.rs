@@ -167,9 +167,8 @@ impl RadixPartitioner {
                     buf.push(key);
                     buf.push(rid);
                     if buf.len() == line_pairs * 2 {
-                        // Flush one full cacheline with a coalesced write on
-                        // the deferred issue path (drained at kernel end).
-                        out.write_range_issued(gpu, cursors[part] * 2, buf);
+                        // Flush one full cacheline with a coalesced write.
+                        out.write_range(gpu, cursors[part] * 2, buf);
                         cursors[part] += line_pairs;
                         buf.clear();
                     }
@@ -177,7 +176,7 @@ impl RadixPartitioner {
                 // Flush the remaining partial lines.
                 for (part, buf) in wc.iter_mut().enumerate() {
                     if !buf.is_empty() {
-                        out.write_range_issued(gpu, cursors[part] * 2, buf);
+                        out.write_range(gpu, cursors[part] * 2, buf);
                         cursors[part] += buf.len() / 2;
                         buf.clear();
                     }

@@ -118,11 +118,6 @@ pub struct Counters {
 }
 
 impl Counters {
-    /// Address-translation requests sent to the CPU (= TLB misses).
-    pub fn translation_requests(&self) -> u64 {
-        self.tlb_misses
-    }
-
     /// Translation requests per index lookup — the y-axis of Fig. 4.
     /// Returns 0.0 if no lookups were recorded.
     pub fn translations_per_lookup(&self) -> f64 {
@@ -151,16 +146,6 @@ impl Counters {
             0.0
         } else {
             self.l1_hits as f64 / total as f64
-        }
-    }
-
-    /// L2 hit rate in [0, 1]; 0.0 if there were no L2 accesses.
-    pub fn l2_hit_rate(&self) -> f64 {
-        let total = self.l2_hits + self.l2_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.l2_hits as f64 / total as f64
         }
     }
 

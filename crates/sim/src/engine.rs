@@ -21,9 +21,15 @@
 //! GPU-memory loads take the same cache path but end in device memory and
 //! never involve the remote TLB, which is why the hash join's GPU-resident
 //! hash table is immune to the TLB cliff.
+//!
+//! Single reads and writes ([`Gpu::touch_read`], [`Gpu::touch_write`]) are
+//! queued and accounted later, in program order: when the queue is full, and
+//! before any other entry point accounts or observes anything. Callers never
+//! choose when an access is accounted, and the order the counters, the trace
+//! and the fault draws see is always program order.
 
 use crate::cache::Cache;
-use crate::chaos::{ChaosActivity, ChaosSchedule};
+use crate::chaos::ChaosSchedule;
 use crate::column::SharedColumn;
 use crate::counters::Counters;
 use crate::fault::{FaultKind, FaultPlan, RetryPolicy, SimError};
@@ -42,9 +48,14 @@ use crate::trace::{HitLevel, Trace, TraceEvent, TraceMode};
 /// — whose count is scale-invariant (pages × phases).
 const THRASH_DISTANCE: u64 = 2048;
 
-/// A deferred memory access waiting in the warp issue queue.
+/// Bound of the access queue, equal to its preallocated capacity, so
+/// queueing never reallocates. Four accesses for each of the widest warp's
+/// lanes.
+const QUEUE_CAPACITY: usize = crate::exec::MAX_LANES * 4;
+
+/// A single read or write waiting in the access queue.
 #[derive(Debug, Clone, Copy)]
-struct IssuedAccess {
+struct QueuedAccess {
     loc: MemLocation,
     addr: u64,
     bytes: u64,
@@ -103,12 +114,11 @@ pub struct Gpu {
     /// from compulsory / periodic-sweep misses). Flat and bounded; cleared
     /// on [`Gpu::reset_memory_system`].
     missed_pages: PageStampTable,
-    /// Warp-coalesced issue queue: accesses deferred by
-    /// [`Gpu::issue_read`]/[`Gpu::issue_write`], resolved in program order
-    /// by [`Gpu::access_lines`]. Every immediate accounting entry point
-    /// drains this queue first, so the global accounting order always
-    /// equals program order and batching is observationally invisible.
-    issue: Vec<IssuedAccess>,
+    /// Single accesses from [`Gpu::touch_read`]/[`Gpu::touch_write`] not yet
+    /// accounted, in program order. Drained when full and by every other
+    /// entry point that accounts or observes state, so the global accounting
+    /// order always equals program order and queueing is invisible.
+    queue: Vec<QueuedAccess>,
     /// Optional access-trace recorder.
     trace: Option<Trace>,
     /// Deterministic fault-injection plan (defaults to no faults).
@@ -166,7 +176,7 @@ impl Gpu {
             // geometry: the TLB's own coverage plus the sweep front that
             // evicts it. A few thousand slots even for generous specs.
             missed_pages: PageStampTable::new(spec_tlb_pages * 8, THRASH_DISTANCE),
-            issue: Vec::with_capacity(crate::exec::MAX_LANES * 4),
+            queue: Vec::with_capacity(QUEUE_CAPACITY),
             trace: None,
             fault_plan: FaultPlan::none(),
             fault_seq: [0; 3],
@@ -188,7 +198,7 @@ impl Gpu {
     /// Start recording with an explicit capacity and overflow mode.
     /// Replaces any previous recording.
     pub fn start_trace_mode(&mut self, capacity: usize, mode: TraceMode) {
-        self.access_lines();
+        self.drain();
         self.trace = Some(Trace::new(capacity, mode));
     }
 
@@ -201,10 +211,10 @@ impl Gpu {
     }
 
     /// Stop recording and return the trace, normalized to recording order
-    /// (empty if never started). Any accesses still waiting in the issue
-    /// queue are resolved first so their events land in this trace.
+    /// (empty if never started). Any accesses still waiting in the queue
+    /// are accounted first so their events land in this trace.
     pub fn stop_trace(&mut self) -> Trace {
-        self.access_lines();
+        self.drain();
         let mut trace = self.trace.take().unwrap_or_default();
         trace.normalize();
         trace
@@ -229,16 +239,10 @@ impl Gpu {
         &self.spec
     }
 
-    /// Current cumulative counters. Callers observe counters only at points
-    /// where the issue queue has been drained (every immediate accounting
-    /// entry point drains, and `lockstep` drains per round).
-    ///
-    /// # Panics
-    ///
-    /// If issued accesses are still queued: their accounting is missing
-    /// from the counters. Call [`Gpu::access_lines`] first.
-    pub fn counters(&self) -> Counters {
-        assert!(self.issue.is_empty(), "issued accesses not yet resolved");
+    /// Current cumulative counters, including every access made so far
+    /// (queued accesses are accounted first).
+    pub fn counters(&mut self) -> Counters {
+        self.drain();
         self.counters
     }
 
@@ -266,7 +270,7 @@ impl Gpu {
         loc: MemLocation,
         data: Vec<T>,
     ) -> Result<Buffer<T>, SimError> {
-        self.access_lines();
+        self.drain();
         let reserved = self.reservation_bytes::<T>(data.len());
         if loc == MemLocation::Gpu {
             if self.chaos.device_lost {
@@ -319,7 +323,7 @@ impl Gpu {
     /// [`Gpu::alloc_host_from_vec`]; a later device-side write converts the
     /// buffer to owned storage (copy-on-write).
     pub fn alloc_host_shared<T: Copy>(&mut self, data: SharedColumn<T>) -> Buffer<T> {
-        self.access_lines();
+        self.drain();
         let reserved = self.reservation_bytes::<T>(data.len());
         let base = self.next_addr;
         self.next_addr = base + reserved;
@@ -359,7 +363,7 @@ impl Gpu {
     /// with [`SimError::InvalidConfig`] instead of silently skewing draws.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<(), SimError> {
         plan.validate()?;
-        self.access_lines();
+        self.drain();
         self.fault_plan = plan;
         self.fault_seq = [0; 3];
         self.pending_fault = None;
@@ -370,7 +374,7 @@ impl Gpu {
     /// and recompute the effects active at the current virtual time.
     pub fn set_chaos_schedule(&mut self, schedule: ChaosSchedule) -> Result<(), SimError> {
         schedule.validate()?;
-        self.access_lines();
+        self.drain();
         self.chaos_schedule = schedule;
         self.recompute_chaos();
         Ok(())
@@ -385,7 +389,7 @@ impl Gpu {
     /// windows contain that instant. Queued accesses are resolved first so
     /// they are accounted under the old time's effects.
     pub fn set_virtual_time(&mut self, t_s: f64) {
-        self.access_lines();
+        self.drain();
         self.virtual_now_s = t_s;
         if !self.chaos_schedule.is_empty() {
             self.recompute_chaos();
@@ -395,11 +399,6 @@ impl Gpu {
     /// The current virtual time, in seconds.
     pub fn virtual_now_s(&self) -> f64 {
         self.virtual_now_s
-    }
-
-    /// The combined chaos effects active at the current virtual time.
-    pub fn chaos_activity(&self) -> ChaosActivity {
-        self.chaos_schedule.activity_at(self.virtual_now_s)
     }
 
     /// Whether a device-loss window is active right now.
@@ -551,16 +550,16 @@ impl Gpu {
     /// Clear any latched fault (called at fallible kernel entry).
     #[doc(hidden)]
     pub fn clear_pending_fault(&mut self) {
-        self.access_lines();
+        self.drain();
         self.pending_fault = None;
     }
 
     /// Take the fault latched during the current kernel body, if any. Any
-    /// accesses still in the issue queue are resolved first so their fault
-    /// draws are observed by the surrounding fallible launch.
+    /// accesses still queued are accounted first so their fault draws are
+    /// observed by the surrounding fallible launch.
     #[doc(hidden)]
     pub fn take_pending_fault(&mut self) -> Option<SimError> {
-        self.access_lines();
+        self.drain();
         self.pending_fault.take()
     }
 
@@ -587,7 +586,7 @@ impl Gpu {
     /// Charge the deterministic backoff for retry number `attempt`
     /// (0-based) to the counters.
     pub fn record_retry(&mut self, attempt: u32) {
-        self.access_lines();
+        self.drain();
         self.counters.retries += 1;
         let backoff_ns = self.retry.backoff_ns(attempt);
         self.counters.retry_backoff_ns += backoff_ns;
@@ -597,19 +596,45 @@ impl Gpu {
         });
     }
 
-    /// Record a data-dependent device-side read of `bytes` at `addr`.
-    /// Every covered cacheline is accessed individually.
+    /// Record a data-dependent device-side read of `bytes` at `addr`. Every
+    /// covered cacheline is accessed individually, in program order, when
+    /// the queue drains (see the module docs).
     #[inline]
     pub fn touch_read(&mut self, loc: MemLocation, addr: u64, bytes: u64) {
-        self.access_lines();
-        self.read_requests(std::iter::once((loc, addr, bytes)));
+        self.enqueue(loc, addr, bytes, false);
+    }
+
+    /// Record a device-side write of `bytes` at `addr`, accounted in program
+    /// order when the queue drains. Writes are modeled as streaming stores
+    /// (no write-allocate): GPU kernels in this domain write results and
+    /// partitions once and never read them back through the same kernel's
+    /// caches.
+    #[inline]
+    pub fn touch_write(&mut self, loc: MemLocation, addr: u64, bytes: u64) {
+        self.enqueue(loc, addr, bytes, true);
+    }
+
+    /// Queue one single access, draining when the queue is full.
+    #[inline]
+    fn enqueue(&mut self, loc: MemLocation, addr: u64, bytes: u64, write: bool) {
+        debug_assert!(bytes > 0);
+        self.queue.push(QueuedAccess {
+            loc,
+            addr,
+            bytes,
+            write,
+        });
+        if self.queue.len() == QUEUE_CAPACITY {
+            self.drain_queue();
+        }
     }
 
     /// Record one data-dependent read of `bytes` at each address of
     /// `addrs`, in order: the same accounting as one [`Gpu::touch_read`]
-    /// per address, resolved in one pass of the line-walk kernel. Callers
-    /// that work out a run of independent reads from host data first (a
-    /// warp's hash-table slot reads) hand the run over here.
+    /// per address, resolved in one pass of the line-walk kernel after the
+    /// queue has drained. Callers that work out a run of independent reads
+    /// from host data first (a warp's hash-table slot reads) hand the run
+    /// over here.
     ///
     /// A GPU batch read untraced and outside an ECC storm needs neither
     /// fault draws nor the location and quarantine checks; when none of
@@ -622,7 +647,7 @@ impl Gpu {
         I: IntoIterator<Item = u64>,
         I::IntoIter: Clone,
     {
-        self.access_lines();
+        self.drain();
         let addrs = addrs.into_iter();
         let line = self.spec.cacheline_bytes;
         if loc == MemLocation::Gpu
@@ -638,50 +663,21 @@ impl Gpu {
         }
     }
 
-    /// Defer a data-dependent read: the access is queued and resolved — in
-    /// program order — by the next [`Gpu::access_lines`] or by any immediate
-    /// accounting call. This is the warp-coalesced issue path: `lockstep`
-    /// collects one round's lane loads and resolves them in one drain,
-    /// touching the memory-system state once per queue instead of once per
-    /// call. Deferral is observationally invisible because data lives in
-    /// host memory (values return immediately) and every observation point
-    /// drains the queue first.
+    /// Account every queued access in program order. Cheap when the queue
+    /// is empty; every entry point that accounts or observes state calls it
+    /// first.
     #[inline]
-    pub fn issue_read(&mut self, loc: MemLocation, addr: u64, bytes: u64) {
-        debug_assert!(bytes > 0);
-        self.issue.push(IssuedAccess {
-            loc,
-            addr,
-            bytes,
-            write: false,
-        });
-    }
-
-    /// Defer a write (see [`Gpu::issue_read`] for the queue semantics).
-    #[inline]
-    pub fn issue_write(&mut self, loc: MemLocation, addr: u64, bytes: u64) {
-        self.issue.push(IssuedAccess {
-            loc,
-            addr,
-            bytes,
-            write: true,
-        });
-    }
-
-    /// Resolve every queued access in issue (= program) order. Idempotent
-    /// and cheap when the queue is empty.
-    #[inline]
-    pub fn access_lines(&mut self) {
-        if !self.issue.is_empty() {
-            self.drain_issue_queue();
+    fn drain(&mut self) {
+        if !self.queue.is_empty() {
+            self.drain_queue();
         }
     }
 
-    /// The cold path of [`Gpu::access_lines`]: maximal runs of queued reads
-    /// go through the line-walk kernel together; interleaved writes are
-    /// applied in place so program order holds.
-    fn drain_issue_queue(&mut self) {
-        let mut queue = std::mem::take(&mut self.issue);
+    /// The body of [`Gpu::drain`]: maximal runs of queued reads go through
+    /// the line-walk kernel together; interleaved writes are accounted in
+    /// place so program order holds.
+    fn drain_queue(&mut self) {
+        let mut queue = std::mem::take(&mut self.queue);
         let mut i = 0;
         while i < queue.len() {
             let req = queue[i];
@@ -697,9 +693,9 @@ impl Gpu {
             self.read_requests(queue[i..run_end].iter().map(|r| (r.loc, r.addr, r.bytes)));
             i = run_end;
         }
-        // Hand the allocation back so steady-state issue never reallocates.
+        // Hand the allocation back so queueing never reallocates.
         queue.clear();
-        self.issue = queue;
+        self.queue = queue;
     }
 
     /// Account program-ordered read requests `(loc, addr, bytes)`. Every
@@ -877,18 +873,7 @@ impl Gpu {
         *last_line = last;
     }
 
-    /// Record a device-side write of `bytes` at `addr`. Writes are modeled
-    /// as streaming stores (no write-allocate): GPU kernels in this domain
-    /// write results and partitions once and never read them back through
-    /// the same kernel's caches.
-    #[inline]
-    pub fn touch_write(&mut self, loc: MemLocation, addr: u64, bytes: u64) {
-        self.access_lines();
-        self.write_accounting(loc, addr, bytes);
-    }
-
-    /// The accounting body shared by [`Gpu::touch_write`] and the issued
-    /// write path (which must not re-drain the queue mid-replay).
+    /// The accounting of one queued write.
     #[inline]
     fn write_accounting(&mut self, loc: MemLocation, addr: u64, bytes: u64) {
         if let Some(trace) = &mut self.trace {
@@ -912,7 +897,7 @@ impl Gpu {
     /// do not thrash it (§4.3.1).
     #[inline]
     pub fn stream_read(&mut self, loc: MemLocation, addr: u64, bytes: u64) {
-        self.access_lines();
+        self.drain();
         debug_assert!(bytes > 0);
         if let Some(trace) = &mut self.trace {
             trace.record(TraceEvent::StreamRead { loc, addr, bytes });
@@ -950,27 +935,23 @@ impl Gpu {
     /// Record a kernel launch.
     #[inline]
     pub fn kernel_launch(&mut self) {
-        self.access_lines();
+        self.drain();
         self.counters.kernel_launches += 1;
         if let Some(trace) = &mut self.trace {
             trace.record(TraceEvent::KernelLaunch);
         }
     }
 
-    /// Snapshot the counters (use with `-` for interval deltas).
-    ///
-    /// # Panics
-    ///
-    /// If issued accesses are still queued (see [`Gpu::counters`]).
-    pub fn snapshot(&self) -> Counters {
-        assert!(self.issue.is_empty(), "issued accesses not yet resolved");
-        self.counters
+    /// Snapshot the counters (use with `-` for interval deltas); queued
+    /// accesses are accounted first, as in [`Gpu::counters`].
+    pub fn snapshot(&mut self) -> Counters {
+        self.counters()
     }
 
     /// Flush TLB and caches (cold start between queries). Counters are kept;
     /// take snapshots to measure intervals.
     pub fn reset_memory_system(&mut self) {
-        self.access_lines();
+        self.drain();
         self.tlb.flush();
         self.l1.flush();
         self.l2.flush();
@@ -984,12 +965,6 @@ impl Gpu {
     /// multi-query session's footprint stays constant).
     pub fn missed_page_slots(&self) -> usize {
         self.missed_pages.capacity()
-    }
-
-    /// Whether the page holding `addr` currently has a cached translation
-    /// (diagnostic; no side effects).
-    pub fn tlb_resident(&self, addr: u64) -> bool {
-        self.tlb.is_resident(addr)
     }
 
     /// TLB traffic for a (possibly multi-page) sequential or write access.
@@ -1312,15 +1287,16 @@ mod tests {
         assert!(g.chaos_schedule().is_empty());
     }
 
-    /// Observing counters with accesses still queued would return stale
-    /// numbers; release builds refuse it too.
+    /// A read still waiting in the queue is accounted before the counters
+    /// are observed.
     #[test]
-    #[should_panic(expected = "issued accesses not yet resolved")]
-    fn counters_refuse_pending_issued_accesses() {
+    fn counters_include_a_queued_read() {
         let mut g = gpu();
         let buf = g.alloc_host_from_vec(vec![0u64; 16]);
-        let _ = buf.read_issued(&mut g, 0);
-        let _ = g.snapshot();
+        let _ = buf.read(&mut g, 0);
+        let c = g.counters();
+        assert_eq!(c.ic_lines_random, 1);
+        assert_eq!(c.tlb_misses, 1);
     }
 
     #[test]

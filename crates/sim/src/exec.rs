@@ -42,9 +42,8 @@ pub fn warps_of(items: Range<usize>) -> impl Iterator<Item = Range<usize>> {
 /// Unfinished lanes are kept in a compacted active list (stable, so lane
 /// order — and therefore the interleaving that produces TLB thrashing — is
 /// preserved), instead of rescanning all `MAX_LANES` done-flags each round.
-/// After each round the lanes' deferred loads ([`crate::Buffer::read_issued`])
-/// are resolved in lane order via [`Gpu::access_lines`], so a warp's round
-/// becomes one batched pass over the memory system.
+/// The lanes' loads join the engine's access queue in lane order, so rounds
+/// are accounted in batches without the loop choosing when.
 pub fn lockstep<L, F>(gpu: &mut Gpu, lanes: &mut [L], mut step: F)
 where
     F: FnMut(&mut Gpu, &mut L) -> bool,
@@ -69,7 +68,6 @@ where
             }
         }
         remaining = kept;
-        gpu.access_lines();
     }
 }
 
@@ -198,16 +196,16 @@ mod tests {
     }
 
     #[test]
-    fn issued_reads_resolve_in_lane_order_each_round() {
+    fn reads_resolve_in_lane_order_each_round() {
         let mut gpu = Gpu::new(GpuSpec::v100_nvlink2(Scale::PAPER));
         let line = gpu.spec().cacheline_bytes as usize / 8;
         let buf = gpu.alloc_host_from_vec(vec![0u64; 64 * line]);
         gpu.start_trace(1 << 12);
-        // Each lane reads its own line once; with deferred issue the drain
-        // must replay them in lane order.
+        // Each lane reads its own line once; the queue must account them in
+        // lane order.
         let mut lanes: Vec<usize> = (0..8).collect();
         lockstep(&mut gpu, &mut lanes, |gpu, lane| {
-            let _ = buf.read_issued(gpu, *lane * line);
+            let _ = buf.read(gpu, *lane * line);
             true
         });
         let trace = gpu.stop_trace();

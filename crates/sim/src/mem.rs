@@ -7,7 +7,10 @@
 //! relations and indexes, [`MemLocation::Gpu`] for device-resident state such
 //! as hash tables and partition buffers). Every device-side access goes
 //! through the [`Gpu`] engine, which drives the
-//! TLB/cache/interconnect models; host-side accessors (`host`, `host_mut`)
+//! TLB/cache/interconnect models. Values return at once (data is
+//! host-resident) while single reads and writes are accounted when the
+//! engine's access queue drains, in program order; host-side accessors
+//! (`host`, `host_mut`)
 //! bypass accounting and model work the CPU does ahead of query time, such
 //! as bulk-loading an index (§3.2: "we assume the index already exists when
 //! the query is run").
@@ -137,7 +140,8 @@ impl<T: Copy> Buffer<T> {
         self.base + (i * size_of::<T>()) as u64
     }
 
-    /// Device-side read of element `i`: counted by the memory system.
+    /// Device-side read of element `i`: counted by the memory system (see
+    /// [`Gpu::touch_read`]).
     #[inline]
     pub fn read(&self, gpu: &mut Gpu, i: usize) -> T {
         gpu.touch_read(self.loc, self.addr_of(i), size_of::<T>() as u64);
@@ -153,7 +157,7 @@ impl<T: Copy> Buffer<T> {
     }
 
     /// Device-side reads of `count` contiguous elements at each index of
-    /// `starts`, accounted in order in one call (see
+    /// `starts`, accounted in order in one call, after the queue (see
     /// [`Gpu::touch_read_batch`]). Returns nothing: a caller batching reads
     /// has already read the values through [`Buffer::host`].
     #[inline]
@@ -162,25 +166,8 @@ impl<T: Copy> Buffer<T> {
         gpu.touch_read_batch(self.loc, bytes, starts.iter().map(|&i| self.addr_of(i)));
     }
 
-    /// Device-side read of element `i` on the warp-coalesced issue path:
-    /// the value returns immediately (data is host-resident) while the
-    /// memory-system accounting is queued for the next
-    /// [`Gpu::access_lines`] drain — in program order, so counters, traces,
-    /// and fault draws are byte-identical to [`Buffer::read`].
-    #[inline]
-    pub fn read_issued(&self, gpu: &mut Gpu, i: usize) -> T {
-        gpu.issue_read(self.loc, self.addr_of(i), size_of::<T>() as u64);
-        self.data.as_slice()[i]
-    }
-
-    /// Coalesced-range variant of [`Buffer::read_issued`].
-    #[inline]
-    pub fn read_range_issued(&self, gpu: &mut Gpu, i: usize, count: usize) -> &[T] {
-        gpu.issue_read(self.loc, self.addr_of(i), (count * size_of::<T>()) as u64);
-        &self.data.as_slice()[i..i + count]
-    }
-
-    /// Device-side write of element `i`: counted by the memory system.
+    /// Device-side write of element `i`: counted by the memory system (see
+    /// [`Gpu::touch_write`]).
     #[inline]
     pub fn write(&mut self, gpu: &mut Gpu, i: usize, value: T) {
         gpu.touch_write(self.loc, self.addr_of(i), size_of::<T>() as u64);
@@ -192,15 +179,6 @@ impl<T: Copy> Buffer<T> {
     #[inline]
     pub fn write_range(&mut self, gpu: &mut Gpu, i: usize, values: &[T]) {
         gpu.touch_write(self.loc, self.addr_of(i), size_of_val(values) as u64);
-        self.data.as_mut_slice()[i..i + values.len()].copy_from_slice(values);
-    }
-
-    /// Coalesced write on the issue path: data lands immediately, the
-    /// accounting is deferred to the next [`Gpu::access_lines`] drain (see
-    /// [`Buffer::read_issued`]).
-    #[inline]
-    pub fn write_range_issued(&mut self, gpu: &mut Gpu, i: usize, values: &[T]) {
-        gpu.issue_write(self.loc, self.addr_of(i), size_of_val(values) as u64);
         self.data.as_mut_slice()[i..i + values.len()].copy_from_slice(values);
     }
 
@@ -230,14 +208,6 @@ impl<T: Copy> Buffer<T> {
     /// first (copy-on-write).
     pub fn host_mut(&mut self) -> &mut [T] {
         self.data.as_mut_slice()
-    }
-
-    /// Consume the buffer and return the host data (copies when shared).
-    pub fn into_host(self) -> Vec<T> {
-        match self.data {
-            Storage::Owned(v) => v,
-            Storage::Shared(a) => a.to_vec(),
-        }
     }
 }
 

@@ -130,7 +130,7 @@ pub struct PhaseRecorder {
 
 impl PhaseRecorder {
     /// Start recording at the GPU's current counter snapshot.
-    pub fn start(gpu: &Gpu) -> Self {
+    pub fn start(gpu: &mut Gpu) -> Self {
         let snap = gpu.snapshot();
         PhaseRecorder {
             first: snap,
@@ -159,7 +159,7 @@ impl PhaseRecorder {
 
     /// Open a span for `phase`, closing the previously open span (or
     /// attributing the gap since the last close to [`phase::OTHER`]).
-    pub fn begin(&mut self, gpu: &Gpu, phase: &'static str) {
+    pub fn begin(&mut self, gpu: &mut Gpu, phase: &'static str) {
         let now = gpu.snapshot();
         let prev = self.open.take().unwrap_or(phase::OTHER);
         self.close_through(now, prev);
@@ -168,7 +168,7 @@ impl PhaseRecorder {
 
     /// Close the currently open span at the GPU's current snapshot. A
     /// no-op watermark advance if no span is open and no events occurred.
-    pub fn end(&mut self, gpu: &Gpu) {
+    pub fn end(&mut self, gpu: &mut Gpu) {
         let now = gpu.snapshot();
         let prev = self.open.take().unwrap_or(phase::OTHER);
         self.close_through(now, prev);
@@ -182,7 +182,7 @@ impl PhaseRecorder {
     /// Close any open span and aggregate everything recorded into a
     /// [`PhaseBreakdown`] whose `total` is the exact end-to-end delta of
     /// the recorded region.
-    pub fn finish(mut self, gpu: &Gpu) -> PhaseBreakdown {
+    pub fn finish(mut self, gpu: &mut Gpu) -> PhaseBreakdown {
         self.end(gpu);
         let mut phases: Vec<PhaseStats> = Vec::new();
         for span in &self.spans {
@@ -227,23 +227,23 @@ mod tests {
     fn spans_partition_the_counter_stream() {
         let mut gpu = gpu();
         let data = gpu.alloc_host_from_vec((0u64..4096).collect::<Vec<_>>());
-        let mut rec = PhaseRecorder::start(&gpu);
+        let mut rec = PhaseRecorder::start(&mut gpu);
 
-        rec.begin(&gpu, phase::PARTITION);
+        rec.begin(&mut gpu, phase::PARTITION);
         for i in 0..64 {
             data.read(&mut gpu, i * 7 % 4096);
         }
-        rec.begin(&gpu, phase::LOOKUP);
+        rec.begin(&mut gpu, phase::LOOKUP);
         for i in 0..128 {
             data.read(&mut gpu, (i * 131) % 4096);
         }
         gpu.count_lookups(128);
-        rec.end(&gpu);
+        rec.end(&mut gpu);
         // Gap activity between end and finish goes to OTHER.
         data.read(&mut gpu, 0);
 
         let before_finish = gpu.snapshot();
-        let bd = rec.finish(&gpu);
+        let bd = rec.finish(&mut gpu);
         assert_eq!(bd.total, before_finish - Counters::default());
         assert_eq!(bd.counter_sum(), bd.total, "span-sum invariant");
         assert!(bd.get(phase::PARTITION).is_some());
@@ -257,9 +257,9 @@ mod tests {
 
     #[test]
     fn empty_recorder_is_all_zero() {
-        let gpu = gpu();
-        let rec = PhaseRecorder::start(&gpu);
-        let bd = rec.finish(&gpu);
+        let mut gpu = gpu();
+        let rec = PhaseRecorder::start(&mut gpu);
+        let bd = rec.finish(&mut gpu);
         assert!(bd.phases.is_empty());
         assert_eq!(bd.total, Counters::default());
         assert_eq!(bd.total_est_s, 0.0);
@@ -272,17 +272,17 @@ mod tests {
         let data = gpu
             .alloc_from_vec(MemLocation::Gpu, (0u64..1024).collect::<Vec<_>>())
             .expect("fits HBM budget");
-        let mut rec = PhaseRecorder::start(&gpu);
+        let mut rec = PhaseRecorder::start(&mut gpu);
         for round in 0..3 {
-            rec.begin(&gpu, phase::LOOKUP);
+            rec.begin(&mut gpu, phase::LOOKUP);
             for i in 0..16 {
                 data.read(&mut gpu, (round * 16 + i) % 1024);
             }
-            rec.end(&gpu);
+            rec.end(&mut gpu);
         }
         let spans = rec.spans().len();
         assert_eq!(spans, 3);
-        let bd = rec.finish(&gpu);
+        let bd = rec.finish(&mut gpu);
         assert_eq!(bd.phases.len(), 1);
         let lookup = bd.get(phase::LOOKUP).unwrap();
         assert_eq!(lookup.spans, 3);

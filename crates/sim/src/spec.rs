@@ -372,25 +372,6 @@ impl GpuSpec {
         self
     }
 
-    /// Replace the interconnect (for what-if studies).
-    pub fn with_interconnect(mut self, ic: InterconnectSpec) -> Self {
-        self.interconnect = ic;
-        self
-    }
-
-    /// Override the device-memory capacity budget (simulated bytes) — used
-    /// by capacity what-if studies and the fault-tolerance stress tests.
-    pub fn with_hbm_bytes(mut self, hbm_bytes: u64) -> Self {
-        self.hbm_bytes = hbm_bytes;
-        self
-    }
-
-    /// Override the default access-trace capacity bound (in events).
-    pub fn with_trace_capacity(mut self, trace_capacity: usize) -> Self {
-        self.trace_capacity = trace_capacity;
-        self
-    }
-
     /// The address range covered by the TLB, in simulated bytes
     /// (entries × page size). 32 MiB for the scaled V100 preset,
     /// representing the paper's 32 GiB.

@@ -1,20 +1,23 @@
-//! Differential equivalence suite for the engine's read paths.
+//! Differential equivalence suite for the engine's access queue.
 //!
-//! The engine has three ways to account a data-dependent read: the
-//! immediate entry point (`touch_read`), the issue queue (`issue_read` +
-//! `access_lines`) that `lockstep` and the warp-cooperative index loops
-//! use, and the batch entry point (`touch_read_batch`) that the hash-table
-//! probe uses. Because every immediate accounting call drains the queue
-//! first, global accounting order equals program order exactly — so
-//! counters, trace events, and fault draws must come out byte-identical
-//! however the same access stream is split between the paths.
+//! Single reads and writes (`touch_read`, `touch_write`) join the engine's
+//! access queue, which drains when full and before every other entry point
+//! accounts or observes anything; runs of hash-table slot reads take the
+//! batch entry point (`touch_read_batch`), which drains the queue first.
+//! Global accounting order therefore equals program order however often
+//! the counters are observed, so counters, trace events and fault draws
+//! must come out byte-identical whatever the drain points.
 //!
 //! These tests drive random interleavings of reads, writes, streams,
-//! drains, and memory-system resets over a CPU-located and a GPU-located
-//! buffer through three twin GPUs, calm and under chaos windows and fault
-//! plans, and assert the twins never diverge. All three paths share one
-//! line-walk kernel, so `line_walk_oracle.rs` checks that kernel against
-//! an independent reference model.
+//! observations and memory-system resets over a CPU-located and a
+//! GPU-located buffer through three twin GPUs: an *eager* twin that takes a
+//! snapshot after every op (its queue never holds more than one access), a
+//! *lazy* twin observed only at the observation ops and at the end (its
+//! queue drains when full or at the next other entry point), and a *batch*
+//! twin that groups reads into `touch_read_batch` calls. They run calm and
+//! under chaos windows and fault plans, and the twins may never diverge.
+//! All paths share one line-walk kernel, so `line_walk_oracle.rs` checks
+//! that kernel against an independent reference model.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -116,12 +119,12 @@ impl OpenBatch {
 }
 
 /// Replay `ops` on the three twins. `(sel, i, bytes)` decodes to an access
-/// at element `i`: CPU reads (0–59) and GPU reads (60–69) — immediate,
-/// issued, and grouped into same-location, same-width batches — CPU
-/// writes (70–74) and GPU writes (75–79), immediate vs issued; streaming
-/// reads (80–86, immediate everywhere, so they drain the queue and close
-/// the batch); explicit drain points (87–94, which also close the batch);
-/// and full memory-system resets (95–99).
+/// at element `i`: CPU reads (0–59) and GPU reads (60–69) — single on the
+/// eager and lazy twins, grouped into same-location, same-width batches on
+/// the batch twin — CPU writes (70–74) and GPU writes (75–79); streaming
+/// reads (80–86, which drain the queue and close the batch); observation
+/// points (87–94: every twin's counters are read and compared, which also
+/// closes the batch); and full memory-system resets (95–99).
 fn replay(traced: bool, ops: &[(u8, usize, u64)]) {
     replay_sized(Env::Calm, N, traced, ops);
 }
@@ -129,20 +132,21 @@ fn replay(traced: bool, ops: &[(u8, usize, u64)]) {
 /// `replay` under `env` with a caller-sized CPU buffer (for streams wider
 /// than one page). Returns the twins' common counters.
 fn replay_sized(env: Env, elems: usize, traced: bool, ops: &[(u8, usize, u64)]) -> Counters {
-    let mut imm = twin(env, elems);
-    let mut iss = twin(env, elems);
+    let mut eager = twin(env, elems);
+    let mut lazy = twin(env, elems);
     let mut bat = twin(env, elems);
     assert_eq!(
-        (imm.cpu_base, imm.gpu_base),
-        (iss.cpu_base, iss.gpu_base),
+        (eager.cpu_base, eager.gpu_base),
+        (lazy.cpu_base, lazy.gpu_base),
         "twin allocators must agree on addresses"
     );
     if traced {
-        for t in [&mut imm, &mut iss, &mut bat] {
+        for t in [&mut eager, &mut lazy, &mut bat] {
             t.gpu.start_trace(TRACE_CAP);
         }
     }
     let mut batch = OpenBatch::default();
+    let mut seen = eager.gpu.snapshot();
     for &(sel, i, bytes) in ops {
         let loc = if (60..=69).contains(&sel) || (75..=79).contains(&sel) {
             MemLocation::Gpu
@@ -150,52 +154,56 @@ fn replay_sized(env: Env, elems: usize, traced: bool, ops: &[(u8, usize, u64)]) 
             MemLocation::Cpu
         };
         let addr = match loc {
-            MemLocation::Cpu => imm.cpu_base + (i * 8) as u64,
+            MemLocation::Cpu => eager.cpu_base + (i * 8) as u64,
             // Keep the span inside the (smaller) device buffer.
             MemLocation::Gpu => {
                 let bytes_elems = bytes.div_ceil(8) as usize;
-                let room = imm.gpu_elems - bytes_elems.min(imm.gpu_elems);
-                imm.gpu_base + ((i % room.max(1)) * 8) as u64
+                let room = eager.gpu_elems - bytes_elems.min(eager.gpu_elems);
+                eager.gpu_base + ((i % room.max(1)) * 8) as u64
             }
         };
         match sel {
             0..=69 => {
-                imm.gpu.touch_read(loc, addr, bytes);
-                iss.gpu.issue_read(loc, addr, bytes);
+                eager.gpu.touch_read(loc, addr, bytes);
+                lazy.gpu.touch_read(loc, addr, bytes);
                 batch.push(&mut bat.gpu, loc, bytes, addr);
             }
             70..=79 => {
-                imm.gpu.touch_write(loc, addr, bytes);
-                iss.gpu.issue_write(loc, addr, bytes);
+                eager.gpu.touch_write(loc, addr, bytes);
+                lazy.gpu.touch_write(loc, addr, bytes);
                 batch.flush(&mut bat.gpu);
                 bat.gpu.touch_write(loc, addr, bytes);
             }
             80..=86 => {
-                imm.gpu.stream_read(loc, addr, bytes);
-                iss.gpu.stream_read(loc, addr, bytes);
+                eager.gpu.stream_read(loc, addr, bytes);
+                lazy.gpu.stream_read(loc, addr, bytes);
                 batch.flush(&mut bat.gpu);
                 bat.gpu.stream_read(loc, addr, bytes);
             }
             87..=94 => {
-                iss.gpu.access_lines(); // immediate path has nothing queued
                 batch.flush(&mut bat.gpu);
+                assert_eq!(seen, lazy.gpu.counters(), "lazy twin diverged ({env:?})");
+                assert_eq!(seen, bat.gpu.counters(), "batch twin diverged ({env:?})");
             }
             _ => {
                 batch.flush(&mut bat.gpu);
-                for t in [&mut imm, &mut iss, &mut bat] {
+                for t in [&mut eager, &mut lazy, &mut bat] {
                     t.gpu.reset_memory_system();
                 }
             }
         }
+        // The eager twin observes after every op, so its queue never holds
+        // more than one access.
+        seen = eager.gpu.snapshot();
     }
     batch.flush(&mut bat.gpu);
-    iss.gpu.access_lines();
-    let c = imm.gpu.counters();
-    assert_eq!(c, iss.gpu.counters(), "issued path diverged ({env:?})");
-    assert_eq!(c, bat.gpu.counters(), "batch path diverged ({env:?})");
+    let c = eager.gpu.counters();
+    assert_eq!(c, seen);
+    assert_eq!(c, lazy.gpu.counters(), "lazy twin diverged ({env:?})");
+    assert_eq!(c, bat.gpu.counters(), "batch twin diverged ({env:?})");
     if traced {
-        let ta = imm.gpu.stop_trace();
-        for (name, t) in [("issued", &mut iss), ("batch", &mut bat)] {
+        let ta = eager.gpu.stop_trace();
+        for (name, t) in [("lazy", &mut lazy), ("batch", &mut bat)] {
             let tb = t.gpu.stop_trace();
             assert_eq!(ta.offered(), tb.offered(), "{name} ({env:?})");
             assert_eq!(ta.events(), tb.events(), "{name} trace differs ({env:?})");
@@ -215,10 +223,10 @@ fn quantized(ops: &[(u8, usize, u64)]) -> Vec<(u8, usize, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random interleavings of reads/writes/streams/drains/resets must
-    /// produce identical counters on the immediate and issued paths.
+    /// Random interleavings of reads/writes/streams/observations/resets
+    /// must produce identical counters however often the queue drains.
     #[test]
-    fn batched_issue_matches_immediate_untraced(
+    fn lazy_drains_match_eager_untraced(
         ops in pvec((0u8..100, 0usize..(N - 8), 1u64..=64), 1..300),
     ) {
         replay(false, &ops);
@@ -227,7 +235,7 @@ proptest! {
     /// Same, with the trace recorder installed: the event streams (kinds,
     /// addresses, hit levels, order) must be identical too.
     #[test]
-    fn batched_issue_matches_immediate_traced(
+    fn lazy_drains_match_eager_traced(
         ops in pvec((0u8..100, 0usize..(N - 8), 1u64..=64), 1..300),
     ) {
         replay(true, &ops);
@@ -240,7 +248,7 @@ proptest! {
     /// Quantized widths: runs of same-width reads reach the batch twin as
     /// multi-read batches.
     #[test]
-    fn batched_reads_match_immediate(
+    fn batched_reads_match_eager(
         ops in pvec((0u8..100, 0usize..(N - 8), 0u64..3), 1..300),
         traced in 0u8..2,
     ) {
@@ -250,7 +258,7 @@ proptest! {
 
 /// Every chaos window that changes per-line accounting (ECC storm,
 /// brownout), every one that fires per-request faults (link flap), and an
-/// active fault plan, each traced and untraced: the three paths must draw
+/// active fault plan, each traced and untraced: the three twins must draw
 /// faults per request in program order and account every line alike.
 #[test]
 fn chaos_and_fault_plans_match_on_every_path() {
@@ -299,6 +307,33 @@ fn fixed_streams_match() {
     // Miss-heavy: stride one page per access, wider than TLB + caches.
     let cold: Vec<(u8, usize, u64)> = (0..500).map(|k| (0u8, (k * 512) % (N - 8), 8u64)).collect();
     replay(true, &cold);
+}
+
+/// Runs longer than the queue bound: more than 512 reads with no
+/// observation drain the lazy twin's queue when it fills, at least twice,
+/// and so does a long mix of reads and writes at both locations.
+#[test]
+fn runs_past_the_queue_bound_match() {
+    let reads: Vec<(u8, usize, u64)> = (0..700)
+        .map(|k| (0u8, (k * 37) % (N - 8), [8u64, 16, 64][k % 3]))
+        .collect();
+    replay(true, &reads);
+    replay(false, &reads);
+    let mixed: Vec<(u8, usize, u64)> = (0..1200)
+        .map(|k| {
+            // Reads at both locations with a write every seventh op, at
+            // either location, none of them observed until the end.
+            let sel = match k % 7 {
+                0 => 70 + (k % 10) as u8,
+                3 => 60 + (k % 10) as u8,
+                _ => (k % 60) as u8,
+            };
+            (sel, (k * 131) % (N - 8), [8u64, 16, 64][k % 3])
+        })
+        .collect();
+    replay(true, &mixed);
+    let c = replay_sized(Env::Faults, N, false, &mixed);
+    assert!(c.faults_transfer > 0, "writes and reads must draw faults");
 }
 
 /// Edge lanes of the batched classifier, pinned as fixed anchors: the same
@@ -368,7 +403,7 @@ fn tlb_thrashing_stream_matches() {
 
 /// Cross-page accesses: spans whose byte range straddles a page boundary
 /// must account lines (and TLB entries) on both pages, identically on the
-/// immediate and issued paths — including duplicates inside one batch.
+/// eager and lazy twins — including duplicates inside one batch.
 #[test]
 fn cross_page_accesses_match() {
     let page_elems = GpuSpec::v100_nvlink2(Scale::PAPER).page_bytes as usize / 8;

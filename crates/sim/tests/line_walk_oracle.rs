@@ -2,8 +2,9 @@
 //!
 //! `equivalence.rs` compares the engine's read paths with each other; since
 //! they share one line-walk kernel, a kernel bug would pass it. This suite
-//! compares all three read paths — `touch_read`, issued reads plus a drain,
-//! and the batch entry point — with an independent model written from the
+//! compares both read paths — queued single reads, drained by the queue
+//! bound and by observations, and the batch entry point — with an
+//! independent model written from the
 //! accounting rules: stamp-based LRU for L1, L2 and the TLB, and the
 //! per-line counter rules (L1 hit, L2 hit, device-memory read, or a remote
 //! line with a TLB lookup whose misses split into sweep and thrash).
@@ -216,8 +217,7 @@ fn stream(seed: u64, steps: usize) -> Vec<Step> {
 /// How a run of reads reaches the engine.
 #[derive(Clone, Copy, Debug)]
 enum Path {
-    Touch,
-    Issued,
+    Queued,
     Batch,
 }
 
@@ -236,19 +236,14 @@ fn run_engine(path: Path, steps: &[Step]) -> Counters {
             } => {
                 let buf = if *gpu_side { &dev } else { &host };
                 match path {
-                    Path::Touch => {
+                    Path::Queued => {
                         for &i in starts {
                             buf.read_range(&mut gpu, i, *width);
                         }
-                    }
-                    Path::Issued => {
-                        for &i in starts {
-                            buf.read_range_issued(&mut gpu, i, *width);
-                        }
-                        // Drain every few runs so one drain mixes both
+                        // Observe every few runs so one drain mixes both
                         // buffers and several widths.
                         if k % 3 == 0 {
-                            gpu.access_lines();
+                            gpu.counters();
                         }
                     }
                     Path::Batch => buf.read_batch(&mut gpu, starts, *width),
@@ -256,7 +251,6 @@ fn run_engine(path: Path, steps: &[Step]) -> Counters {
             }
         }
     }
-    gpu.access_lines();
     gpu.counters()
 }
 
@@ -302,7 +296,7 @@ fn every_read_path_matches_the_reference_model() {
             "stream must thrash the TLB"
         );
         assert!(expected.l2_hits > 0 && expected.gpu_bytes_read > 0);
-        for path in [Path::Touch, Path::Issued, Path::Batch] {
+        for path in [Path::Queued, Path::Batch] {
             assert_eq!(
                 run_engine(path, &steps),
                 expected,
@@ -338,7 +332,7 @@ fn single_line_reads_match_the_reference_model() {
         })
         .collect();
     let expected = run_model(&steps);
-    for path in [Path::Touch, Path::Issued, Path::Batch] {
+    for path in [Path::Queued, Path::Batch] {
         assert_eq!(run_engine(path, &steps), expected, "{path:?}");
     }
 }

@@ -219,7 +219,7 @@ fn streaming_join_observability_under_faults() {
     };
     let mut sink = ResultSink::with_capacity(&mut g, s.len(), MemLocation::Gpu).unwrap();
     let mut op = StreamingWindowJoin::new(&mut g, cfg).unwrap();
-    op.set_phase_recorder(Some(PhaseRecorder::start(&g)));
+    op.set_phase_recorder(Some(PhaseRecorder::start(&mut g)));
     let batch: Vec<(u64, u64)> = s
         .keys()
         .iter()
@@ -232,7 +232,10 @@ fn streaming_join_observability_under_faults() {
     op.finish(&mut g, &idx, &mut sink).unwrap();
     let stats = op.stats();
     let timeline = op.timeline().to_vec();
-    let bd = op.take_phase_recorder().map(|rec| rec.finish(&g)).unwrap();
+    let bd = op
+        .take_phase_recorder()
+        .map(|rec| rec.finish(&mut g))
+        .unwrap();
 
     assert_eq!(timeline.len(), stats.windows);
     assert_eq!(timeline.iter().map(|w| w.keys).sum::<usize>(), s.len());
