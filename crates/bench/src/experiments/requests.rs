@@ -1,7 +1,7 @@
 //! The `requests` target: per-request span-tree KPIs across every serving
 //! layer, with a CI tolerance gate.
 //!
-//! Every server in the workspace now threads a [`RequestContext`] through
+//! Every server in the workspace now threads a [`RequestContext`](windex_serve::RequestContext) through
 //! the request lifecycle — admission, scheduler queue, micro-batch
 //! membership, dispatch (with retries, breaker rejects, and degradation
 //! rebuilds), cluster fan-out legs, and the straggler-merge wait — and

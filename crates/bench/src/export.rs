@@ -2,11 +2,12 @@
 //!
 //! Aggregate reports say what a run cost; a timeline says *when*. This
 //! module renders the workspace's observability artifacts — the query
-//! executor's [`PhaseBreakdown`] and [`WindowSpan`] timeline, the server's
-//! [`BatchSpan`] timeline, and the simulator's recorded [`Trace`] (kernel
-//! launches, faults, retries, TLB flushes) — as a Chrome trace-event JSON
-//! file (`chrome://tracing` / [Perfetto](https://ui.perfetto.dev) both load
-//! it directly).
+//! executor's [`PhaseBreakdown`](windex_sim::PhaseBreakdown) and
+//! [`WindowSpan`](windex_core::WindowSpan) timeline, the server's
+//! [`BatchSpan`](windex_serve::BatchSpan) timeline, and the simulator's
+//! recorded [`Trace`] (kernel launches, faults, retries, TLB flushes) — as
+//! a Chrome trace-event JSON file (`chrome://tracing` /
+//! [Perfetto](https://ui.perfetto.dev) both load it directly).
 //!
 //! # Time axis
 //!

@@ -37,7 +37,7 @@ pub struct WindowConfig {
 }
 
 /// Outcome of one windowed-INLJ run. Serializable so serving-layer
-/// reports ([`windex-serve`]'s `ServerReport`) can embed it on the
+/// reports (`windex-serve`'s `ServerReport`) can embed it on the
 /// existing JSON/CSV output path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct WindowStats {

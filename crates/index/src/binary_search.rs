@@ -5,6 +5,11 @@
 //! probe of the lower levels lands on a distinct cacheline *and* page, which
 //! is exactly why this index suffers the worst TLB thrashing in Fig. 4
 //! (~105 translation requests per key at 111 GiB).
+//!
+//! The search is written once, as the per-lane halving step: `lookup_warp`
+//! hands it to `lockstep` and then verifies the lower-bound slot, and
+//! `lower_bound` drives one lane of it in a plain loop and returns the
+//! position.
 
 use crate::traits::{IndexKind, OutOfCoreIndex};
 use std::rc::Rc;
@@ -16,7 +21,9 @@ pub struct BinarySearchIndex {
     data: Rc<Buffer<u64>>,
 }
 
-#[derive(Debug, Clone, Copy)]
+/// One lane's lower-bound search: the half-open position range still in
+/// play.
+#[derive(Debug, Clone, Copy, Default)]
 struct Lane {
     key: u64,
     lo: usize,
@@ -36,6 +43,30 @@ impl BinarySearchIndex {
     pub fn data(&self) -> &Rc<Buffer<u64>> {
         &self.data
     }
+
+    fn lane(&self, key: u64) -> Lane {
+        Lane {
+            key,
+            hi: self.data.len(),
+            ..Default::default()
+        }
+    }
+
+    /// One round of the search: a single halving probe, or the lane's
+    /// lower-bound position, without a read, once the range is empty.
+    #[inline(always)]
+    fn step(&self, gpu: &mut Gpu, lane: &mut Lane) -> Option<usize> {
+        if lane.lo >= lane.hi {
+            return Some(lane.lo);
+        }
+        let mid = lane.lo + (lane.hi - lane.lo) / 2;
+        if self.data.read(gpu, mid) < lane.key {
+            lane.lo = mid + 1;
+        } else {
+            lane.hi = mid;
+        }
+        None
+    }
 }
 
 impl OutOfCoreIndex for BinarySearchIndex {
@@ -50,34 +81,16 @@ impl OutOfCoreIndex for BinarySearchIndex {
     fn lookup_warp(&self, gpu: &mut Gpu, keys: &[u64], out: &mut [Option<u64>]) {
         assert!(keys.len() <= WARP_SIZE);
         assert!(out.len() >= keys.len());
-        let n = self.data.len();
-        let mut lanes: Vec<Lane> = keys
-            .iter()
-            .map(|&key| Lane {
-                key,
-                lo: 0,
-                hi: n,
-                result: None,
-            })
-            .collect();
-        let data = &self.data;
+        let mut lanes: Vec<Lane> = keys.iter().map(|&key| self.lane(key)).collect();
         lockstep(gpu, &mut lanes, |gpu, lane| {
-            if lane.lo < lane.hi {
-                // One halving step: a single data-dependent probe.
-                let mid = lane.lo + (lane.hi - lane.lo) / 2;
-                if data.read(gpu, mid) < lane.key {
-                    lane.lo = mid + 1;
-                } else {
-                    lane.hi = mid;
-                }
-                false
-            } else {
-                // Search exhausted: verify the lower-bound slot.
-                if lane.lo < n && data.read(gpu, lane.lo) == lane.key {
-                    lane.result = Some(lane.lo as u64);
-                }
-                true
+            let Some(pos) = self.step(gpu, lane) else {
+                return false;
+            };
+            // Search exhausted: verify the lower-bound slot.
+            if pos < self.data.len() && self.data.read(gpu, pos) == lane.key {
+                lane.result = Some(pos as u64);
             }
+            true
         });
         for (o, lane) in out.iter_mut().zip(&lanes) {
             *o = lane.result;
@@ -86,17 +99,12 @@ impl OutOfCoreIndex for BinarySearchIndex {
     }
 
     fn lower_bound(&self, gpu: &mut Gpu, key: u64) -> u64 {
-        let n = self.data.len();
-        let (mut lo, mut hi) = (0usize, n);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.data.read(gpu, mid) < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+        let mut lane = self.lane(key);
+        loop {
+            if let Some(pos) = self.step(gpu, &mut lane) {
+                return pos as u64;
             }
         }
-        lo as u64
     }
 
     fn aux_bytes(&self) -> u64 {

@@ -18,6 +18,12 @@
 //!
 //! Internal separators follow the "first key of the right subtree"
 //! convention: child `i` holds keys in `[sep[i], sep[i+1])`.
+//!
+//! The descent is written once, as the per-lane step (header read, probes
+//! within the node, child fetch): `lookup_warp` hands it to `lockstep` and
+//! then verifies the leaf slot and fetches its rid; `lower_bound` drives
+//! one lane of it in a plain loop and reads the rid at the slot, or the
+//! first rid of the next leaf.
 
 use crate::traits::{IndexKind, OutOfCoreIndex};
 use windex_sim::{lockstep, Buffer, Gpu, WARP_SIZE};
@@ -207,6 +213,12 @@ impl BPlusTree {
         self.nodes.host()[self.base(node)] as usize
     }
 
+    /// The node's keys (leaf) or separators (internal).
+    fn keys(&self, node: u64) -> &[u64] {
+        let base = self.base(node);
+        &self.nodes.host()[base + 1..base + 1 + self.count(node)]
+    }
+
     fn key_at(&self, node: u64, i: usize) -> u64 {
         self.nodes.host()[self.base(node) + 1 + i]
     }
@@ -266,10 +278,7 @@ impl BPlusTree {
         let count = self.count(node);
         if level == 1 {
             // Leaf: find the slot.
-            let mut pos = 0;
-            while pos < count && self.key_at(node, pos) < key {
-                pos += 1;
-            }
+            let pos = self.keys(node).partition_point(|&k| k < key);
             if pos < count && self.key_at(node, pos) == key {
                 return Err(IndexError::DuplicateKey(key));
             }
@@ -294,28 +303,15 @@ impl BPlusTree {
             host[rb + 2 * kc + 1] = host[lb + 2 * kc + 1];
             host[lb + 2 * kc + 1] = right;
             let sep = self.key_at(right, 0);
-            if key < sep {
-                let mut p = 0;
-                while p < self.count(node) && self.key_at(node, p) < key {
-                    p += 1;
-                }
-                self.leaf_insert_at(node, p, key, rid);
-            } else {
-                let mut p = 0;
-                while p < self.count(right) && self.key_at(right, p) < key {
-                    p += 1;
-                }
-                self.leaf_insert_at(right, p, key, rid);
-            }
+            let half = if key < sep { node } else { right };
+            let pos = self.keys(half).partition_point(|&k| k < key);
+            self.leaf_insert_at(half, pos, key, rid);
             self.len += 1;
             return Ok(Some((sep, right)));
         }
 
         // Internal: route to the child.
-        let mut ci = 0;
-        while ci < count && self.key_at(node, ci) <= key {
-            ci += 1;
-        }
+        let ci = self.keys(node).partition_point(|&k| k <= key);
         let child = self.child_at(node, ci);
         let Some((sep, new_child)) = self.insert_rec(child, level - 1, key, rid)? else {
             return Ok(None);
@@ -413,10 +409,7 @@ impl BPlusTree {
     fn remove_rec(&mut self, node: u64, level: u32, key: u64) -> Result<u64, IndexError> {
         let count = self.count(node);
         if level == 1 {
-            let mut pos = 0;
-            while pos < count && self.key_at(node, pos) < key {
-                pos += 1;
-            }
+            let pos = self.keys(node).partition_point(|&k| k < key);
             if pos >= count || self.key_at(node, pos) != key {
                 return Err(IndexError::KeyNotFound(key));
             }
@@ -432,10 +425,7 @@ impl BPlusTree {
             return Ok(rid);
         }
         // Route to the child, delete there, then fix any underflow.
-        let mut ci = 0;
-        while ci < count && self.key_at(node, ci) <= key {
-            ci += 1;
-        }
+        let ci = self.keys(node).partition_point(|&k| k <= key);
         let child = self.child_at(node, ci);
         let rid = self.remove_rec(child, level - 1, key)?;
         if self.count(child) < self.min_fill() {
@@ -615,16 +605,71 @@ impl BPlusTree {
     }
 }
 
-/// Per-lane traversal state for the lockstep lookup.
-#[derive(Debug, Clone, Copy)]
+/// One lane's descent: the node it is in, that node's level, and the
+/// binary search within the node.
+#[derive(Debug, Clone, Copy, Default)]
 struct Lane {
     key: u64,
     node: u64,
     level: u32,
+    /// The node's key count, once its header is read.
+    count: Option<u32>,
     lo: u32,
     hi: u32,
-    header_loaded: bool,
     result: Option<u64>,
+}
+
+impl BPlusTree {
+    fn lane(&self, key: u64) -> Lane {
+        Lane {
+            key,
+            node: self.root,
+            level: self.height,
+            ..Default::default()
+        }
+    }
+
+    /// One round of the descent: a node's header read, one binary-search
+    /// probe within the node, or the child fetch. Once the lane's search
+    /// in its leaf is done it returns the lower-bound slot there, without
+    /// a read.
+    #[inline(always)]
+    fn step(&self, gpu: &mut Gpu, lane: &mut Lane) -> Option<usize> {
+        let base = self.base(lane.node);
+        if lane.count.is_none() {
+            let count = self.nodes.read(gpu, base) as u32;
+            lane.count = Some(count);
+            lane.lo = 0;
+            lane.hi = count;
+            return None;
+        }
+        if lane.lo < lane.hi {
+            // One binary-search probe within the node.
+            let mid = lane.lo + (lane.hi - lane.lo) / 2;
+            let k = self.nodes.read(gpu, base + 1 + mid as usize);
+            let go_right = if lane.level > 1 {
+                k <= lane.key // upper bound over separators
+            } else {
+                k < lane.key // lower bound over leaf keys
+            };
+            if go_right {
+                lane.lo = mid + 1;
+            } else {
+                lane.hi = mid;
+            }
+            return None;
+        }
+        if lane.level > 1 {
+            // Descend: child pointer at the lower-bound position.
+            lane.node = self
+                .nodes
+                .read(gpu, base + 1 + self.key_cap + lane.lo as usize);
+            lane.level -= 1;
+            lane.count = None;
+            return None;
+        }
+        Some(lane.lo as usize)
+    }
 }
 
 impl OutOfCoreIndex for BPlusTree {
@@ -639,57 +684,17 @@ impl OutOfCoreIndex for BPlusTree {
     fn lookup_warp(&self, gpu: &mut Gpu, keys: &[u64], out: &mut [Option<u64>]) {
         assert!(keys.len() <= WARP_SIZE);
         assert!(out.len() >= keys.len());
-        let slots = self.slots_per_node;
         let kc = self.key_cap;
-        let mut lanes: Vec<Lane> = keys
-            .iter()
-            .map(|&key| Lane {
-                key,
-                node: self.root,
-                level: self.height,
-                lo: 0,
-                hi: 0,
-                header_loaded: false,
-                result: None,
-            })
-            .collect();
-        let nodes = &self.nodes;
+        let mut lanes: Vec<Lane> = keys.iter().map(|&key| self.lane(key)).collect();
         lockstep(gpu, &mut lanes, |gpu, lane| {
-            let base = lane.node as usize * slots;
-            if !lane.header_loaded {
-                let count = nodes.read(gpu, base) as u32;
-                lane.lo = 0;
-                lane.hi = count;
-                lane.header_loaded = true;
+            let Some(lo) = self.step(gpu, lane) else {
                 return false;
-            }
-            if lane.lo < lane.hi {
-                // One binary-search probe within the node.
-                let mid = lane.lo + (lane.hi - lane.lo) / 2;
-                let k = nodes.read(gpu, base + 1 + mid as usize);
-                let go_right = if lane.level > 1 {
-                    k <= lane.key // upper bound over separators
-                } else {
-                    k < lane.key // lower bound over leaf keys
-                };
-                if go_right {
-                    lane.lo = mid + 1;
-                } else {
-                    lane.hi = mid;
-                }
-                return false;
-            }
-            if lane.level > 1 {
-                // Descend: child pointer at the lower-bound position.
-                lane.node = nodes.read(gpu, base + 1 + kc + lane.lo as usize);
-                lane.level -= 1;
-                lane.header_loaded = false;
-                return false;
-            }
+            };
             // Leaf: verify and fetch the rid.
-            let count = nodes.read(gpu, base) as u32; // cached header line
-            if lane.lo < count && nodes.read(gpu, base + 1 + lane.lo as usize) == lane.key {
-                lane.result = Some(nodes.read(gpu, base + 1 + kc + lane.lo as usize));
+            let base = self.base(lane.node);
+            let count = self.nodes.read(gpu, base) as usize; // cached header line
+            if lo < count && self.nodes.read(gpu, base + 1 + lo) == lane.key {
+                lane.result = Some(self.nodes.read(gpu, base + 1 + kc + lo));
             }
             true
         });
@@ -703,49 +708,28 @@ impl OutOfCoreIndex for BPlusTree {
         if self.len == 0 {
             return 0;
         }
-        let slots = self.slots_per_node;
         let kc = self.key_cap;
-        let mut node = self.root;
-        let mut level = self.height;
-        loop {
-            let base = node as usize * slots;
-            let count = self.nodes.read(gpu, base) as usize;
-            let (mut lo, mut hi) = (0usize, count);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                let k = self.nodes.read(gpu, base + 1 + mid);
-                let go_right = if level > 1 { k <= key } else { k < key };
-                if go_right {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
+        let mut lane = self.lane(key);
+        let lo = loop {
+            if let Some(lo) = self.step(gpu, &mut lane) {
+                break lo;
             }
-            if level > 1 {
-                node = self.nodes.read(gpu, base + 1 + kc + lo);
-                level -= 1;
-                continue;
-            }
-            // Leaf: the lower-bound slot, possibly in the next leaf.
-            if lo < count {
-                return self.nodes.read(gpu, base + 1 + kc + lo);
-            }
-            let next = self.nodes.read(gpu, base + 2 * kc + 1);
-            if next == NONE {
-                return self.len as u64;
-            }
-            // Non-empty by construction: splits leave >= 1 key per leaf.
-            let nbase = next as usize * slots;
-            return self.nodes.read(gpu, nbase + 1 + kc);
+        };
+        // The lower-bound slot, possibly the first of the next leaf.
+        let base = self.base(lane.node);
+        if lane.count.is_some_and(|count| lo < count as usize) {
+            return self.nodes.read(gpu, base + 1 + kc + lo);
         }
+        let next = self.nodes.read(gpu, base + 2 * kc + 1);
+        if next == NONE {
+            return self.len as u64;
+        }
+        // Non-empty by construction: splits leave >= 1 key per leaf.
+        self.nodes.read(gpu, self.base(next) + 1 + kc)
     }
 
     fn aux_bytes(&self) -> u64 {
         self.nodes.size_bytes()
-    }
-
-    fn supports_inserts(&self) -> bool {
-        true
     }
 }
 

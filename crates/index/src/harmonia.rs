@@ -16,6 +16,11 @@
 //! at 111 GiB): each node visit costs the sub-warp one coalesced fetch, and
 //! node visits per key are few because the fanout keeps the tree shallow.
 //!
+//! The descent is written once, as the per-key step (one node search per
+//! level, the leaf's ending with the key's position): `lookup_warp` hands
+//! it to `lockstep` per sub-warp, and `lower_bound` drives it in a plain
+//! loop and returns the position.
+//!
 //! The paper configures 32 keys per node (§3.2). Inserts are supported as
 //! batched merge-rebuilds (§6 recommends Harmonia "if the index must
 //! support inserts and updates"; the original proposes lazy batched
@@ -228,30 +233,58 @@ impl Harmonia {
         Ok(())
     }
 
+    fn root(&self) -> Descent {
+        Descent {
+            node: 0,
+            level: self.height,
+        }
+    }
+
+    /// One round of `key`'s descent: the cooperative search of the node
+    /// at `at`. An internal node then fetches the child through the prefix
+    /// array; the leaf ends the descent with `key`'s lower-bound position
+    /// (positional: leaves are packed) and whether `key` is present.
+    #[inline(always)]
+    fn step(&self, gpu: &mut Gpu, at: &mut Descent, key: u64) -> Option<(u64, bool)> {
+        let found = self.search_node(gpu, at.node, key);
+        if at.level > 1 {
+            let child_base = self.prefix.read(gpu, at.node as usize);
+            at.node = child_base + found.unwrap_or(0) as u64;
+            at.level -= 1;
+            return None;
+        }
+        let rid_base = (at.node - self.first_leaf) * self.nk as u64;
+        Some(match found {
+            // All leaf keys exceed `key`: the leaf's first slot is the bound.
+            None => (rid_base, false),
+            // Last key <= `key`: the bound is that key if it equals `key`,
+            // else one past it (possibly the next leaf's first slot).
+            Some(slot) => {
+                let hit = self.key_region.host()[at.node as usize * self.nk + slot] == key;
+                (rid_base + slot as u64 + u64::from(!hit), hit)
+            }
+        })
+    }
+
     /// Cooperative node search: the sub-warp reads the node's key region
     /// (all its cachelines, coalesced into one access) and computes the
     /// position of the last key ≤ `key`, or `None` if all keys exceed it.
     #[inline]
     fn search_node(&self, gpu: &mut Gpu, node: u64, key: u64) -> Option<usize> {
-        let base = node as usize * self.nk;
-        let slice = self.key_region.read_range(gpu, base, self.nk);
+        let slice = self
+            .key_region
+            .read_range(gpu, node as usize * self.nk, self.nk);
         gpu.op(1); // parallel compare + reduction by the sub-warp
-        scan_node_slice(slice, key)
+        let at_most = slice.iter().take_while(|&&k| k != PAD && k <= key).count();
+        at_most.checked_sub(1)
     }
 }
 
-/// Position of the last key ≤ `key` in a `PAD`-terminated node slice.
-#[inline]
-fn scan_node_slice(slice: &[u64], key: u64) -> Option<usize> {
-    let mut found = None;
-    for (j, &k) in slice.iter().enumerate() {
-        if k != PAD && k <= key {
-            found = Some(j);
-        } else {
-            break;
-        }
-    }
-    found
+/// Where one key's descent stands: a node and its level (1 = leaf).
+#[derive(Debug, Clone, Copy)]
+struct Descent {
+    node: u64,
+    level: u32,
 }
 
 /// One sub-warp's traversal state: a chunk of the warp's keys, processed
@@ -260,8 +293,7 @@ struct Group<'a> {
     keys: &'a [u64],
     results: Vec<Option<u64>>,
     cursor: usize,
-    node: u64,
-    level: u32,
+    at: Descent,
 }
 
 impl OutOfCoreIndex for Harmonia {
@@ -284,8 +316,7 @@ impl OutOfCoreIndex for Harmonia {
                 keys: c,
                 results: Vec::with_capacity(c.len()),
                 cursor: 0,
-                node: 0,
-                level: self.height,
+                at: self.root(),
             })
             .collect();
 
@@ -293,40 +324,20 @@ impl OutOfCoreIndex for Harmonia {
             if g.cursor >= g.keys.len() {
                 return true;
             }
-            let key = g.keys[g.cursor];
-            if g.level > 1 {
-                // Internal node: descend via the prefix array.
-                let slot = self.search_node(gpu, g.node, key).unwrap_or(0);
-                let child_base = self.prefix.read(gpu, g.node as usize);
-                g.node = child_base + slot as u64;
-                g.level -= 1;
+            let Some((pos, hit)) = self.step(gpu, &mut g.at, g.keys[g.cursor]) else {
                 return false;
-            }
-            // Leaf: exact-match check; rid is positional (leaves are packed).
-            let res = self.search_node(gpu, g.node, key).and_then(|slot| {
-                let base = g.node as usize * self.nk;
-                if self.key_region.host()[base + slot] == key {
-                    Some((g.node - self.first_leaf) * self.nk as u64 + slot as u64)
-                } else {
-                    None
-                }
-            });
-            g.results.push(res);
+            };
+            g.results.push(hit.then_some(pos));
             // Next key of this sub-warp restarts from the root.
             g.cursor += 1;
-            g.node = 0;
-            g.level = self.height;
+            g.at = self.root();
             g.cursor >= g.keys.len()
         });
 
-        let mut i = 0;
-        for g in &groups {
-            for r in &g.results {
-                out[i] = *r;
-                i += 1;
-            }
+        let results = groups.iter().flat_map(|g| &g.results);
+        for (o, r) in out.iter_mut().zip(results) {
+            *o = *r;
         }
-        debug_assert_eq!(i, keys.len());
         gpu.count_lookups(keys.len() as u64);
     }
 
@@ -334,36 +345,16 @@ impl OutOfCoreIndex for Harmonia {
         if self.len == 0 {
             return 0;
         }
-        let mut node = 0u64;
-        for _ in 1..self.height {
-            let slot = self.search_node(gpu, node, key).unwrap_or(0);
-            let child_base = self.prefix.read(gpu, node as usize);
-            node = child_base + slot as u64;
-        }
-        let rid_base = (node - self.first_leaf) * self.nk as u64;
-        let pos = match self.search_node(gpu, node, key) {
-            // All leaf keys exceed `key`: the leaf's first slot is the bound.
-            None => rid_base,
-            Some(slot) => {
-                let base = node as usize * self.nk;
-                if self.key_region.host()[base + slot] == key {
-                    rid_base + slot as u64
-                } else {
-                    // Last key <= `key`: the bound is one past it (possibly
-                    // the first slot of the next, packed, leaf).
-                    rid_base + slot as u64 + 1
-                }
+        let mut at = self.root();
+        loop {
+            if let Some((pos, _)) = self.step(gpu, &mut at, key) {
+                return pos;
             }
-        };
-        pos.min(self.len as u64)
+        }
     }
 
     fn aux_bytes(&self) -> u64 {
         self.key_region.size_bytes() + self.prefix.size_bytes()
-    }
-
-    fn supports_inserts(&self) -> bool {
-        true
     }
 }
 

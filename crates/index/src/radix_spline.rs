@@ -14,6 +14,11 @@
 //! regions (table, spline, data window) — the fewest of the four structures
 //! — which is why the paper finds the RadixSpline fastest once partitioning
 //! removes TLB thrashing (§6 recommends it at 1.1–1.8× over Harmonia).
+//!
+//! The four steps are written once, as the per-lane step: `lookup_warp`
+//! hands it to `lockstep` and then verifies the lower-bound slot, and
+//! `lower_bound` drives one lane of it in a plain loop and returns the
+//! position. The interpolation is one helper for the device and the host.
 
 use crate::traits::{IndexKind, OutOfCoreIndex};
 use std::rc::Rc;
@@ -185,51 +190,95 @@ impl RadixSpline {
     /// Host-side error validation: max |predicted − true| over all keys
     /// (tests; O(n log s)).
     pub fn max_observed_error_host(&self) -> f64 {
-        let keys = self.data.host();
+        let s = self.spline.host();
+        let points: Vec<&[u64]> = s.chunks_exact(2).collect();
         let mut worst: f64 = 0.0;
-        for (i, &k) in keys.iter().enumerate() {
-            let est = self.predict_host(k);
+        for (i, &key) in self.data.host().iter().enumerate() {
+            // The first spline point with key >= `key` ends the segment.
+            let seg_end = points.partition_point(|p| p[0] < key);
+            let est = interpolate(&s[segment_slots(seg_end, points.len())], key);
             worst = worst.max((est - i as f64).abs());
         }
         worst
     }
 
-    /// Host-side position prediction (uncounted).
-    fn predict_host(&self, key: u64) -> f64 {
-        let s = self.spline.host();
-        let pts = s.len() / 2;
-        // Find the first spline key >= key.
-        let mut lo = 0usize;
-        let mut hi = pts;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if s[mid * 2] < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+    /// One round of a lane's lookup (see [`Phase`]); at `Bound` it returns
+    /// the lower-bound position without a read.
+    #[inline(always)]
+    fn step(&self, gpu: &mut Gpu, lane: &mut Lane) -> Option<u64> {
+        lane.phase = match lane.phase {
+            Phase::Radix => {
+                let p = ((lane.key - self.min_key) >> self.shift) as usize;
+                let cells = self.radix_table.read_range(gpu, p, 2);
+                Phase::SplineSearch {
+                    lo: cells[0],
+                    hi: cells[1],
+                }
             }
-        }
-        interpolate(s, pts, lo, key)
+            Phase::SplineSearch { lo, hi } if lo < hi => {
+                let mid = lo + (hi - lo) / 2;
+                if self.spline.read(gpu, (mid * 2) as usize) < lane.key {
+                    Phase::SplineSearch { lo: mid + 1, hi }
+                } else {
+                    Phase::SplineSearch { lo, hi: mid }
+                }
+            }
+            Phase::SplineSearch { lo, .. } => Phase::Interpolate { seg_end: lo },
+            Phase::Interpolate { seg_end } => {
+                // Fetch the bracketing points (coalesced: 2–4 adjacent u64
+                // slots) and compute the search window.
+                let slots = segment_slots(seg_end as usize, self.spline_points());
+                let est = interpolate(
+                    self.spline.read_range(gpu, slots.start, slots.len()),
+                    lane.key,
+                );
+                gpu.op(1);
+                let e = self.lookup_error as f64 + 1.0;
+                Phase::DataSearch {
+                    lo: (est - e).max(0.0) as u64,
+                    hi: ((est + e) as u64 + 1).min(self.data.len() as u64),
+                }
+            }
+            Phase::DataSearch { lo, hi } if lo < hi => {
+                let mid = lo + (hi - lo) / 2;
+                if self.data.read(gpu, mid as usize) < lane.key {
+                    Phase::DataSearch { lo: mid + 1, hi }
+                } else {
+                    Phase::DataSearch { lo, hi: mid }
+                }
+            }
+            Phase::DataSearch { lo, .. } => Phase::Bound { pos: lo },
+            Phase::Bound { pos } => return Some(pos),
+        };
+        None
     }
 }
 
-/// Interpolate within the segment ending at spline index `seg_end` (the
-/// first point with key ≥ lookup key). `s` is the interleaved array.
-#[inline]
-fn interpolate(s: &[u64], pts: usize, seg_end: usize, key: u64) -> f64 {
-    if pts == 0 {
-        return 0.0;
-    }
+/// The interleaved spline slots that estimate a key's position when its
+/// segment ends at point `seg_end` (the first point with key ≥ the lookup
+/// key): both bracketing points, or the one clamping point outside the
+/// spline's key range.
+fn segment_slots(seg_end: usize, pts: usize) -> std::ops::Range<usize> {
     if seg_end == 0 {
-        return s[1] as f64; // key <= first spline key
+        0..2 // key <= first spline key
+    } else if seg_end >= pts {
+        (pts - 1) * 2..pts * 2 // key beyond last spline key
+    } else {
+        (seg_end - 1) * 2..(seg_end + 1) * 2
     }
-    if seg_end >= pts {
-        return s[(pts - 1) * 2 + 1] as f64; // key beyond last spline key
+}
+
+/// Interpolate `key`'s position from the slots [`segment_slots`] names.
+#[inline]
+fn interpolate(slots: &[u64], key: u64) -> f64 {
+    match *slots {
+        [k0, p0, k1, p1] => {
+            debug_assert!(k1 > k0);
+            p0 as f64 + (key - k0) as f64 * (p1 - p0) as f64 / (k1 - k0) as f64
+        }
+        [_, p] => p as f64,
+        _ => unreachable!("a segment is one or two spline points"),
     }
-    let (k0, p0) = (s[(seg_end - 1) * 2], s[(seg_end - 1) * 2 + 1]);
-    let (k1, p1) = (s[seg_end * 2], s[seg_end * 2 + 1]);
-    debug_assert!(k1 > k0);
-    p0 as f64 + (key - k0) as f64 * (p1 - p0) as f64 / (k1 - k0) as f64
 }
 
 /// Exact maximum interpolation error of a fitted spline over its keys.
@@ -357,7 +406,7 @@ fn greedy_spline_corridor(keys: &[u64], eps: f64) -> Vec<(u64, u64)> {
     pts
 }
 
-/// Lookup phases of one lane.
+/// Lookup phases of one lane; each lasts one or more lockstep rounds.
 #[derive(Debug, Clone, Copy)]
 enum Phase {
     /// Read the two radix cells bracketing the prefix.
@@ -368,8 +417,8 @@ enum Phase {
     Interpolate { seg_end: u64 },
     /// Bounded binary search in the data window.
     DataSearch { lo: u64, hi: u64 },
-    /// Verify the lower-bound slot.
-    Verify { pos: u64 },
+    /// The lower-bound position is found.
+    Bound { pos: u64 },
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -377,6 +426,16 @@ struct Lane {
     key: u64,
     phase: Phase,
     result: Option<u64>,
+}
+
+impl Lane {
+    fn new(key: u64) -> Self {
+        Lane {
+            key,
+            phase: Phase::Radix,
+            result: None,
+        }
+    }
 }
 
 impl OutOfCoreIndex for RadixSpline {
@@ -392,89 +451,20 @@ impl OutOfCoreIndex for RadixSpline {
         assert!(keys.len() <= WARP_SIZE);
         assert!(out.len() >= keys.len());
         let n = self.data.len() as u64;
-        let pts = self.spline_points() as u64;
-        let mut lanes: Vec<Lane> = keys
-            .iter()
-            .map(|&key| Lane {
-                key,
-                phase: Phase::Radix,
-                result: None,
-            })
-            .collect();
-
+        let mut lanes: Vec<Lane> = keys.iter().map(|&key| Lane::new(key)).collect();
         lockstep(gpu, &mut lanes, |gpu, lane| {
             if n == 0 || lane.key < self.min_key || lane.key > self.max_key {
                 return true;
             }
-            match lane.phase {
-                Phase::Radix => {
-                    let p = ((lane.key - self.min_key) >> self.shift) as usize;
-                    let cells = self.radix_table.read_range(gpu, p, 2);
-                    lane.phase = Phase::SplineSearch {
-                        lo: cells[0],
-                        hi: cells[1],
-                    };
-                    false
-                }
-                Phase::SplineSearch { lo, hi } => {
-                    if lo < hi {
-                        let mid = lo + (hi - lo) / 2;
-                        let k = self.spline.read(gpu, (mid * 2) as usize);
-                        lane.phase = if k < lane.key {
-                            Phase::SplineSearch { lo: mid + 1, hi }
-                        } else {
-                            Phase::SplineSearch { lo, hi: mid }
-                        };
-                    } else {
-                        lane.phase = Phase::Interpolate { seg_end: lo };
-                    }
-                    false
-                }
-                Phase::Interpolate { seg_end } => {
-                    // Fetch the bracketing points (coalesced: 2–4 adjacent
-                    // u64 slots) and compute the search window.
-                    let est = if seg_end == 0 {
-                        let p = self.spline.read_range(gpu, 0, 2);
-                        p[1] as f64
-                    } else if seg_end >= pts {
-                        let p = self.spline.read_range(gpu, ((pts - 1) * 2) as usize, 2);
-                        p[1] as f64
-                    } else {
-                        let quad = self.spline.read_range(gpu, ((seg_end - 1) * 2) as usize, 4);
-                        let (k0, p0, k1, p1) = (quad[0], quad[1], quad[2], quad[3]);
-                        p0 as f64 + (lane.key - k0) as f64 * (p1 - p0) as f64 / (k1 - k0) as f64
-                    };
-                    gpu.op(1);
-                    let e = self.lookup_error as f64 + 1.0;
-                    let lo = (est - e).max(0.0) as u64;
-                    let hi = ((est + e) as u64 + 1).min(n);
-                    lane.phase = Phase::DataSearch { lo, hi };
-                    false
-                }
-                Phase::DataSearch { lo, hi } => {
-                    if lo < hi {
-                        let mid = lo + (hi - lo) / 2;
-                        let k = self.data.read(gpu, mid as usize);
-                        lane.phase = if k < lane.key {
-                            Phase::DataSearch { lo: mid + 1, hi }
-                        } else {
-                            Phase::DataSearch { lo, hi: mid }
-                        };
-                        false
-                    } else {
-                        lane.phase = Phase::Verify { pos: lo };
-                        false
-                    }
-                }
-                Phase::Verify { pos } => {
-                    if pos < n && self.data.read(gpu, pos as usize) == lane.key {
-                        lane.result = Some(pos);
-                    }
-                    true
-                }
+            let Some(pos) = self.step(gpu, lane) else {
+                return false;
+            };
+            // Verify the lower-bound slot.
+            if pos < n && self.data.read(gpu, pos as usize) == lane.key {
+                lane.result = Some(pos);
             }
+            true
         });
-
         for (o, lane) in out.iter_mut().zip(&lanes) {
             *o = lane.result;
         }
@@ -489,41 +479,12 @@ impl OutOfCoreIndex for RadixSpline {
         if key > self.max_key {
             return n;
         }
-        let pts = self.spline_points() as u64;
-        // Radix cells bracketing the prefix.
-        let p = ((key - self.min_key) >> self.shift) as usize;
-        let cells = self.radix_table.read_range(gpu, p, 2);
-        let (mut lo, mut hi) = (cells[0], cells[1]);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.spline.read(gpu, (mid * 2) as usize) < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+        let mut lane = Lane::new(key);
+        loop {
+            if let Some(pos) = self.step(gpu, &mut lane) {
+                return pos;
             }
         }
-        // Interpolate and bounded-search the data window.
-        let est = if lo == 0 {
-            self.spline.read_range(gpu, 0, 2)[1] as f64
-        } else if lo >= pts {
-            self.spline.read_range(gpu, ((pts - 1) * 2) as usize, 2)[1] as f64
-        } else {
-            let quad = self.spline.read_range(gpu, ((lo - 1) * 2) as usize, 4);
-            quad[1] as f64
-                + (key - quad[0]) as f64 * (quad[3] - quad[1]) as f64 / (quad[2] - quad[0]) as f64
-        };
-        gpu.op(1);
-        let e = self.lookup_error as f64 + 1.0;
-        let (mut dlo, mut dhi) = (((est - e).max(0.0)) as u64, ((est + e) as u64 + 1).min(n));
-        while dlo < dhi {
-            let mid = dlo + (dhi - dlo) / 2;
-            if self.data.read(gpu, mid as usize) < key {
-                dlo = mid + 1;
-            } else {
-                dhi = mid;
-            }
-        }
-        dlo
     }
 
     fn aux_bytes(&self) -> u64 {

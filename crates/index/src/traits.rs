@@ -105,14 +105,6 @@ pub trait OutOfCoreIndex {
     /// Bytes of auxiliary structure beyond the base relation itself
     /// (0 for binary search).
     fn aux_bytes(&self) -> u64;
-
-    /// Whether the structure supports inserting new keys after the build
-    /// (B+tree: yes, incrementally; Harmonia: batched rebuild; the others:
-    /// no — §6 recommends Harmonia "if the index must support inserts and
-    /// updates").
-    fn supports_inserts(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

@@ -132,8 +132,9 @@ proptest! {
         }
     }
 
-    /// `lower_bound` agrees with `partition_point` for every index over
-    /// arbitrary sorted sets and probes.
+    /// `lower_bound` and `range` agree with `partition_point`, and `lookup`
+    /// with `lower_bound`, for every index over arbitrary sorted sets and
+    /// probes.
     #[test]
     fn lower_bound_agrees_with_reference(
         keys in pvec(0u64..1 << 20, 1..300),
@@ -159,15 +160,30 @@ proptest! {
                 windex_index::RadixSplineConfig::default(),
             )),
         ];
+        let bound = |p: u64| sorted.partition_point(|&k| k < p) as u64;
         for idx in &indexes {
             for &p in &probes {
-                let expect = sorted.partition_point(|&k| k < p) as u64;
+                let lb = idx.lower_bound(&mut g, p);
+                prop_assert_eq!(lb, bound(p), "{} probe {}", idx.kind(), p);
+                let present = sorted.binary_search(&p).is_ok();
                 prop_assert_eq!(
-                    idx.lower_bound(&mut g, p),
-                    expect,
-                    "{} probe {}",
+                    idx.lookup(&mut g, p),
+                    present.then_some(lb),
+                    "{} lookup {}",
                     idx.kind(),
                     p
+                );
+            }
+            for w in probes.windows(2) {
+                let (lo, hi) = (w[0], w[1]);
+                let expect = if lo > hi { 0..0 } else { bound(lo)..bound(hi + 1) };
+                prop_assert_eq!(
+                    idx.range(&mut g, lo, hi),
+                    expect,
+                    "{} range {}..={}",
+                    idx.kind(),
+                    lo,
+                    hi
                 );
             }
         }

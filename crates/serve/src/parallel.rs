@@ -1,7 +1,7 @@
 //! Tenant-parallel serving: independent tenants on independent `Gpu`
 //! lanes, run on the workspace's one worker pool, merged in fixed order.
 //!
-//! The shared-window [`Server`](crate::server::Server) interleaves every
+//! The shared-window [`Server`] interleaves every
 //! tenant on one device — right for studying cross-query batching, but it
 //! serializes tenants that share nothing: each tenant probes the same
 //! read-only relation through its own requests, and the virtual clock of

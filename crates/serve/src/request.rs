@@ -34,12 +34,6 @@ impl LookupRequest {
             deadline: None,
         }
     }
-
-    /// Attach a latency budget (virtual seconds from submission).
-    pub fn with_deadline(mut self, deadline_s: f64) -> Self {
-        self.deadline = Some(deadline_s);
-        self
-    }
 }
 
 /// How a request left the server.
@@ -127,13 +121,6 @@ impl LookupResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn deadline_builder() {
-        let r = LookupRequest::new(3, vec![1, 2]).with_deadline(0.5);
-        assert_eq!(r.tenant, 3);
-        assert_eq!(r.deadline, Some(0.5));
-    }
 
     #[test]
     fn response_serializes() {

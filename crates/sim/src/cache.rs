@@ -52,11 +52,6 @@ impl Cache {
         self.store.access_hashed(addr >> self.line_shift, hash)
     }
 
-    /// Whether the line containing `addr` is resident (no side effects).
-    pub fn is_resident(&self, addr: u64) -> bool {
-        self.store.probe(addr >> self.line_shift)
-    }
-
     /// Line size in bytes.
     pub fn line_bytes(&self) -> u64 {
         self.line_bytes
@@ -97,9 +92,9 @@ mod tests {
         c.access(0);
         c.access(128);
         c.access(0); // refresh line 0; line 1 is LRU
-        c.access(256); // evicts line 1
-        assert!(c.is_resident(0));
-        assert!(!c.is_resident(128));
-        assert!(c.is_resident(256));
+        assert!(!c.access(256)); // evicts line 1
+        assert!(c.access(256));
+        assert!(c.access(0));
+        assert!(!c.access(128)); // line 1 was evicted
     }
 }

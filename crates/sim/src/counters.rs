@@ -99,9 +99,8 @@ pub struct Counters {
     /// The subset of `faults_transfer` fired by a chaos link-flap window
     /// (time-correlated hard failures rather than independent draws).
     pub faults_link_flap: u64,
-    /// Operations refused because a chaos device-loss window was active.
-    /// Not counted in `faults_total` — device loss is a correlated outage,
-    /// not an independent injected fault.
+    /// Operations refused because a chaos device-loss window was active:
+    /// a correlated outage, not an independent injected fault.
     pub faults_device_lost: u64,
     /// Device cachelines re-fetched over the interconnect because their
     /// page was quarantined by a chaos ECC storm.
@@ -132,11 +131,6 @@ impl Counters {
     /// only; translation traffic is accounted separately by the cost model).
     pub fn ic_bytes_total(&self) -> u64 {
         self.ic_bytes_random + self.ic_bytes_streamed + self.ic_bytes_written
-    }
-
-    /// Total injected faults observed, across all kinds.
-    pub fn faults_total(&self) -> u64 {
-        self.faults_alloc + self.faults_transfer + self.faults_launch
     }
 
     /// L1 hit rate in [0, 1]; 0.0 if there were no L1 accesses.

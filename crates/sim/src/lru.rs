@@ -90,11 +90,6 @@ impl SetAssocLru {
         }
     }
 
-    /// Total number of ways.
-    pub fn entries(&self) -> usize {
-        self.tags.len()
-    }
-
     /// Number of sets.
     pub fn sets(&self) -> usize {
         self.sets
@@ -204,6 +199,7 @@ impl SetAssocLru {
     }
 
     /// Check residency without updating recency or inserting.
+    #[cfg(test)]
     pub fn probe(&self, tag: u64) -> bool {
         let base = self.set_of(tag) * self.assoc;
         self.tags[base..base + self.assoc].contains(&tag)

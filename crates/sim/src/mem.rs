@@ -2,7 +2,7 @@
 //! space.
 //!
 //! A [`Buffer`] holds real host data (an owned `Vec<T>`, or a
-//! [`SharedColumn`] aliasing a staged column — see [`Storage`]) and
+//! [`SharedColumn`] aliasing a staged column — see `Storage`) and
 //! carries a base virtual address plus a placement ([`MemLocation::Cpu`] for out-of-core base
 //! relations and indexes, [`MemLocation::Gpu`] for device-resident state such
 //! as hash tables and partition buffers). Every device-side access goes

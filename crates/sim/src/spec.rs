@@ -379,9 +379,9 @@ impl GpuSpec {
         self.tlb_entries as u64 * self.page_bytes
     }
 
-    /// Validate structural invariants the engine depends on. [`Gpu::try_new`]
-    /// (crate::Gpu::try_new) calls this; it is public so configuration code
-    /// can check specs before constructing a device.
+    /// Validate structural invariants the engine depends on.
+    /// [`Gpu::try_new`](crate::Gpu::try_new) calls this; it is public so
+    /// configuration code can check specs before constructing a device.
     pub fn validate(&self) -> Result<(), crate::fault::SimError> {
         use crate::fault::SimError;
         if !self.cacheline_bytes.is_power_of_two() {

@@ -39,12 +39,6 @@ impl Tlb {
         self.store.access(addr >> self.page_shift)
     }
 
-    /// Whether the page containing `addr` is currently resident (no
-    /// side effects).
-    pub fn is_resident(&self, addr: u64) -> bool {
-        self.store.probe(addr >> self.page_shift)
-    }
-
     /// The page size in bytes.
     pub fn page_bytes(&self) -> u64 {
         self.page_bytes
@@ -58,11 +52,6 @@ impl Tlb {
     /// The set the page containing `addr` maps to (pure).
     pub fn set_of(&self, addr: u64) -> usize {
         self.store.set_of(addr >> self.page_shift)
-    }
-
-    /// The address range covered when all entries are resident.
-    pub fn range_bytes(&self) -> u64 {
-        self.store.entries() as u64 * self.page_bytes
     }
 
     /// Drop all cached translations.
@@ -82,20 +71,5 @@ mod tests {
         assert!(tlb.access(100)); // same 1 MiB page
         assert!(tlb.access((1 << 20) - 1));
         assert!(!tlb.access(1 << 20)); // next page
-    }
-
-    #[test]
-    fn range() {
-        let tlb = Tlb::new(32, 32, 1 << 20);
-        assert_eq!(tlb.range_bytes(), 32 << 20);
-    }
-
-    #[test]
-    fn residency_probe_has_no_side_effect() {
-        let mut tlb = Tlb::new(2, 2, 4096);
-        assert!(!tlb.is_resident(0));
-        tlb.access(0);
-        assert!(tlb.is_resident(0));
-        assert!(!tlb.is_resident(4096));
     }
 }
