@@ -167,8 +167,7 @@ pub fn ablation_pages(cfg: &ExpConfig) -> Experiment {
 /// B+tree node size: height vs per-node cachelines (§3.1 discussion).
 pub fn ablation_node_size(cfg: &ExpConfig) -> Experiment {
     let spec = v100(cfg);
-    let r = make_r(cfg, cfg.fixed_r_gib);
-    let s = make_s(cfg, &r);
+    let s = make_s(cfg, &make_r(cfg, cfg.fixed_r_gib));
     let strategy = JoinStrategy::WindowedInlj {
         index: IndexKind::BPlusTree,
         window_tuples: cfg.window_tuples,
@@ -176,6 +175,10 @@ pub fn ablation_node_size(cfg: &ExpConfig) -> Experiment {
     let rows = [512usize, 1024, 4096, 16384]
         .into_iter()
         .map(|node_bytes| {
+            // Each node size fits its own pool and keeps it on R's column,
+            // so each size gets its own R: the pool goes with it, and the
+            // sweep holds one pool at a time.
+            let r = make_r(cfg, cfg.fixed_r_gib);
             let mut ex = QueryExecutor::new();
             ex.index_configs.btree = BPlusTreeConfig {
                 node_bytes,

@@ -109,7 +109,7 @@ impl BuiltIndex {
                 BuiltIndex::BinarySearch(BinarySearchIndex::new(Rc::clone(column)))
             }
             IndexKind::BPlusTree => {
-                BuiltIndex::BPlusTree(BPlusTree::bulk_load(gpu, column.host(), configs.btree))
+                BuiltIndex::BPlusTree(BPlusTree::build(gpu, column, configs.btree))
             }
             IndexKind::Harmonia => {
                 BuiltIndex::Harmonia(Harmonia::build(gpu, column, configs.harmonia))

@@ -19,6 +19,15 @@
 //! Internal separators follow the "first key of the right subtree"
 //! convention: child `i` holds keys in `[sep[i], sep[i+1])`.
 //!
+//! Node ids run leaves first, then the internal levels bottom-up, then the
+//! spare nodes. The pool is a pure function of the key column and the
+//! whole [`BPlusTreeConfig`], so [`BPlusTree::build`] stores it on the
+//! staged column it was fitted to, like the Harmonia and RadixSpline fits:
+//! every later build over that column with that config, on any thread,
+//! stages the stored pool instead of writing a new one. The fit writes the
+//! shared allocation once, the leaves by formula; `insert` and `remove`
+//! copy the pool before their first write, so the stored fit never changes.
+//!
 //! The descent is written once, as the per-lane step (header read, probes
 //! within the node, child fetch): `lookup_warp` hands it to `lockstep` and
 //! then verifies the leaf slot and fetches its rid; `lower_bound` drives
@@ -26,7 +35,8 @@
 //! first rid of the next leaf.
 
 use crate::traits::{IndexKind, OutOfCoreIndex};
-use windex_sim::{lockstep, Buffer, Gpu, WARP_SIZE};
+use std::sync::Arc;
+use windex_sim::{lockstep, Buffer, Gpu, SharedColumn, WARP_SIZE};
 
 /// Sentinel node id / rid.
 const NONE: u64 = u64::MAX;
@@ -55,8 +65,9 @@ impl std::fmt::Display for IndexError {
 
 impl std::error::Error for IndexError {}
 
-/// B+tree tuning knobs.
-#[derive(Debug, Clone, Copy)]
+/// B+tree tuning knobs. The whole config keys the fit stored on the
+/// column (see [`BPlusTree::build`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BPlusTreeConfig {
     /// Node size in bytes; must be a power of two ≥ 64. The paper uses 4 KiB.
     pub node_bytes: usize,
@@ -72,6 +83,43 @@ impl Default for BPlusTreeConfig {
             node_bytes: 4096,
             fill_factor: 1.0,
             spare_nodes: 0,
+        }
+    }
+}
+
+/// Host-side build artifacts: a pure function of (key column, config),
+/// stored on a staged shared column like the Harmonia and RadixSpline fits
+/// (see [`Buffer::derived`]).
+struct TreeArtifacts {
+    nodes: SharedColumn<u64>,
+    root: u64,
+    height: u32,
+    len: usize,
+    allocated_nodes: usize,
+    pool_nodes: usize,
+}
+
+/// Node geometry of one config: slots per node, key capacity, and the
+/// bulk-load fill of leaves and internal nodes.
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    slots: usize,
+    key_cap: usize,
+    per_leaf: usize,
+    per_internal: usize,
+}
+
+impl Geometry {
+    fn new(config: &BPlusTreeConfig) -> Self {
+        assert!(config.node_bytes.is_power_of_two() && config.node_bytes >= 64);
+        assert!(config.fill_factor > 0.0 && config.fill_factor <= 1.0);
+        let slots = config.node_bytes / 8;
+        let key_cap = (slots - 2) / 2;
+        Geometry {
+            slots,
+            key_cap,
+            per_leaf: ((key_cap as f64 * config.fill_factor) as usize).max(1),
+            per_internal: ((key_cap as f64 * config.fill_factor) as usize).max(2),
         }
     }
 }
@@ -92,60 +140,60 @@ pub struct BPlusTree {
 }
 
 impl BPlusTree {
-    /// Bulk-load from unique sorted keys; rid `i` is assigned to `keys[i]`.
-    /// The tree is stored in CPU memory and accessed out-of-core.
-    pub fn bulk_load(gpu: &mut Gpu, keys: &[u64], config: BPlusTreeConfig) -> Self {
-        assert!(config.node_bytes.is_power_of_two() && config.node_bytes >= 64);
-        assert!(config.fill_factor > 0.0 && config.fill_factor <= 1.0);
+    /// Bulk-load over the unique sorted column `data`; rid `i` is assigned
+    /// to its `i`-th key. The tree is stored in CPU memory and accessed
+    /// out-of-core.
+    ///
+    /// The node pool is the column's derived artifact for this config, and
+    /// `alloc_host_shared` assigns addresses and accounts like
+    /// `alloc_host_from_vec`, so reusing a fit changes wall time only.
+    /// `insert` and `remove` write through `host_mut`, which copies the
+    /// shared pool before the first write, so maintenance never reaches
+    /// the stored fit.
+    pub fn build(gpu: &mut Gpu, data: &Buffer<u64>, config: BPlusTreeConfig) -> Self {
+        let geometry = Geometry::new(&config);
+        let tree = data.derived(config, |keys| Self::fit(keys, geometry, config.spare_nodes));
+        BPlusTree {
+            nodes: gpu.alloc_host_shared(tree.nodes.clone()),
+            slots_per_node: geometry.slots,
+            key_cap: geometry.key_cap,
+            root: tree.root,
+            height: tree.height,
+            len: tree.len,
+            allocated_nodes: tree.allocated_nodes,
+            pool_nodes: tree.pool_nodes,
+            config,
+        }
+    }
+
+    /// The pure fit. Node ids run leaves first, then the internal levels
+    /// bottom-up, then the spare nodes. The leaves are written by formula
+    /// straight into the shared pool; only the internal levels, a
+    /// `1 / per_internal` fraction of it, are staged first.
+    fn fit(keys: &[u64], g: Geometry, spare_nodes: usize) -> TreeArtifacts {
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
-
-        let slots = config.node_bytes / 8;
-        let key_cap = (slots - 2) / 2;
-        let per_leaf = ((key_cap as f64 * config.fill_factor) as usize).max(1);
-        let per_internal = ((key_cap as f64 * config.fill_factor) as usize).max(2);
-
-        // Estimate node count level by level.
-        let mut count = keys.len().div_ceil(per_leaf).max(1);
-        let mut total = count;
-        while count > 1 {
-            count = count.div_ceil(per_internal + 1).max(1);
-            total += count;
-        }
-        let pool_nodes = total + config.spare_nodes;
-        let mut pool = vec![0u64; pool_nodes * slots];
-
-        // --- Leaf level ---
-        let mut next_node: usize = 0;
-        let mut level: Vec<(u64, u64)> = Vec::new(); // (min key, node id)
+        let Geometry {
+            slots,
+            key_cap,
+            per_leaf,
+            per_internal,
+        } = g;
         let leaf_count = keys.len().div_ceil(per_leaf).max(1);
-        for leaf in 0..leaf_count {
-            let id = next_node;
-            next_node += 1;
-            let start = leaf * per_leaf;
-            let end = ((leaf + 1) * per_leaf).min(keys.len());
-            let base = id * slots;
-            pool[base] = (end - start) as u64;
-            for (j, i) in (start..end).enumerate() {
-                pool[base + 1 + j] = keys[i];
-                pool[base + 1 + key_cap + j] = i as u64;
-            }
-            pool[base + 2 * key_cap + 1] = if leaf + 1 < leaf_count {
-                (id + 1) as u64
-            } else {
-                NONE
-            };
-            level.push((keys.get(start).copied().unwrap_or(0), id as u64));
-        }
 
-        // --- Internal levels ---
+        // --- Internal levels, staged ---
+        let mut internal: Vec<u64> = Vec::new();
+        let mut level: Vec<(u64, u64)> = (0..leaf_count)
+            .map(|leaf| (keys.get(leaf * per_leaf).copied().unwrap_or(0), leaf as u64))
+            .collect(); // (min key, node id)
+        let mut next_node = leaf_count;
         let mut height = 1;
         while level.len() > 1 {
             height += 1;
+            // Balance the groups instead of chunking greedily: a greedy
+            // final group of one child would create a zero-separator node,
+            // which deletes cannot rebalance through. Balanced sizes are
+            // always ≥ 2 for fan ≥ 2 when more than one group is needed.
             let fan = per_internal + 1; // children per internal node
-                                        // Balance the groups instead of chunking greedily: a greedy
-                                        // final group of one child would create a zero-separator node,
-                                        // which deletes cannot rebalance through. Balanced sizes are
-                                        // always ≥ 2 for fan ≥ 2 when more than one group is needed.
             let groups = level.len().div_ceil(fan);
             let base_size = level.len() / groups;
             let remainder = level.len() % groups;
@@ -155,35 +203,52 @@ impl BPlusTree {
                 let size = base_size + usize::from(g < remainder);
                 let group = &level[at..at + size];
                 at += size;
-                let id = next_node;
-                next_node += 1;
-                let base = id * slots;
-                pool[base] = (group.len() - 1) as u64; // separator count
+                let base = internal.len();
+                internal.resize(base + slots, 0);
+                internal[base] = (group.len() - 1) as u64; // separator count
                 for (j, &(min_key, child)) in group.iter().enumerate() {
                     if j > 0 {
-                        pool[base + j] = min_key; // slot 1..=count
+                        internal[base + j] = min_key; // slot 1..=count
                     }
-                    pool[base + 1 + key_cap + j] = child;
+                    internal[base + 1 + key_cap + j] = child;
                 }
-                upper.push((group[0].0, id as u64));
+                upper.push((group[0].0, next_node as u64));
+                next_node += 1;
             }
             debug_assert_eq!(at, level.len());
             level = upper;
         }
 
-        let root = level[0].1;
-        assert!(next_node <= pool_nodes);
-        let nodes = gpu.alloc_host_from_vec(pool);
-        BPlusTree {
-            nodes,
-            slots_per_node: slots,
-            key_cap,
-            root,
+        // --- The pool, written once ---
+        let leaf_slots = leaf_count * slots;
+        let pool_nodes = next_node + spare_nodes;
+        let shift = slots.trailing_zeros();
+        let nodes: Arc<[u64]> = (0..pool_nodes * slots)
+            .map(|s| {
+                if s >= leaf_slots {
+                    return internal.get(s - leaf_slots).copied().unwrap_or(0);
+                }
+                let (leaf, j) = (s >> shift, s & (slots - 1));
+                let start = leaf * per_leaf;
+                let count = per_leaf.min(keys.len() - start);
+                match j {
+                    0 => count as u64,
+                    _ if j <= count => keys[start + j - 1],
+                    _ if j > key_cap && j - key_cap <= count => (start + j - key_cap - 1) as u64,
+                    _ if j == 2 * key_cap + 1 && leaf + 1 < leaf_count => (leaf + 1) as u64,
+                    _ if j == 2 * key_cap + 1 => NONE,
+                    _ => 0,
+                }
+            })
+            .collect();
+
+        TreeArtifacts {
+            nodes: nodes.into(),
+            root: level[0].1,
             height,
             len: keys.len(),
             allocated_nodes: next_node,
             pool_nodes,
-            config,
         }
     }
 
@@ -742,10 +807,124 @@ mod tests {
         Gpu::new(GpuSpec::v100_nvlink2(Scale::PAPER))
     }
 
+    /// Stage `keys` and build over them.
+    fn load(g: &mut Gpu, keys: &[u64], config: BPlusTreeConfig) -> BPlusTree {
+        let col = g.alloc_host_from_vec(keys.to_vec());
+        BPlusTree::build(g, &col, config)
+    }
+
     fn tree_with(keys: &[u64], config: BPlusTreeConfig) -> (Gpu, BPlusTree) {
         let mut g = gpu();
-        let t = BPlusTree::bulk_load(&mut g, keys, config);
+        let t = load(&mut g, keys, config);
         (g, t)
+    }
+
+    /// The loop bulk load that `fit` replaced, kept as its reference:
+    /// the pool, root, height and allocated and pool node counts.
+    fn fit_reference(keys: &[u64], config: BPlusTreeConfig) -> (Vec<u64>, u64, u32, usize, usize) {
+        let slots = config.node_bytes / 8;
+        let key_cap = (slots - 2) / 2;
+        let per_leaf = ((key_cap as f64 * config.fill_factor) as usize).max(1);
+        let per_internal = ((key_cap as f64 * config.fill_factor) as usize).max(2);
+        let mut count = keys.len().div_ceil(per_leaf).max(1);
+        let mut total = count;
+        while count > 1 {
+            count = count.div_ceil(per_internal + 1).max(1);
+            total += count;
+        }
+        let pool_nodes = total + config.spare_nodes;
+        let mut pool = vec![0u64; pool_nodes * slots];
+        let mut next_node: usize = 0;
+        let mut level: Vec<(u64, u64)> = Vec::new();
+        let leaf_count = keys.len().div_ceil(per_leaf).max(1);
+        for leaf in 0..leaf_count {
+            let id = next_node;
+            next_node += 1;
+            let start = leaf * per_leaf;
+            let end = ((leaf + 1) * per_leaf).min(keys.len());
+            let base = id * slots;
+            pool[base] = (end - start) as u64;
+            for (j, i) in (start..end).enumerate() {
+                pool[base + 1 + j] = keys[i];
+                pool[base + 1 + key_cap + j] = i as u64;
+            }
+            pool[base + 2 * key_cap + 1] = if leaf + 1 < leaf_count {
+                (id + 1) as u64
+            } else {
+                NONE
+            };
+            level.push((keys.get(start).copied().unwrap_or(0), id as u64));
+        }
+        let mut height = 1;
+        while level.len() > 1 {
+            height += 1;
+            let fan = per_internal + 1;
+            let groups = level.len().div_ceil(fan);
+            let base_size = level.len() / groups;
+            let remainder = level.len() % groups;
+            let mut upper = Vec::with_capacity(groups);
+            let mut at = 0;
+            for g in 0..groups {
+                let size = base_size + usize::from(g < remainder);
+                let group = &level[at..at + size];
+                at += size;
+                let id = next_node;
+                next_node += 1;
+                let base = id * slots;
+                pool[base] = (group.len() - 1) as u64;
+                for (j, &(min_key, child)) in group.iter().enumerate() {
+                    if j > 0 {
+                        pool[base + j] = min_key;
+                    }
+                    pool[base + 1 + key_cap + j] = child;
+                }
+                upper.push((group[0].0, id as u64));
+            }
+            level = upper;
+        }
+        (pool, level[0].1, height, next_node, pool_nodes)
+    }
+
+    #[test]
+    fn write_once_fit_equals_the_loop_bulk_load() {
+        let small = |fill_factor, spare_nodes| BPlusTreeConfig {
+            node_bytes: 64,
+            fill_factor,
+            spare_nodes,
+        };
+        let configs = [
+            small(1.0, 0),
+            small(0.5, 0),
+            small(1.0, 5),
+            small(0.5, 3),
+            BPlusTreeConfig::default(),
+            BPlusTreeConfig {
+                fill_factor: 0.5,
+                spare_nodes: 2,
+                ..Default::default()
+            },
+        ];
+        for config in configs {
+            let g = Geometry::new(&config);
+            let per_leaf = g.per_leaf;
+            // Enough keys for at least three levels at 64-byte nodes.
+            let deep = per_leaf * (g.per_internal + 1) * 3 + 1;
+            for n in [0, 1, per_leaf - 1, per_leaf, per_leaf + 1, deep] {
+                let keys: Vec<u64> = (0..n as u64).map(|i| i * 3 + 7).collect();
+                let (pool, root, height, allocated, pool_nodes) = fit_reference(&keys, config);
+                let fit = BPlusTree::fit(&keys, g, config.spare_nodes);
+                let case = format!("{config:?} n={n}");
+                assert_eq!(&fit.nodes[..], &pool[..], "{case}: pool");
+                assert_eq!(fit.root, root, "{case}: root");
+                assert_eq!(fit.height, height, "{case}: height");
+                assert_eq!(fit.allocated_nodes, allocated, "{case}: allocated");
+                assert_eq!(fit.pool_nodes, pool_nodes, "{case}: pool nodes");
+                assert_eq!(fit.len, n, "{case}: len");
+                if config.node_bytes == 64 && n == deep {
+                    assert!(height >= 3, "{case}: height {height}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -807,7 +986,7 @@ mod tests {
             spare_nodes: 4096,
         };
         let mut g = gpu();
-        let mut t = BPlusTree::bulk_load(&mut g, &keys, cfg);
+        let mut t = load(&mut g, &keys, cfg);
         // Insert odd keys between existing ones.
         for i in 0..2000u64 {
             t.insert(i * 4 + 1, 1_000_000 + i).unwrap();
@@ -831,7 +1010,7 @@ mod tests {
             ..Default::default()
         };
         let mut g = gpu();
-        let mut t = BPlusTree::bulk_load(&mut g, &keys, cfg);
+        let mut t = load(&mut g, &keys, cfg);
         assert_eq!(t.insert(50, 999), Err(IndexError::DuplicateKey(50)));
     }
 
@@ -844,7 +1023,7 @@ mod tests {
             spare_nodes: 0,
         };
         let mut g = gpu();
-        let mut t = BPlusTree::bulk_load(&mut g, &keys, cfg);
+        let mut t = load(&mut g, &keys, cfg);
         let mut saw_exhaustion = false;
         for i in 0..64u64 {
             match t.insert(i * 2 + 1, i) {
@@ -889,7 +1068,7 @@ mod tests {
             ..Default::default()
         };
         let mut g = gpu();
-        let mut t = BPlusTree::bulk_load(&mut g, &keys, cfg);
+        let mut t = load(&mut g, &keys, cfg);
         // Remove every third key.
         for i in (0..2000u64).step_by(3) {
             assert_eq!(t.remove(i * 3), Ok(i), "remove {}", i * 3);
@@ -913,7 +1092,7 @@ mod tests {
             ..Default::default()
         };
         let mut g = gpu();
-        let mut t = BPlusTree::bulk_load(&mut g, &keys, cfg);
+        let mut t = load(&mut g, &keys, cfg);
         assert!(t.height() > 1);
         // Delete in an interleaved order to hit left and right siblings.
         let mut order: Vec<u64> = (0..500).collect();
@@ -930,7 +1109,7 @@ mod tests {
     fn remove_missing_key_fails() {
         let keys: Vec<u64> = (0..100).map(|i| i * 2).collect();
         let mut g = gpu();
-        let mut t = BPlusTree::bulk_load(&mut g, &keys, BPlusTreeConfig::default());
+        let mut t = load(&mut g, &keys, BPlusTreeConfig::default());
         assert_eq!(t.remove(3), Err(IndexError::KeyNotFound(3)));
         assert_eq!(t.remove(200), Err(IndexError::KeyNotFound(200)));
         assert_eq!(t.len(), 100);
@@ -945,7 +1124,7 @@ mod tests {
             spare_nodes: 512,
         };
         let mut g = gpu();
-        let mut t = BPlusTree::bulk_load(&mut g, &keys, cfg);
+        let mut t = load(&mut g, &keys, cfg);
         for i in 0..300u64 {
             t.insert(i * 10 + 5, 1000 + i).unwrap();
             t.remove(i * 10).unwrap();

@@ -27,6 +27,7 @@
 //! updates, which a rebuild models at the same interface).
 
 use crate::traits::{IndexKind, OutOfCoreIndex};
+use std::sync::Arc;
 use windex_sim::{lockstep, Buffer, Gpu, SharedColumn, SubWarp, WARP_SIZE};
 
 /// Padding value for unused key slots. `u64::MAX` is therefore not an
@@ -112,16 +113,12 @@ impl Harmonia {
         debug_assert!(keys.iter().all(|&k| k != PAD), "u64::MAX is reserved");
     }
 
-    /// The pure fit: level geometry plus the filled key region and child
-    /// prefix array.
+    /// The pure fit: level geometry plus the key region and child prefix
+    /// array, each written once into its shared allocation.
     fn fit(keys: &[u64], nk: usize) -> TreeArtifacts {
         // Level geometry, top-down node counts. The leaf level packs the
         // keys nk at a time; every level above holds the min key of each
-        // child node, so its node count is ceil(children / nk). Computing
-        // the counts arithmetically lets the region and prefix arrays be
-        // filled in place — no per-node staging vectors (the old
-        // level-of-nodes representation allocated one small `Vec` per node,
-        // which dominated the build at millions of keys).
+        // child node, so its node count is ceil(children / nk).
         let leaf_count = if keys.is_empty() {
             1
         } else {
@@ -133,7 +130,7 @@ impl Harmonia {
         }
         counts.reverse(); // top-down: counts[0] = 1 (the root)
         let node_count: usize = counts.iter().sum();
-        let first_leaf = (node_count - leaf_count) as u64;
+        let first_leaf = node_count - leaf_count;
         let height = counts.len() as u32;
         // BFS id of each level's first node.
         let bases: Vec<usize> = counts
@@ -145,24 +142,11 @@ impl Harmonia {
             })
             .collect();
 
-        let mut region = vec![PAD; node_count * nk];
-        let mut prefix = vec![0u64; node_count];
-
-        // Leaves are packed and contiguous: one straight copy.
-        let leaf_at = first_leaf as usize * nk;
-        region[leaf_at..leaf_at + keys.len()].copy_from_slice(keys);
-
-        // prefix[i] = id of node i's first child (internal levels only).
-        for li in 0..counts.len().saturating_sub(1) {
-            let mut child_cursor = bases[li + 1] as u64;
-            for j in 0..counts[li] {
-                prefix[bases[li] + j] = child_cursor;
-                child_cursor += nk.min(counts[li + 1] - j * nk) as u64;
-            }
-        }
-
-        // Internal node keys, bottom-up: each level's keys are the min keys
-        // of the level below (for the leaf level, the first key per node).
+        // Internal node keys, staged bottom-up: each level's keys are the
+        // min keys of the level below (for the leaf level, the first key
+        // per node). They are a `1 / nk` fraction of the region.
+        let leaf_at = first_leaf * nk;
+        let mut internal = vec![PAD; leaf_at];
         let mut mins: Vec<u64> = if keys.is_empty() {
             vec![PAD]
         } else {
@@ -172,15 +156,35 @@ impl Harmonia {
             for j in 0..counts[li] {
                 let chunk = &mins[j * nk..(j * nk + nk).min(mins.len())];
                 let at = (bases[li] + j) * nk;
-                region[at..at + chunk.len()].copy_from_slice(chunk);
+                internal[at..at + chunk.len()].copy_from_slice(chunk);
             }
             mins = (0..counts[li]).map(|j| mins[j * nk]).collect();
         }
 
+        // The internal levels, then the packed leaves, `PAD`-padded.
+        let region: Arc<[u64]> = (0..node_count * nk)
+            .map(|s| match s.checked_sub(leaf_at) {
+                None => internal[s],
+                Some(i) => keys.get(i).copied().unwrap_or(PAD),
+            })
+            .collect();
+        // prefix[i] = id of node i's first child (0 for leaves). Every node
+        // of a level but its last has nk children, so the j-th node's
+        // children start at the next level's base plus j·nk.
+        let prefix: Arc<[u64]> = (0..node_count)
+            .map(|i| {
+                if i >= first_leaf {
+                    return 0;
+                }
+                let li = bases.partition_point(|&b| b <= i) - 1;
+                (bases[li + 1] + (i - bases[li]) * nk) as u64
+            })
+            .collect();
+
         TreeArtifacts {
             region: region.into(),
             prefix: prefix.into(),
-            first_leaf,
+            first_leaf: first_leaf as u64,
             height,
             len: keys.len(),
         }
@@ -372,6 +376,79 @@ mod tests {
         let col = g.alloc_host_from_vec(keys.to_vec());
         let h = Harmonia::build(&mut g, &col, HarmoniaConfig::default());
         (g, h)
+    }
+
+    /// The fill-in-place fit that `fit` replaced, kept as its reference:
+    /// the key region and the child prefix array.
+    fn fit_reference(keys: &[u64], nk: usize) -> (Vec<u64>, Vec<u64>) {
+        let leaf_count = if keys.is_empty() {
+            1
+        } else {
+            keys.len().div_ceil(nk)
+        };
+        let mut counts = vec![leaf_count];
+        while *counts.last().unwrap() > 1 {
+            counts.push(counts.last().unwrap().div_ceil(nk));
+        }
+        counts.reverse();
+        let node_count: usize = counts.iter().sum();
+        let first_leaf = node_count - leaf_count;
+        let bases: Vec<usize> = counts
+            .iter()
+            .scan(0usize, |acc, &c| {
+                let b = *acc;
+                *acc += c;
+                Some(b)
+            })
+            .collect();
+        let mut region = vec![PAD; node_count * nk];
+        let mut prefix = vec![0u64; node_count];
+        let leaf_at = first_leaf * nk;
+        region[leaf_at..leaf_at + keys.len()].copy_from_slice(keys);
+        for li in 0..counts.len().saturating_sub(1) {
+            let mut child_cursor = bases[li + 1] as u64;
+            for j in 0..counts[li] {
+                prefix[bases[li] + j] = child_cursor;
+                child_cursor += nk.min(counts[li + 1] - j * nk) as u64;
+            }
+        }
+        let mut mins: Vec<u64> = if keys.is_empty() {
+            vec![PAD]
+        } else {
+            (0..leaf_count).map(|j| keys[j * nk]).collect()
+        };
+        for li in (0..counts.len().saturating_sub(1)).rev() {
+            for j in 0..counts[li] {
+                let chunk = &mins[j * nk..(j * nk + nk).min(mins.len())];
+                let at = (bases[li] + j) * nk;
+                region[at..at + chunk.len()].copy_from_slice(chunk);
+            }
+            mins = (0..counts[li]).map(|j| mins[j * nk]).collect();
+        }
+        (region, prefix)
+    }
+
+    #[test]
+    fn write_once_fit_equals_the_fill_in_place_fit() {
+        for nk in [2, 3, 16, 32] {
+            // Sizes that are not multiples of nk, down to one partial leaf,
+            // up to several levels with a partial last node on each.
+            for n in [
+                0,
+                1,
+                nk - 1,
+                nk + 1,
+                nk * nk + 1,
+                nk * nk * 3 + nk / 2 + 1,
+                10_007,
+            ] {
+                let keys: Vec<u64> = (0..n as u64).map(|i| i * 5 + 2).collect();
+                let (region, prefix) = fit_reference(&keys, nk);
+                let fit = Harmonia::fit(&keys, nk);
+                assert_eq!(&fit.region[..], &region[..], "nk={nk} n={n}: region");
+                assert_eq!(&fit.prefix[..], &prefix[..], "nk={nk} n={n}: prefix");
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@
 
 use crate::traits::{IndexKind, OutOfCoreIndex};
 use std::rc::Rc;
+use std::sync::Arc;
 use windex_sim::{lockstep, Buffer, Gpu, SharedColumn, WARP_SIZE};
 
 /// Host-side build artifacts: a pure function of (key column, config).
@@ -60,27 +61,29 @@ impl FitArtifacts {
         let domain_bits = 64 - domain.leading_zeros();
         let shift = domain_bits.saturating_sub(radix_bits);
 
+        // table[p] = first spline index whose prefix >= p; cells past the
+        // last spline key's prefix get len(). Prefixes ascend with the
+        // keys, so one cursor walks the points as the cells are written.
         let cells = (1usize << radix_bits) + 1;
-        // table[p] = first spline index whose prefix >= p. Built in one
-        // append-only pass (each cell is written exactly once) instead of a
-        // full default fill followed by a second overwrite pass — the table
-        // is megabytes at high bit counts and the double write was ~half
-        // the non-spline build cost.
-        let mut table = Vec::with_capacity(cells);
-        for (i, &(k, _)) in spline_pts.iter().enumerate() {
-            let p = ((k - min_key) >> shift) as usize;
-            while table.len() <= p {
-                table.push(i as u64);
-            }
-        }
-        // Remaining cells (prefixes beyond the last spline key) get len().
-        table.resize(cells, spline_pts.len() as u64);
+        let mut next = 0;
+        let table: Arc<[u64]> = (0..cells)
+            .map(|p| {
+                while spline_pts
+                    .get(next)
+                    .is_some_and(|&(k, _)| (((k - min_key) >> shift) as usize) < p)
+                {
+                    next += 1;
+                }
+                next as u64
+            })
+            .collect();
 
-        let mut interleaved = Vec::with_capacity(spline_pts.len() * 2);
-        for &(k, p) in &spline_pts {
-            interleaved.push(k);
-            interleaved.push(p);
-        }
+        let interleaved: Arc<[u64]> = (0..spline_pts.len() * 2)
+            .map(|s| {
+                let (k, p) = spline_pts[s / 2];
+                [k, p][s % 2]
+            })
+            .collect();
 
         FitArtifacts {
             spline: interleaved.into(),
@@ -506,6 +509,46 @@ mod tests {
         let data = Rc::new(g.alloc_host_from_vec(keys));
         let rs = RadixSpline::build(&mut g, data, config);
         (g, rs)
+    }
+
+    /// The table and spline loops that `FitArtifacts::fit` replaced, kept
+    /// as its reference.
+    fn fit_reference(keys: &[u64], config: RadixSplineConfig) -> (Vec<u64>, Vec<u64>) {
+        let art = FitArtifacts::fit(keys, config);
+        let spline_pts = greedy_spline_corridor(keys, config.max_error as f64);
+        let (min_key, shift) = (keys.first().copied().unwrap_or(0), art.shift);
+        let cells = (1usize << art.radix_bits) + 1;
+        let mut table = Vec::with_capacity(cells);
+        for (i, &(k, _)) in spline_pts.iter().enumerate() {
+            let p = ((k - min_key) >> shift) as usize;
+            while table.len() <= p {
+                table.push(i as u64);
+            }
+        }
+        table.resize(cells, spline_pts.len() as u64);
+        let mut interleaved = Vec::with_capacity(spline_pts.len() * 2);
+        for &(k, p) in &spline_pts {
+            interleaved.push(k);
+            interleaved.push(p);
+        }
+        (table, interleaved)
+    }
+
+    #[test]
+    fn write_once_fit_equals_the_loop_fit() {
+        for keys in [sparse_keys(50_000, 3), (0..1000).collect(), vec![7], vec![]] {
+            for radix_bits in [Some(1), Some(21), None] {
+                let config = RadixSplineConfig {
+                    max_error: 8,
+                    radix_bits,
+                };
+                let (table, spline) = fit_reference(&keys, config);
+                let art = FitArtifacts::fit(&keys, config);
+                let case = format!("n={} {radix_bits:?}", keys.len());
+                assert_eq!(&art.radix_table[..], &table[..], "{case}: radix table");
+                assert_eq!(&art.spline[..], &spline[..], "{case}: spline");
+            }
+        }
     }
 
     fn sparse_keys(n: usize, seed: u64) -> Vec<u64> {

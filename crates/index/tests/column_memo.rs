@@ -1,16 +1,19 @@
 //! Index fits stored on a shared column are invisible to the simulation.
 //!
-//! RadixSpline and Harmonia store their host-side fit on the staged
-//! column (`Buffer::derived`), so a build over a column that another
+//! RadixSpline, Harmonia and the B+tree store their host-side fit on the
+//! staged column (`Buffer::derived`), so a build over a column that another
 //! thread already fitted skips the fit. These tests pin that reusing a fit
 //! changes wall time only: buffer addresses, counters and lookup answers
 //! equal a cold build over a fresh copy of the keys on a fresh `Gpu`, for
-//! every config, under a racing first fit, and the artifacts die with the
-//! column.
+//! every config, under a racing first fit and after maintenance on a tree
+//! built from the fit, and the artifacts die with the column.
 
 use std::rc::Rc;
 use std::sync::{Arc, Barrier};
-use windex_index::{Harmonia, HarmoniaConfig, OutOfCoreIndex, RadixSpline, RadixSplineConfig};
+use windex_index::{
+    BPlusTree, BPlusTreeConfig, Harmonia, HarmoniaConfig, OutOfCoreIndex, RadixSpline,
+    RadixSplineConfig,
+};
 use windex_sim::{Counters, Gpu, GpuSpec, Scale, WARP_SIZE};
 use windex_workload::{KeyDistribution, Relation};
 
@@ -18,9 +21,17 @@ use windex_workload::{KeyDistribution, Relation};
 enum Config {
     RadixSpline(RadixSplineConfig),
     Harmonia(HarmoniaConfig),
+    BPlusTree(BPlusTreeConfig),
 }
 
-fn configs() -> [Config; 4] {
+/// A small-node B+tree with insert headroom.
+const SMALL_TREE: BPlusTreeConfig = BPlusTreeConfig {
+    node_bytes: 256,
+    fill_factor: 0.7,
+    spare_nodes: 8,
+};
+
+fn configs() -> [Config; 6] {
     [
         Config::RadixSpline(RadixSplineConfig::default()),
         Config::RadixSpline(RadixSplineConfig {
@@ -35,6 +46,8 @@ fn configs() -> [Config; 4] {
             keys_per_node: 32,
             ..HarmoniaConfig::default()
         }),
+        Config::BPlusTree(BPlusTreeConfig::default()),
+        Config::BPlusTree(SMALL_TREE),
     ]
 }
 
@@ -61,6 +74,7 @@ fn observe(r: &Relation, config: Config) -> Observed {
     let index: Box<dyn OutOfCoreIndex> = match config {
         Config::RadixSpline(c) => Box::new(RadixSpline::build(&mut gpu, Rc::clone(&col), c)),
         Config::Harmonia(c) => Box::new(Harmonia::build(&mut gpu, &col, c)),
+        Config::BPlusTree(c) => Box::new(BPlusTree::build(&mut gpu, &col, c)),
     };
     let fence = gpu.alloc_host::<u64>(1).base_addr();
     let after_build = gpu.snapshot();
@@ -112,8 +126,8 @@ fn fit_from_another_thread_equals_a_cold_build() {
 
 #[test]
 fn second_config_on_a_fitted_column_equals_its_own_cold_build() {
-    let [rs_default, rs_tight, h16, h32] = configs();
-    for (first, second) in [(rs_default, rs_tight), (h32, h16)] {
+    let [rs_default, rs_tight, h16, h32, bt_default, bt_small] = configs();
+    for (first, second) in [(rs_default, rs_tight), (h32, h16), (bt_default, bt_small)] {
         let r = relation();
         observe(&r, first);
         let warm = observe(&r, second);
@@ -147,6 +161,46 @@ fn four_threads_fitting_one_fresh_column_agree() {
 }
 
 #[test]
+fn maintenance_on_a_fitted_tree_leaves_the_fit_alone() {
+    let r = relation();
+    let keys = r.keys();
+    let mut gpu = Gpu::new(GpuSpec::v100_nvlink2(Scale::PAPER));
+    let col = gpu.alloc_host_shared(r.keys_shared());
+    let mut tree = BPlusTree::build(&mut gpu, &col, SMALL_TREE);
+    // Keys absent from `r`, and keys to delete from it.
+    let fresh: Vec<u64> = keys
+        .windows(2)
+        .filter(|w| w[1] > w[0] + 1)
+        .map(|w| w[0] + 1)
+        .step_by(53)
+        .take(40)
+        .collect();
+    let gone: Vec<u64> = keys.iter().step_by(101).take(40).copied().collect();
+    for (rid, &k) in (1_000_000..).zip(&fresh) {
+        tree.insert(k, rid).unwrap();
+    }
+    for &k in &gone {
+        tree.remove(k).unwrap();
+    }
+    assert_eq!(r.keys_shared().derived_len(), 1, "one stored fit");
+
+    let config = Config::BPlusTree(SMALL_TREE);
+    assert_eq!(
+        observe(&r, config),
+        cold(&r, config),
+        "a build after maintenance differs from cold"
+    );
+    assert_eq!(r.keys_shared().derived_len(), 1, "reused, not refitted");
+    assert_eq!(tree.len(), keys.len() + fresh.len() - gone.len());
+    for (rid, &k) in (1_000_000..).zip(&fresh) {
+        assert_eq!(tree.lookup(&mut gpu, k), Some(rid), "inserted {k}");
+    }
+    for &k in &gone {
+        assert_eq!(tree.lookup(&mut gpu, k), None, "removed {k}");
+    }
+}
+
+#[test]
 fn dropping_the_last_column_handle_frees_its_artifacts() {
     struct Marker;
     let r = relation();
@@ -156,7 +210,7 @@ fn dropping_the_last_column_handle_frees_its_artifacts() {
     // The index fits share one memo with this marker, so the marker's
     // lifetime is theirs.
     let marker = Arc::downgrade(&r.keys_shared().derived((), |_| Marker));
-    assert_eq!(r.keys_shared().derived_len(), 5);
+    assert_eq!(r.keys_shared().derived_len(), configs().len() + 1);
     let mut gpu = Gpu::new(GpuSpec::v100_nvlink2(Scale::PAPER));
     let staged = gpu.alloc_host_shared(r.keys_shared());
     drop(r);

@@ -59,7 +59,8 @@ proptest! {
             fill_factor: 0.8,
             spare_nodes: 4096,
         };
-        let mut tree = BPlusTree::bulk_load(&mut g, &sorted, cfg);
+        let col = g.alloc_host_from_vec(sorted.clone());
+        let mut tree = BPlusTree::build(&mut g, &col, cfg);
         let mut next_rid = 1_000_000u64;
 
         for op in script {
@@ -149,7 +150,7 @@ proptest! {
         );
         let indexes: Vec<Box<dyn OutOfCoreIndex>> = vec![
             Box::new(windex_index::BinarySearchIndex::new(std::rc::Rc::clone(&col))),
-            Box::new(BPlusTree::bulk_load(&mut g, &sorted, BPlusTreeConfig {
+            Box::new(BPlusTree::build(&mut g, &col, BPlusTreeConfig {
                 node_bytes: 128,
                 ..Default::default()
             })),

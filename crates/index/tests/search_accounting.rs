@@ -92,9 +92,7 @@ fn build(gpu: &mut Gpu, keys: &[u64], kind: IndexKind) -> Box<dyn OutOfCoreIndex
     let col = Rc::new(gpu.alloc_host_from_vec(keys.to_vec()));
     match kind {
         IndexKind::BinarySearch => Box::new(BinarySearchIndex::new(col)),
-        IndexKind::BPlusTree => {
-            Box::new(BPlusTree::bulk_load(gpu, keys, BPlusTreeConfig::default()))
-        }
+        IndexKind::BPlusTree => Box::new(BPlusTree::build(gpu, &col, BPlusTreeConfig::default())),
         IndexKind::Harmonia => Box::new(Harmonia::build(gpu, &col, HarmoniaConfig::default())),
         IndexKind::RadixSpline => {
             Box::new(RadixSpline::build(gpu, col, RadixSplineConfig::default()))

@@ -57,15 +57,17 @@ impl Relation {
             KeyDistribution::SparseUniform => {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut k: u64 = 0;
-                let mut keys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    // Gap in [1, 31], average 16: keeps the key domain ~16×
-                    // larger than the relation, so interpolation (RadixSpline)
-                    // has real prediction error to absorb.
-                    k += rng.random_range(1..32u64);
-                    keys.push(k);
-                }
-                keys.into()
+                // A mapped range is `TrustedLen` too: one write, no copy.
+                (0..n)
+                    .map(|_| {
+                        // Gap in [1, 31], average 16: keeps the key domain
+                        // ~16× larger than the relation, so interpolation
+                        // (RadixSpline) has real prediction error to absorb.
+                        k += rng.random_range(1..32u64);
+                        k
+                    })
+                    .collect::<Arc<[u64]>>()
+                    .into()
             }
         };
         Relation {
@@ -85,7 +87,7 @@ impl Relation {
             return Relation::from_keys(Vec::new(), false);
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        let keys: Vec<u64> = (0..n)
+        let keys: Arc<[u64]> = (0..n)
             .map(|_| r.keys[rng.random_range(0..r.len())])
             .collect();
         Relation {
@@ -108,7 +110,7 @@ impl Relation {
         let sampler = ZipfSampler::new(r.len() as u64, exponent);
         let mut rng = StdRng::seed_from_u64(seed);
         let scatter = scatter_multiplier(r.len() as u64);
-        let keys: Vec<u64> = (0..n)
+        let keys: Arc<[u64]> = (0..n)
             .map(|_| {
                 let rank = sampler.sample(&mut rng) - 1;
                 let idx = (rank.wrapping_mul(scatter) % r.len() as u64) as usize;

@@ -28,9 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // headroom.
     let n = 1 << 16;
     let initial: Vec<u64> = (0..n as u64).map(|i| i * 2).collect();
-    let mut tree = BPlusTree::bulk_load(
+    let column = gpu.alloc_host_from_vec(initial.clone());
+    let mut tree = BPlusTree::build(
         &mut gpu,
-        &initial,
+        &column,
         BPlusTreeConfig {
             fill_factor: 0.7,
             spare_nodes: 4096,
