@@ -25,11 +25,10 @@ pub struct ExpConfig {
     pub out_dir: PathBuf,
     /// Reduced sweep (`--quick`).
     pub quick: bool,
-    /// Worker threads for the sweep targets (`baseline`, `simperf`,
-    /// `chaos`, `cluster`, `tuner`, `requests`). Sweep points are
-    /// independent deterministic simulations (one fresh `Gpu` each), merged
-    /// in fixed point order — so any job count produces byte-identical
-    /// reports.
+    /// Worker threads for the figure targets' cell table and the gated
+    /// sweeps. Each query is an independent deterministic simulation (one
+    /// fresh `Gpu` each), merged by cell key or in fixed point order — so
+    /// any job count produces byte-identical reports.
     pub jobs: usize,
     /// Gated targets write their committed `BENCH_*.json` golden instead
     /// of checking the fresh run against it.

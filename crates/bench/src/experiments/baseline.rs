@@ -9,6 +9,7 @@
 //! produces a byte-identical file on every run; `--record` rewrites the
 //! golden, and its diff shows exactly which phase moved.
 
+use super::cell::RInput;
 use crate::config::ExpConfig;
 use crate::gate::{self, GateSpec, Tol};
 use crate::output::{num, num6, r6, Experiment};
@@ -141,13 +142,7 @@ fn run_cell(
 pub(crate) fn r_columns() -> Vec<Relation> {
     R_GIB
         .iter()
-        .map(|&gib| {
-            Relation::unique_sorted(
-                Scale::PAPER.sim_tuples_for_paper_gib(gib),
-                KeyDistribution::Dense,
-                42,
-            )
-        })
+        .map(|&gib| RInput::paper(Scale::PAPER, gib).generate())
         .collect()
 }
 

@@ -23,6 +23,7 @@
 //! answer every request (availability 1.0) with at least one finite
 //! recovery, or the target fails.
 
+use super::cell::RInput;
 use crate::config::ExpConfig;
 use crate::gate::{self, GateSpec, Tol};
 use crate::output::{num, num6, r6, Experiment};
@@ -92,11 +93,7 @@ struct ChaosBench {
 /// The serving relation: 1 paper-GiB of dense sorted keys at paper scale
 /// (fixed, like the baseline matrix, so the JSON is mode-independent).
 fn chaos_relation() -> Relation {
-    Relation::unique_sorted(
-        Scale::PAPER.sim_tuples_for_paper_gib(1.0),
-        KeyDistribution::Dense,
-        42,
-    )
+    RInput::paper(Scale::PAPER, 1.0).generate()
 }
 
 /// The seeded trace every scenario replays.

@@ -23,6 +23,7 @@
 //! continuous ones (Q/s, keys/s, speedup, MTTR, makespan) get a 2%
 //! relative band for benign cost-model churn.
 
+use super::cell::RInput;
 use crate::config::ExpConfig;
 use crate::gate::{self, GateSpec, Tol};
 use crate::output::{num, num6, r6, Experiment};
@@ -152,11 +153,7 @@ struct ClusterBench {
 /// The served relation: 1 paper-GiB of dense sorted keys at paper scale
 /// (fixed, like the chaos target, so the JSON is mode-independent).
 fn cluster_relation() -> Relation {
-    Relation::unique_sorted(
-        Scale::PAPER.sim_tuples_for_paper_gib(1.0),
-        KeyDistribution::Dense,
-        42,
-    )
+    RInput::paper(Scale::PAPER, 1.0).generate()
 }
 
 fn trace(r: &Relation, requests: usize, load_rps: f64, seed: u64) -> Vec<TimedRequest> {

@@ -7,7 +7,8 @@
 //! (a) a full table scan with a GPU-side filter and (b) an index range
 //! scan that streams only the matching contiguous run.
 
-use super::{make_r, v100};
+use super::cell::RInput;
+use super::v100;
 use crate::config::ExpConfig;
 use crate::output::{num, Experiment};
 use serde_json::json;
@@ -24,7 +25,7 @@ const RANGE_R_GIB: f64 = 32.0;
 /// Run the transfer-volume comparison.
 pub fn fig1(cfg: &ExpConfig) -> Experiment {
     let mut spec = v100(cfg);
-    let r = make_r(cfg, RANGE_R_GIB);
+    let r = RInput::paper(cfg.scale, RANGE_R_GIB).generate();
     // A 100 %-selective range materializes the whole relation as
     // (position, key) pairs. This motivating experiment studies transfer
     // volume, not result placement, so give the device enough HBM that the

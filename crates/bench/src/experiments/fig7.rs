@@ -4,41 +4,37 @@
 //! tuples (2–512 MiB; scaled 2⁸–2¹⁶). The paper finds all indexes stay
 //! within 2×, with the RadixSpline and Harmonia preferring small windows.
 
-use super::{make_r, make_s, run_point, v100};
+use super::cell::{Cell, Plan};
+use super::{per_index, table};
 use crate::config::ExpConfig;
 use crate::output::{num, Experiment};
 use serde_json::json;
 use windex_core::prelude::*;
 
-/// Run the window-size sweep.
-pub fn fig7(cfg: &ExpConfig) -> Experiment {
-    let spec = v100(cfg);
-    let r = make_r(cfg, cfg.fixed_r_gib);
-    let s = make_s(cfg, &r);
-    let mut columns = vec!["window (paper MiB)".to_string()];
-    for k in IndexKind::all() {
-        columns.push(format!("Q/s windowed-inlj({k})"));
-    }
-    let mut rows = Vec::new();
-    for window_tuples in cfg.window_sweep() {
+/// The window-size sweep.
+pub fn fig7(cfg: &ExpConfig) -> Plan<'_> {
+    let columns = per_index(&["window (paper MiB)"], |k| {
+        format!("Q/s windowed-inlj({k})")
+    });
+    // Per window size, the windowed INLJ over every index at the fixed R.
+    let row = |window_tuples: usize| {
         // Window bytes at paper scale: tuples × 8 B × scale.
         let paper_mib = (window_tuples as u64 * 8 * cfg.scale.factor) >> 20;
-        let mut row = vec![json!(paper_mib)];
-        for index in IndexKind::all() {
-            let report = run_point(
-                &spec,
-                &r,
-                &s,
-                JoinStrategy::WindowedInlj {
-                    index,
-                    window_tuples,
-                },
-            );
-            row.push(num(report.queries_per_second()));
-        }
-        rows.push(row);
-    }
-    Experiment {
+        let cell = |index| {
+            let st = JoinStrategy::WindowedInlj {
+                index,
+                window_tuples,
+            };
+            Cell::paper(cfg, cfg.fixed_r_gib, st)
+        };
+        (vec![json!(paper_mib)], IndexKind::all().map(cell).into())
+    };
+    let rows = cfg.window_sweep().into_iter().map(row).collect();
+    let qps = |reports: &[&QueryReport]| {
+        let qps = reports.iter().map(|r| num(r.queries_per_second()));
+        qps.collect()
+    };
+    table(rows, qps, |rows, _| Experiment {
         id: "fig7".into(),
         title: format!("Window-size sweep at R = {:.0} GiB (Q/s)", cfg.fixed_r_gib),
         columns,
@@ -56,7 +52,7 @@ pub fn fig7(cfg: &ExpConfig) -> Experiment {
              paper (see EXPERIMENTS.md)."
                 .into(),
         ],
-    }
+    })
 }
 
 #[cfg(test)]
@@ -68,7 +64,7 @@ mod tests {
         let mut cfg = ExpConfig::quick();
         cfg.s_tuples = 1 << 11;
         cfg.fixed_r_gib = 48.0;
-        let exp = fig7(&cfg);
+        let exp = &crate::experiments::render(&["fig7"], &cfg)[0];
         // RadixSpline column (last): min and max within ~3x (generous band
         // for the reduced probe size).
         let vals: Vec<f64> = exp.rows.iter().map(|r| r[4].as_f64().unwrap()).collect();

@@ -18,7 +18,8 @@
 //! the paper's terminated run. The model still excludes atomic contention
 //! on the hot chain, which makes real hardware degrade far more.
 
-use super::{make_r, run_point, v100};
+use super::cell::{Cell, Plan};
+use super::{per_index, windowed};
 use crate::config::ExpConfig;
 use crate::output::{num, Experiment};
 use serde_json::{json, Value};
@@ -48,87 +49,82 @@ pub fn chain_penalty_seconds(s: &Relation, spec: &GpuSpec, max_block: usize) -> 
     extra_blocks * spec.cacheline_bytes as f64 / (spec.mem_bandwidth_gbps * 1e9)
 }
 
-/// Run the skew sweep.
-pub fn fig8(cfg: &ExpConfig) -> Experiment {
-    let spec = v100(cfg);
-    let r = make_r(cfg, cfg.fixed_r_gib);
-    let mut columns = vec!["zipf exponent".to_string()];
-    for k in IndexKind::all() {
-        columns.push(format!("Q/s windowed-inlj({k})"));
-    }
+/// The skew sweep. The chain penalty regenerates each Zipf S.
+pub fn fig8(cfg: &ExpConfig) -> Plan<'_> {
+    let mut columns = per_index(&["zipf exponent"], |k| format!("Q/s windowed-inlj({k})"));
     columns.push("Q/s hash-join".to_string());
     columns.push("L1 hit rate (RadixSpline)".to_string());
-
-    let mut rows = Vec::new();
-    let mut dnf_seen = false;
-    for z in cfg.zipf_exponents() {
-        let s = Relation::foreign_keys_zipf(&r, cfg.s_tuples, z, 7);
-        let mut row = vec![json!(z)];
-        let mut rs_l1 = 0.0;
-        for index in IndexKind::all() {
-            let report = run_point(
-                &spec,
-                &r,
-                &s,
-                JoinStrategy::WindowedInlj {
-                    index,
-                    window_tuples: cfg.window_tuples,
-                },
-            );
-            if index == IndexKind::RadixSpline {
-                rs_l1 = report.counters.l1_hit_rate();
+    // Per exponent: the windowed INLJ over every index, then the hash join.
+    let row_cells = |z: f64| {
+        let mut strategies: Vec<_> = IndexKind::all().map(|i| windowed(cfg, i)).into();
+        strategies.push(JoinStrategy::HashJoin);
+        let cell = |st| Cell::paper(cfg, cfg.fixed_r_gib, st).zipf(z);
+        strategies.into_iter().map(cell).collect::<Vec<_>>()
+    };
+    let exponents = cfg.zipf_exponents().into_iter();
+    let grid: Vec<_> = exponents.map(|z| (z, row_cells(z))).collect();
+    let cells: Vec<Cell> = grid.iter().flat_map(|(_, cells)| cells.clone()).collect();
+    Plan::new(cells, move |t| {
+        let mut r = None;
+        let mut rows = Vec::new();
+        let mut dnf_seen = false;
+        for (z, cells) in &grid {
+            let (hash, inlj) = cells.split_last().expect("a hash-join cell");
+            let mut row = vec![json!(z)];
+            row.extend(inlj.iter().map(|c| num(t[c].queries_per_second())));
+            // Hash join with the quadratic build correction.
+            let r = r.get_or_insert_with(|| hash.r.generate());
+            let penalty = chain_penalty_seconds(&hash.s.generate(r), &hash.spec(), 512);
+            let total = t[hash].time.total_s + penalty;
+            if total > DNF_SECONDS {
+                dnf_seen = true;
+                row.push(Value::Null);
+            } else {
+                row.push(num(1.0 / total));
             }
-            row.push(num(report.queries_per_second()));
+            // The RadixSpline is the last index.
+            row.push(num(t[&inlj[3]].counters.l1_hit_rate()));
+            rows.push(row);
         }
-        // Hash join with the quadratic build correction.
-        let report = run_point(&spec, &r, &s, JoinStrategy::HashJoin);
-        let penalty = chain_penalty_seconds(&s, &spec, 512);
-        let total = report.time.total_s + penalty;
-        if total > DNF_SECONDS {
-            dnf_seen = true;
-            row.push(Value::Null);
-        } else {
-            row.push(num(1.0 / total));
-        }
-        row.push(num(rs_l1));
-        rows.push(row);
-    }
-    let mut notes = vec![
-        "Expected shape: INLJ throughput increases for exponents above 1.0 \
+        let mut notes = vec![
+            "Expected shape: INLJ throughput increases for exponents above 1.0 \
          (hot paths cached on-chip); the hash join degrades to long value \
          chains (§5.2.2)."
-            .into(),
-        "Hash-join estimates include the quadratic chain-walk correction \
+                .into(),
+            "Hash-join estimates include the quadratic chain-walk correction \
          described in the module docs; contention is not modeled."
-            .into(),
-    ];
-    if dnf_seen {
-        notes.push(format!(
-            "DNF (—): corrected estimate exceeded {DNF_SECONDS} s; the paper \
+                .into(),
+        ];
+        if dnf_seen {
+            notes.push(format!(
+                "DNF (—): corrected estimate exceeded {DNF_SECONDS} s; the paper \
              terminated its corresponding run after 10 hours."
-        ));
-    }
-    Experiment {
-        id: "fig8".into(),
-        title: format!(
-            "Query throughput with Zipf-skewed lookup keys (R = {:.0} GiB, window 32 MiB)",
-            cfg.fixed_r_gib
-        ),
-        columns,
-        rows,
-        notes,
-    }
+            ));
+        }
+        Experiment {
+            id: "fig8".into(),
+            title: format!(
+                "Query throughput with Zipf-skewed lookup keys (R = {:.0} GiB, window 32 MiB)",
+                cfg.fixed_r_gib
+            ),
+            columns,
+            rows,
+            notes,
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::cell::{run, RInput};
+    use crate::experiments::v100;
 
     #[test]
     fn penalty_grows_with_skew() {
         let cfg = ExpConfig::quick();
         let spec = v100(&cfg);
-        let r = make_r(&cfg, 4.0);
+        let r = RInput::paper(cfg.scale, 4.0).generate();
         let uniform = Relation::foreign_keys_zipf(&r, 1 << 12, 0.0, 1);
         let skewed = Relation::foreign_keys_zipf(&r, 1 << 12, 1.75, 1);
         let p_u = chain_penalty_seconds(&uniform, &spec, 512);
@@ -141,23 +137,11 @@ mod tests {
         let mut cfg = ExpConfig::quick();
         cfg.s_tuples = 1 << 11;
         cfg.fixed_r_gib = 32.0;
-        let spec = v100(&cfg);
-        let r = make_r(&cfg, cfg.fixed_r_gib);
-        let run = |z: f64| {
-            let s = Relation::foreign_keys_zipf(&r, cfg.s_tuples, z, 7);
-            run_point(
-                &spec,
-                &r,
-                &s,
-                JoinStrategy::WindowedInlj {
-                    index: IndexKind::RadixSpline,
-                    window_tuples: cfg.window_tuples,
-                },
-            )
-            .queries_per_second()
-        };
-        let flat = run(0.0);
-        let hot = run(1.75);
+        let rs = windowed(&cfg, IndexKind::RadixSpline);
+        let cell = |z: f64| Cell::paper(&cfg, cfg.fixed_r_gib, rs).zipf(z);
+        let t = run([cell(0.0), cell(1.75)], 1);
+        let flat = t[&cell(0.0)].queries_per_second();
+        let hot = t[&cell(1.75)].queries_per_second();
         assert!(hot > flat, "skewed {hot} <= uniform {flat}");
     }
 }

@@ -6,102 +6,78 @@
 //! INLJ fares relatively better on NVLink, moving the crossover from
 //! 13.9 GiB (3.6 %) on the A100 to 6.2 GiB (8.0 %) on the V100.
 
-use super::{a100, crossover_gib, make_r, make_s, run_point, v100};
+use super::cell::{Plan, Platform};
+use super::{compare, crossover_gib, qps_series, sweep, windowed};
 use crate::config::ExpConfig;
 use crate::output::{num, Experiment};
-use serde_json::json;
 use windex_core::prelude::*;
 
-/// Run the two-platform sweep.
-pub fn fig9(cfg: &ExpConfig) -> Experiment {
-    let specs = [("V100+NVLink2", v100(cfg)), ("A100+PCIe4", a100(cfg))];
+/// The two-platform sweep.
+pub fn fig9(cfg: &ExpConfig) -> Plan<'_> {
+    let rs = windowed(cfg, IndexKind::RadixSpline);
+    let hash = JoinStrategy::HashJoin;
     let strategies = [
-        (
-            "windowed-inlj(radix-spline)",
-            JoinStrategy::WindowedInlj {
-                index: IndexKind::RadixSpline,
-                window_tuples: cfg.window_tuples,
-            },
-        ),
+        ("windowed-inlj(radix-spline)", rs),
         (
             "windowed-inlj(harmonia)",
-            JoinStrategy::WindowedInlj {
-                index: IndexKind::Harmonia,
-                window_tuples: cfg.window_tuples,
-            },
+            windowed(cfg, IndexKind::Harmonia),
         ),
-        ("hash-join", JoinStrategy::HashJoin),
+        ("hash-join", hash),
     ];
+    let platforms = [
+        ("V100+NVLink2", Platform::V100),
+        ("A100+PCIe4", Platform::A100),
+    ];
+    let (columns, cells) = compare(&platforms, &strategies);
+    let qps = |r: &QueryReport| num(r.queries_per_second());
+    sweep(cfg, &cells, qps, move |rows, t| {
+        let series = |platform, st| qps_series(cfg, t, (platform, st));
 
-    let mut columns = vec!["R (GiB)".to_string()];
-    for (plat, _) in &specs {
-        for (name, _) in &strategies {
-            columns.push(format!("Q/s {plat} {name}"));
-        }
-    }
-
-    // series[platform][strategy] = Vec<(gib, q/s)>
-    let mut series: Vec<Vec<Vec<(f64, f64)>>> =
-        vec![vec![Vec::new(); strategies.len()]; specs.len()];
-    let mut rows = Vec::new();
-    for &gib in &cfg.sweep_gib {
-        let r = make_r(cfg, gib);
-        let s = make_s(cfg, &r);
-        let mut row = vec![json!(gib)];
-        for (pi, (_, spec)) in specs.iter().enumerate() {
-            for (si, (_, st)) in strategies.iter().enumerate() {
-                let qps = run_point(spec, &r, &s, *st).queries_per_second();
-                series[pi][si].push((gib, qps));
-                row.push(num(qps));
-            }
-        }
-        rows.push(row);
-    }
-
-    let mut notes = vec![
-        "Expected shape: hash join ~1.7x faster on the A100 (faster GPU); \
+        let mut notes = vec![
+            "Expected shape: hash join ~1.7x faster on the A100 (faster GPU); \
          INLJ relatively stronger over NVLink, so the INLJ-beats-hash \
          crossover comes earlier on the V100 (§5.2.3)."
-            .into(),
-    ];
-    // Hash speedup A100/V100 at the largest size.
-    let last = cfg.sweep_gib.len() - 1;
-    let hash_v = series[0][2][last].1;
-    let hash_a = series[1][2][last].1;
-    notes.push(format!(
-        "hash-join speedup A100/V100 at {:.0} GiB: {:.2}x (paper: 1.7x). \
+                .into(),
+        ];
+        // Hash speedup A100/V100 at the largest size.
+        let last = cfg.sweep_gib.len() - 1;
+        let hash_v = series(Platform::V100, hash)[last].1;
+        let hash_a = series(Platform::A100, hash)[last].1;
+        notes.push(format!(
+            "hash-join speedup A100/V100 at {:.0} GiB: {:.2}x (paper: 1.7x). \
          Known model deviation: with a WarpCore-faithful ~2 cacheline \
          fetches per probe, the A100 hash join is bound by its PCI-e 4.0 \
          scan (25 GB/s), not by HBM — the paper's 1.7x implies a \
          GPU-memory-bound hash join (~4 fetches/probe), which would break \
          the more load-bearing 111 GiB V100 anchor (0.2 Q/s). See \
          EXPERIMENTS.md.",
-        cfg.sweep_gib[last],
-        hash_a / hash_v
-    ));
-    for (pi, (plat, _)) in specs.iter().enumerate() {
-        let s_tuples_gib =
-            (cfg.s_tuples as u64 * 8 * cfg.scale.factor) as f64 / (1u64 << 30) as f64;
-        match crossover_gib(&series[pi][2], &series[pi][0]) {
-            Some(x) => notes.push(format!(
-                "{plat}: RadixSpline INLJ overtakes the hash join at ~{x:.1} GiB \
+            cfg.sweep_gib[last],
+            hash_a / hash_v
+        ));
+        for (plat, platform) in platforms {
+            let s_tuples_gib =
+                (cfg.s_tuples as u64 * 8 * cfg.scale.factor) as f64 / (1u64 << 30) as f64;
+            match crossover_gib(&series(platform, hash), &series(platform, rs)) {
+                Some(x) => notes.push(format!(
+                    "{plat}: RadixSpline INLJ overtakes the hash join at ~{x:.1} GiB \
                  ({:.1} % selectivity); paper: 6.2 GiB (8.0 %) V100, 13.9 GiB (3.6 %) A100",
-                100.0 * s_tuples_gib / x
-            )),
-            None => notes.push(format!(
-                "{plat}: no crossover inside the sweep ({:?} GiB)",
-                cfg.sweep_gib
-            )),
+                    100.0 * s_tuples_gib / x
+                )),
+                None => notes.push(format!(
+                    "{plat}: no crossover inside the sweep ({:?} GiB)",
+                    cfg.sweep_gib
+                )),
+            }
         }
-    }
 
-    Experiment {
-        id: "fig9".into(),
-        title: "Hardware comparison: PCI-e 4.0 vs NVLink 2.0 (Q/s)".into(),
-        columns,
-        rows,
-        notes,
-    }
+        Experiment {
+            id: "fig9".into(),
+            title: "Hardware comparison: PCI-e 4.0 vs NVLink 2.0 (Q/s)".into(),
+            columns,
+            rows,
+            notes,
+        }
+    })
 }
 
 #[cfg(test)]
@@ -113,7 +89,7 @@ mod tests {
         let mut cfg = ExpConfig::quick();
         cfg.s_tuples = 1 << 11;
         cfg.sweep_gib = vec![64.0];
-        let exp = fig9(&cfg);
+        let exp = &crate::experiments::render(&["fig9"], &cfg)[0];
         let row = &exp.rows[0];
         // Columns: x, V100 RS, V100 H, V100 hash, A100 RS, A100 H, A100 hash.
         let v100_rs = row[1].as_f64().unwrap();

@@ -6,55 +6,34 @@
 //! evidence that TLB misses cause the throughput drop past the 32 GiB TLB
 //! range.
 
-use super::{inlj_strategies, make_r, make_s, run_point, v100};
+use super::cell::{Plan, Platform};
+use super::{on_v100, per_index, sweep};
 use crate::config::ExpConfig;
 use crate::output::{num, num6, Experiment};
-use serde_json::{json, Value};
+use serde_json::Value;
 use windex_core::prelude::*;
 
-/// One full unpartitioned sweep: per R size, the hash join plus the four
-/// INLJs, reported as (gib, reports).
-pub fn unpartitioned_sweep(cfg: &ExpConfig) -> Vec<(f64, Vec<QueryReport>)> {
-    let spec = v100(cfg);
+/// The unpartitioned sweep's columns: the hash join, then one INLJ per
+/// index.
+fn columns() -> Vec<(Platform, JoinStrategy)> {
     let mut strategies = vec![JoinStrategy::HashJoin];
-    strategies.extend(inlj_strategies(|index| JoinStrategy::Inlj { index }));
-    cfg.sweep_gib
-        .iter()
-        .map(|&gib| {
-            let r = make_r(cfg, gib);
-            let s = make_s(cfg, &r);
-            let reports = strategies
-                .iter()
-                .map(|&st| run_point(&spec, &r, &s, st))
-                .collect();
-            (gib, reports)
-        })
-        .collect()
+    strategies.extend(IndexKind::all().map(|index| JoinStrategy::Inlj { index }));
+    on_v100(&strategies)
 }
 
 /// Column headers shared by the unpartitioned figures: x, hash, 4 indexes.
-fn columns(prefix: &str) -> Vec<String> {
-    let mut cols = vec!["R (GiB)".to_string(), format!("{prefix} hash-join")];
-    for k in IndexKind::all() {
-        cols.push(format!("{prefix} inlj({k})"));
-    }
-    cols
+fn header(prefix: &str) -> Vec<String> {
+    let hash = format!("{prefix} hash-join");
+    per_index(&["R (GiB)", &hash], |k| format!("{prefix} inlj({k})"))
 }
 
-/// Build Fig. 3 from a sweep.
-pub fn fig3_from(sweep: &[(f64, Vec<QueryReport>)]) -> Experiment {
-    let rows = sweep
-        .iter()
-        .map(|(gib, reports)| {
-            let mut row = vec![json!(gib)];
-            row.extend(reports.iter().map(|r| num(r.queries_per_second())));
-            row
-        })
-        .collect();
-    Experiment {
+/// Fig. 3: query throughput over the unpartitioned sweep.
+pub fn fig3(cfg: &ExpConfig) -> Plan<'_> {
+    let qps = |r: &QueryReport| num(r.queries_per_second());
+    sweep(cfg, &columns(), qps, |rows, _| Experiment {
         id: "fig3".into(),
         title: "Query throughput (Q/s), unpartitioned INLJ vs hash join".into(),
-        columns: columns("Q/s"),
+        columns: header("Q/s"),
         rows,
         notes: vec![
             "Expected shape: hash join decays smoothly with the scan volume; \
@@ -64,42 +43,29 @@ pub fn fig3_from(sweep: &[(f64, Vec<QueryReport>)]) -> Experiment {
              meaningfully outperforms the hash join (abstract, §3.3.1)."
                 .into(),
         ],
-    }
+    })
 }
 
-/// Build Fig. 4 from the same sweep.
-pub fn fig4_from(sweep: &[(f64, Vec<QueryReport>)]) -> Experiment {
-    let rows = sweep
-        .iter()
-        .map(|(gib, reports)| {
-            let mut row = vec![json!(gib)];
-            row.extend(reports.iter().map(|r| {
-                if r.counters.lookups == 0 {
-                    Value::Null // the hash join performs no index lookups
-                } else {
-                    num6(r.translations_per_lookup())
-                }
-            }));
-            row
-        })
-        .collect();
-    Experiment {
+/// Fig. 4: translation requests per lookup over the same sweep.
+pub fn fig4(cfg: &ExpConfig) -> Plan<'_> {
+    let tx = |r: &QueryReport| {
+        if r.counters.lookups == 0 {
+            Value::Null // the hash join performs no index lookups
+        } else {
+            num6(r.translations_per_lookup())
+        }
+    };
+    sweep(cfg, &columns(), tx, |rows, _| Experiment {
         id: "fig4".into(),
         title: "Address-translation requests per index lookup".into(),
-        columns: columns("tx/lookup"),
+        columns: header("tx/lookup"),
         rows,
         notes: vec![
             "Expected shape: near zero below the 32 GiB TLB range, spiking \
              upward past it; binary search worst, Harmonia least (§3.3.2)."
                 .into(),
         ],
-    }
-}
-
-/// Run the sweep and emit both figures.
-pub fn figs34(cfg: &ExpConfig) -> Vec<Experiment> {
-    let sweep = unpartitioned_sweep(cfg);
-    vec![fig3_from(&sweep), fig4_from(&sweep)]
+    })
 }
 
 #[cfg(test)]
@@ -116,8 +82,7 @@ mod tests {
     #[test]
     fn tlb_cliff_emerges_past_the_range() {
         let cfg = tiny_cfg();
-        let figs = figs34(&cfg);
-        let fig4 = &figs[1];
+        let fig4 = &crate::experiments::render(&["fig4"], &cfg)[0];
         // Column 2 is binary search (after x and hash join).
         let bs_small = fig4.rows[0][3].as_f64().unwrap();
         let bs_large = fig4.rows[1][3].as_f64().unwrap();
@@ -136,7 +101,7 @@ mod tests {
     #[test]
     fn hash_join_has_no_lookups() {
         let cfg = tiny_cfg();
-        let figs = figs34(&cfg);
-        assert_eq!(figs[1].rows[0][1], Value::Null);
+        let fig4 = &crate::experiments::render(&["fig4"], &cfg)[0];
+        assert_eq!(fig4.rows[0][1], Value::Null);
     }
 }

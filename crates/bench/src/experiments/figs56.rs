@@ -5,48 +5,22 @@
 //! of address-translation requests eliminated relative to the
 //! unpartitioned runs.
 
-use super::figs34::unpartitioned_sweep;
-use super::{inlj_strategies, make_r, make_s, run_point, v100};
+use super::cell::{Cell, Plan};
+use super::{on_v100, per_index, sweep, table};
 use crate::config::ExpConfig;
 use crate::output::{num, Experiment};
 use serde_json::{json, Value};
 use windex_core::prelude::*;
 
-/// The partitioned sweep: per R size, one `PartitionedInlj` per index.
-pub fn partitioned_sweep(cfg: &ExpConfig) -> Vec<(f64, Vec<QueryReport>)> {
-    let spec = v100(cfg);
-    let strategies = inlj_strategies(|index| JoinStrategy::PartitionedInlj { index });
-    cfg.sweep_gib
-        .iter()
-        .map(|&gib| {
-            let r = make_r(cfg, gib);
-            let s = make_s(cfg, &r);
-            let reports = strategies
-                .iter()
-                .map(|&st| run_point(&spec, &r, &s, st))
-                .collect();
-            (gib, reports)
-        })
-        .collect()
-}
-
-/// Build Fig. 5: throughput with partitioned keys, hash join as reference.
-/// `hash` supplies the per-size hash-join reports (from the Fig. 3 sweep).
-pub fn fig5_from(part: &[(f64, Vec<QueryReport>)], hash: &[(f64, QueryReport)]) -> Experiment {
-    let mut columns = vec!["R (GiB)".to_string(), "Q/s hash-join".to_string()];
-    for k in IndexKind::all() {
-        columns.push(format!("Q/s part-inlj({k})"));
-    }
-    let rows = part
-        .iter()
-        .zip(hash)
-        .map(|((gib, reports), (_, h))| {
-            let mut row = vec![json!(gib), num(h.queries_per_second())];
-            row.extend(reports.iter().map(|r| num(r.queries_per_second())));
-            row
-        })
-        .collect();
-    Experiment {
+/// Fig. 5: throughput with partitioned keys, hash join as reference.
+pub fn fig5(cfg: &ExpConfig) -> Plan<'_> {
+    let mut strategies = vec![JoinStrategy::HashJoin];
+    strategies.extend(IndexKind::all().map(|index| JoinStrategy::PartitionedInlj { index }));
+    let columns = per_index(&["R (GiB)", "Q/s hash-join"], |k| {
+        format!("Q/s part-inlj({k})")
+    });
+    let qps = |r: &QueryReport| num(r.queries_per_second());
+    sweep(cfg, &on_v100(&strategies), qps, |rows, _| Experiment {
         id: "fig5".into(),
         title: "Query throughput (Q/s) when partitioning lookup keys".into(),
         columns,
@@ -58,70 +32,49 @@ pub fn fig5_from(part: &[(f64, Vec<QueryReport>)], hash: &[(f64, QueryReport)]) 
              111 GiB — up to 10x (§4.3.1)."
                 .into(),
         ],
-    }
+    })
 }
 
-/// Build Fig. 6: % of translation requests eliminated vs the unpartitioned
-/// runs (per index).
-pub fn fig6_from(
-    unpart: &[(f64, Vec<QueryReport>)],
-    part: &[(f64, Vec<QueryReport>)],
-) -> Experiment {
-    let mut columns = vec!["R (GiB)".to_string()];
-    for k in IndexKind::all() {
-        columns.push(format!("% eliminated ({k})"));
-    }
-    let rows = unpart
-        .iter()
-        .zip(part)
-        .map(|((gib, u_reports), (_, p_reports))| {
-            let mut row = vec![json!(gib)];
-            // The unpartitioned sweep's slot 0 is the hash join; the INLJ
-            // reports follow in IndexKind::all() order.
-            for (u, p) in u_reports[1..].iter().zip(p_reports.iter()) {
-                let u_tx = u.translations_per_lookup();
-                let p_tx = p.translations_per_lookup();
-                if u_tx < 1e-2 {
-                    // Below the TLB range there is nothing to eliminate.
-                    row.push(Value::Null);
-                } else {
-                    row.push(num(100.0 * (1.0 - p_tx / u_tx)));
-                }
-            }
-            row
-        })
-        .collect();
-    Experiment {
+/// Fig. 6: % of translation requests eliminated vs the unpartitioned runs
+/// (per index).
+pub fn fig6(cfg: &ExpConfig) -> Plan<'_> {
+    let columns = per_index(&["R (GiB)"], |k| format!("% eliminated ({k})"));
+    // Per R size: each index's unpartitioned and partitioned INLJ.
+    let row = |&gib: &f64| {
+        let cell = |st| Cell::paper(cfg, gib, st);
+        let pair = |index| {
+            [
+                JoinStrategy::Inlj { index },
+                JoinStrategy::PartitionedInlj { index },
+            ]
+        };
+        let cells = IndexKind::all().into_iter().flat_map(pair).map(cell);
+        (vec![json!(gib)], cells.collect())
+    };
+    let eliminated = |pair: &[&QueryReport]| {
+        let u_tx = pair[0].translations_per_lookup();
+        let p_tx = pair[1].translations_per_lookup();
+        if u_tx < 1e-2 {
+            // Below the TLB range there is nothing to eliminate.
+            Value::Null
+        } else {
+            num(100.0 * (1.0 - p_tx / u_tx))
+        }
+    };
+    let rows = cfg.sweep_gib.iter().map(row).collect();
+    let values = move |reports: &[&QueryReport]| reports.chunks(2).map(eliminated).collect();
+    table(rows, values, |rows, _| Experiment {
         id: "fig6".into(),
         title: "Translation requests eliminated by partitioning (%)".into(),
         columns,
         rows,
         notes: vec![
             "Expected shape: ~100 % at and beyond the TLB range boundary; \
-             blank cells mark sizes whose unpartitioned runs had no \
-             meaningful translation traffic to eliminate (§4.3.2)."
+                 blank cells mark sizes whose unpartitioned runs had no \
+                 meaningful translation traffic to eliminate (§4.3.2)."
                 .into(),
         ],
-    }
-}
-
-/// Run both sweeps and emit Fig. 5 and Fig. 6.
-pub fn figs56(cfg: &ExpConfig) -> Vec<Experiment> {
-    let unpart = unpartitioned_sweep(cfg);
-    let part = partitioned_sweep(cfg);
-    figs56_from(&unpart, &part)
-}
-
-/// Emit Fig. 5 and Fig. 6 from precomputed sweeps (shared with `all`).
-pub fn figs56_from(
-    unpart: &[(f64, Vec<QueryReport>)],
-    part: &[(f64, Vec<QueryReport>)],
-) -> Vec<Experiment> {
-    let hash: Vec<(f64, QueryReport)> = unpart
-        .iter()
-        .map(|(gib, reports)| (*gib, reports[0].clone()))
-        .collect();
-    vec![fig5_from(part, &hash), fig6_from(unpart, part)]
+    })
 }
 
 #[cfg(test)]
@@ -133,15 +86,14 @@ mod tests {
         let mut cfg = ExpConfig::quick();
         cfg.s_tuples = 1 << 12;
         cfg.sweep_gib = vec![64.0];
-        let unpart = unpartitioned_sweep(&cfg);
-        let part = partitioned_sweep(&cfg);
+        let figs = crate::experiments::render(&["fig3", "fig5", "fig6"], &cfg);
+        let (fig3, fig5, fig6) = (&figs[0], &figs[1], &figs[2]);
         // Partitioned binary search is faster than unpartitioned at 64 GiB.
-        let u_bs = unpart[0].1[1].queries_per_second();
-        let p_bs = part[0].1[0].queries_per_second();
+        let u_bs = fig3.rows[0][2].as_f64().unwrap();
+        let p_bs = fig5.rows[0][2].as_f64().unwrap();
         assert!(p_bs > 2.0 * u_bs, "partitioned {p_bs} vs {u_bs}");
         // And nearly all translations are gone.
-        let figs = figs56_from(&unpart, &part);
-        let elim = figs[1].rows[0][1].as_f64().unwrap();
+        let elim = fig6.rows[0][1].as_f64().unwrap();
         assert!(elim > 90.0, "eliminated {elim}%");
     }
 }

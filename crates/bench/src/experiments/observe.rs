@@ -16,6 +16,7 @@
 //! Everything is a pure function of the fixed seeds, so every artifact is
 //! byte-identical across runs (pinned by `tests/exporters.rs`).
 
+use super::cell::RInput;
 use crate::config::ExpConfig;
 use crate::export::{
     chrome_trace_json, cluster_request_chrome_trace, query_chrome_trace, server_chrome_trace,
@@ -49,11 +50,7 @@ const BUCKETS: usize = 64;
 pub fn observed_query(strategy: JoinStrategy) -> (QueryReport, Trace, GpuSpec) {
     let scale = Scale::PAPER;
     let spec = GpuSpec::v100_nvlink2(scale);
-    let r = Relation::unique_sorted(
-        scale.sim_tuples_for_paper_gib(R_GIB),
-        KeyDistribution::Dense,
-        42,
-    );
+    let r = RInput::paper(scale, R_GIB).generate();
     let s = Relation::foreign_keys_uniform(&r, S_TUPLES, 7);
     let mut gpu = Gpu::new(spec.clone());
     gpu.start_bounded_trace();
@@ -66,11 +63,7 @@ pub fn observed_query(strategy: JoinStrategy) -> (QueryReport, Trace, GpuSpec) {
 
 /// The relation, trace and configuration of the seeded serving run.
 fn served_inputs() -> (Relation, Vec<TimedRequest>, ServeConfig) {
-    let r = Relation::unique_sorted(
-        Scale::PAPER.sim_tuples_for_paper_gib(1.0),
-        KeyDistribution::Dense,
-        42,
-    );
+    let r = RInput::paper(Scale::PAPER, 1.0).generate();
     let trace = generate_trace(
         &TraceConfig {
             seed: 7,
@@ -158,11 +151,7 @@ pub fn observed_tuned() -> TunedReport {
 /// artifacts (flow-linked Perfetto export, tail query cards).
 pub fn observed_cluster() -> ClusterReport {
     let scale = Scale::PAPER;
-    let r = Relation::unique_sorted(
-        scale.sim_tuples_for_paper_gib(1.0),
-        KeyDistribution::Dense,
-        42,
-    );
+    let r = RInput::paper(scale, 1.0).generate();
     let trace = generate_trace(
         &TraceConfig {
             seed: 9,

@@ -32,6 +32,7 @@
 //! flags) must match exactly; continuous ones (p99s per stage, merge
 //! share) get a 2% relative band for benign cost-model churn.
 
+use super::cell::RInput;
 use crate::config::ExpConfig;
 use crate::gate::{self, GateSpec, Tol};
 use crate::output::{num6, r6, Experiment};
@@ -140,11 +141,7 @@ struct RequestsBench {
 /// The served relation: 1 paper-GiB of dense sorted keys at paper scale
 /// (fixed, like the cluster target, so the JSON is mode-independent).
 fn requests_relation() -> Relation {
-    Relation::unique_sorted(
-        Scale::PAPER.sim_tuples_for_paper_gib(1.0),
-        KeyDistribution::Dense,
-        42,
-    )
+    RInput::paper(Scale::PAPER, 1.0).generate()
 }
 
 fn trace(r: &Relation, requests: usize, load_rps: f64, seed: u64) -> Vec<TimedRequest> {

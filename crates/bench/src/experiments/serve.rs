@@ -10,6 +10,7 @@
 //! windows (micro-batching with a max-delay bound) overtake per-request
 //! execution.
 
+use super::cell::RInput;
 use crate::config::ExpConfig;
 use crate::experiments::v100;
 use crate::output::{num, num6, Experiment};
@@ -86,11 +87,7 @@ fn serve_point(cfg: &ExpConfig, r: &Relation, policy: BatchPolicy, load: f64) ->
 /// not scans, dominate serving; the R-size sensitivity is Figs. 3–5's
 /// story, not this one).
 fn serve_relation(cfg: &ExpConfig) -> Relation {
-    Relation::unique_sorted(
-        cfg.scale.sim_tuples_for_paper_gib(1.0),
-        KeyDistribution::Dense,
-        42,
-    )
+    RInput::paper(cfg.scale, 1.0).generate()
 }
 
 /// The `serve` target: latency–throughput sweep, batched vs per-request.

@@ -7,91 +7,55 @@
 //! agree within a small band. This experiment replays three configurations
 //! at scales 256×–2048×.
 
+use super::cell::{Cell, Plan};
+use super::{header, table};
 use crate::config::ExpConfig;
 use crate::output::{num, Experiment};
 use serde_json::json;
 use windex_core::prelude::*;
 
-fn run_at_scale(
-    scale_factor: u64,
-    paper_gib: f64,
-    paper_s_log2: u32,
-    strategy: JoinStrategy,
-) -> QueryReport {
-    let scale = Scale::new(scale_factor);
-    let spec = GpuSpec::v100_nvlink2(scale);
-    let r = Relation::unique_sorted(
-        scale.sim_tuples_for_paper_gib(paper_gib),
-        KeyDistribution::Dense,
-        42,
-    );
-    let s_tuples = (1usize << paper_s_log2) / scale_factor as usize;
-    let s = Relation::foreign_keys_uniform(&r, s_tuples, 7);
-    let mut gpu = Gpu::new(spec);
-    QueryExecutor::new()
-        .run(&mut gpu, &r, &s, strategy)
-        .expect("query runs")
-}
+/// The replayed paper-scale point: R = 64 GiB (above the cliff), S = 2^26.
+const PAPER_GIB: f64 = 64.0;
 
-/// Replay fixed paper-scale points at several reduction factors.
-pub fn validate_scale(cfg: &ExpConfig) -> Experiment {
-    // Paper-scale point: R = 64 GiB (above the cliff), S = 2^26.
-    let paper_gib = 64.0;
+/// Replay the fixed paper-scale point at several reduction factors: the
+/// windowed RadixSpline (with the 32 MiB paper window = 2^22 tuples,
+/// scaled), the hash join and the unpartitioned binary search.
+pub fn validate_scale(cfg: &ExpConfig) -> Plan<'_> {
     let scales: &[u64] = if cfg.quick {
         &[512, 1024, 2048]
     } else {
         &[256, 512, 1024, 2048]
     };
-    let strategies = [
-        (
-            "windowed-inlj(radix-spline)",
-            JoinStrategy::WindowedInlj {
-                index: IndexKind::RadixSpline,
-                // 32 MiB paper window = 2^22 tuples, scaled per factor below.
-                window_tuples: 0, // placeholder, set per scale
-            },
-        ),
-        ("hash-join", JoinStrategy::HashJoin),
-        (
-            "inlj(binary-search)",
-            JoinStrategy::Inlj {
-                index: IndexKind::BinarySearch,
-            },
-        ),
-    ];
-
-    let mut columns = vec!["scale".to_string()];
-    for (name, _) in &strategies {
-        columns.push(format!("Q/s {name}"));
-    }
-    columns.push("tx/lookup inlj(binary-search)".into());
-
-    let mut rows = Vec::new();
-    for &factor in scales {
-        let mut row = vec![json!(format!("1:{factor}"))];
-        let mut bs_tx = 0.0;
-        for (_, st) in &strategies {
-            let st = match st {
-                JoinStrategy::WindowedInlj { index, .. } => JoinStrategy::WindowedInlj {
-                    index: *index,
-                    window_tuples: ((1usize << 22) / factor as usize).max(1),
-                },
-                other => *other,
-            };
-            let rep = run_at_scale(factor, paper_gib, 26, st);
-            if matches!(st, JoinStrategy::Inlj { .. }) {
-                bs_tx = rep.translations_per_lookup();
-            }
-            row.push(num(rep.queries_per_second()));
-        }
-        row.push(num(bs_tx));
-        rows.push(row);
-    }
-
-    Experiment {
+    let row = |&factor: &u64| {
+        let per_scale = |paper_tuples: usize| (paper_tuples / factor as usize).max(1);
+        let cell = |st| Cell::new(Scale::new(factor), PAPER_GIB, per_scale(1 << 26), st);
+        let rs = JoinStrategy::WindowedInlj {
+            index: IndexKind::RadixSpline,
+            window_tuples: per_scale(1 << 22),
+        };
+        let bs = JoinStrategy::Inlj {
+            index: IndexKind::BinarySearch,
+        };
+        let cells = [rs, JoinStrategy::HashJoin, bs].map(cell).into();
+        (vec![json!(format!("1:{factor}"))], cells)
+    };
+    let columns = header(&[
+        "scale",
+        "Q/s windowed-inlj(radix-spline)",
+        "Q/s hash-join",
+        "Q/s inlj(binary-search)",
+        "tx/lookup inlj(binary-search)",
+    ]);
+    let values = |reports: &[&QueryReport]| {
+        let qps = reports.iter().map(|r| num(r.queries_per_second()));
+        let bs_tx = num(reports[2].translations_per_lookup());
+        qps.chain([bs_tx]).collect()
+    };
+    let rows = scales.iter().map(row).collect();
+    table(rows, values, move |rows, _| Experiment {
         id: "validate-scale".into(),
         title: format!(
-            "Scale invariance: the same paper-scale point (R = {paper_gib:.0} GiB, \
+            "Scale invariance: the same paper-scale point (R = {PAPER_GIB:.0} GiB, \
              S = 2^26) at different reduction factors"
         ),
         columns,
@@ -104,7 +68,7 @@ pub fn validate_scale(cfg: &ExpConfig) -> Experiment {
              the per-lookup thrashing ratio."
                 .into(),
         ],
-    }
+    })
 }
 
 #[cfg(test)]
@@ -115,7 +79,7 @@ mod tests {
     fn estimates_agree_across_scales() {
         let mut cfg = ExpConfig::quick();
         cfg.quick = true;
-        let exp = validate_scale(&cfg);
+        let exp = &crate::experiments::render(&["validate-scale"], &cfg)[0];
         // Hash-join column must agree tightly (pure streaming, no log terms).
         let hash: Vec<f64> = exp.rows.iter().map(|r| r[2].as_f64().unwrap()).collect();
         let (lo, hi) = (

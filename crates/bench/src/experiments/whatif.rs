@@ -1,77 +1,52 @@
 //! What-if study beyond the paper's evaluation: the GH200's NVLink C2C
 //! (450 GB/s, Table 1) against the paper's V100 + NVLink 2.0 platform.
 
-use super::{crossover_gib, make_r, make_s, run_point};
+use super::cell::{Plan, Platform};
+use super::{compare, crossover_gib, qps_series, sweep, windowed};
 use crate::config::ExpConfig;
 use crate::output::{num, Experiment};
-use serde_json::json;
 use windex_core::prelude::*;
 
 /// Sweep the V100 and GH200 platforms over R.
-pub fn whatif_gh200(cfg: &ExpConfig) -> Experiment {
-    let specs = [
-        ("V100+NVLink2", GpuSpec::v100_nvlink2(cfg.scale)),
-        ("GH200+C2C", GpuSpec::gh200(cfg.scale)),
+pub fn whatif_gh200(cfg: &ExpConfig) -> Plan<'_> {
+    let inlj = windowed(cfg, IndexKind::RadixSpline);
+    let hash = JoinStrategy::HashJoin;
+    let strategies = [("windowed-inlj(radix-spline)", inlj), ("hash-join", hash)];
+    let platforms = [
+        ("V100+NVLink2", Platform::V100),
+        ("GH200+C2C", Platform::Gh200),
     ];
-    let strategies = [
-        (
-            "windowed-inlj(radix-spline)",
-            JoinStrategy::WindowedInlj {
-                index: IndexKind::RadixSpline,
-                window_tuples: cfg.window_tuples,
-            },
-        ),
-        ("hash-join", JoinStrategy::HashJoin),
-    ];
+    let (columns, cells) = compare(&platforms, &strategies);
+    let qps = |r: &QueryReport| num(r.queries_per_second());
+    sweep(cfg, &cells, qps, move |rows, t| {
+        let series = |platform, st| qps_series(cfg, t, (platform, st));
 
-    let mut columns = vec!["R (GiB)".to_string()];
-    for (plat, _) in &specs {
-        for (name, _) in &strategies {
-            columns.push(format!("Q/s {plat} {name}"));
-        }
-    }
-
-    let mut series: Vec<Vec<Vec<(f64, f64)>>> =
-        vec![vec![Vec::new(); strategies.len()]; specs.len()];
-    let mut rows = Vec::new();
-    for &gib in &cfg.sweep_gib {
-        let r = make_r(cfg, gib);
-        let s = make_s(cfg, &r);
-        let mut row = vec![json!(gib)];
-        for (pi, (_, spec)) in specs.iter().enumerate() {
-            for (si, (_, st)) in strategies.iter().enumerate() {
-                let qps = run_point(spec, &r, &s, *st).queries_per_second();
-                series[pi][si].push((gib, qps));
-                row.push(num(qps));
-            }
-        }
-        rows.push(row);
-    }
-
-    let last = cfg.sweep_gib.len() - 1;
-    let mut notes = vec![format!(
-        "GH200 speedup at {:.0} GiB — INLJ: {:.1}x, hash join: {:.1}x. The \
+        let last = cfg.sweep_gib.len() - 1;
+        let speedup = |st| series(Platform::Gh200, st)[last].1 / series(Platform::V100, st)[last].1;
+        let mut notes = vec![format!(
+            "GH200 speedup at {:.0} GiB — INLJ: {:.1}x, hash join: {:.1}x. The \
          450 GB/s link lifts both, but the table scan stays O(|R|): the \
          index join's advantage persists on next-generation interconnects.",
-        cfg.sweep_gib[last],
-        series[1][0][last].1 / series[0][0][last].1,
-        series[1][1][last].1 / series[0][1][last].1,
-    )];
-    for (pi, (plat, _)) in specs.iter().enumerate() {
-        if let Some(x) = crossover_gib(&series[pi][1], &series[pi][0]) {
-            notes.push(format!(
-                "{plat}: INLJ overtakes the hash join at ~{x:.1} GiB"
-            ));
+            cfg.sweep_gib[last],
+            speedup(inlj),
+            speedup(hash),
+        )];
+        for (plat, platform) in platforms {
+            if let Some(x) = crossover_gib(&series(platform, hash), &series(platform, inlj)) {
+                notes.push(format!(
+                    "{plat}: INLJ overtakes the hash join at ~{x:.1} GiB"
+                ));
+            }
         }
-    }
 
-    Experiment {
-        id: "whatif-gh200".into(),
-        title: "What-if: GH200 NVLink C2C vs V100 NVLink 2.0 (Q/s)".into(),
-        columns,
-        rows,
-        notes,
-    }
+        Experiment {
+            id: "whatif-gh200".into(),
+            title: "What-if: GH200 NVLink C2C vs V100 NVLink 2.0 (Q/s)".into(),
+            columns,
+            rows,
+            notes,
+        }
+    })
 }
 
 #[cfg(test)]
@@ -83,7 +58,7 @@ mod tests {
         let mut cfg = ExpConfig::quick();
         cfg.s_tuples = 1 << 10;
         cfg.sweep_gib = vec![48.0];
-        let exp = whatif_gh200(&cfg);
+        let exp = &crate::experiments::render(&["whatif-gh200"], &cfg)[0];
         let row = &exp.rows[0];
         let v100_inlj = row[1].as_f64().unwrap();
         let v100_hash = row[2].as_f64().unwrap();

@@ -13,7 +13,7 @@ use windex_index::{
 use windex_sim::{Buffer, Gpu};
 
 /// The execution plans evaluated by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize)]
 pub enum JoinStrategy {
     /// Baseline: WarpCore-style hash join, built on the smaller relation on
     /// the fly, probing with a full scan of the larger one (§3.2).

@@ -9,7 +9,7 @@
 use windex_sim::Gpu;
 
 /// The four index structures the paper evaluates (§3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize)]
 pub enum IndexKind {
     /// Plain binary search over the sorted base relation.
     BinarySearch,

@@ -18,7 +18,7 @@
 use windex_sim::GpuSpec;
 
 /// A contiguous range of key bits used as the radix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PartitionBits {
     /// Right-shift applied to `(key - min_key)` before masking.
     pub shift: u32,

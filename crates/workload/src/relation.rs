@@ -13,7 +13,7 @@ use std::sync::Arc;
 use windex_sim::SharedColumn;
 
 /// Key-space shape for the unique sorted build side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum KeyDistribution {
     /// Keys `0, 1, 2, …, n-1`. Degenerate for learned indexes (a perfect
     /// line); mainly useful in tests.
