@@ -20,13 +20,21 @@
 //! convention: child `i` holds keys in `[sep[i], sep[i+1])`.
 //!
 //! Node ids run leaves first, then the internal levels bottom-up, then the
-//! spare nodes. The pool is a pure function of the key column and the
-//! whole [`BPlusTreeConfig`], so [`BPlusTree::build`] stores it on the
-//! staged column it was fitted to, like the Harmonia and RadixSpline fits:
-//! every later build over that column with that config, on any thread,
-//! stages the stored pool instead of writing a new one. The fit writes the
-//! shared allocation once, the leaves by formula; `insert` and `remove`
-//! copy the pool before their first write, so the stored fit never changes.
+//! spare nodes. A bulk-loaded leaf level is a function of the key column
+//! alone: leaf `l` holds keys `R[l·per_leaf ..]` with rids equal to their
+//! positions and links to leaf `l + 1`. So the tree never stores it: a
+//! read of a leaf slot derives the value from the staged column, and only
+//! the internal levels, a `1 / per_internal` fraction of the pool, are
+//! fitted. That fit is a pure function of the column and the whole
+//! [`BPlusTreeConfig`], so [`BPlusTree::build`] stores it on the staged
+//! column, like the Harmonia and RadixSpline fits: every later build over
+//! that column with that config, on any thread, serves the stored levels
+//! instead of fitting anew. The pool's addresses are reserved in the
+//! simulated CPU memory as if it were materialized, and every read is
+//! accounted at its slot's address, so the simulation sees the same pool
+//! either way. The first `insert` or `remove` that writes builds the whole
+//! pool, leaves included, into a copy the tree owns, so the stored fit
+//! never changes.
 //!
 //! The descent is written once, as the per-lane step (header read, probes
 //! within the node, child fetch): `lookup_warp` hands it to `lockstep` and
@@ -35,8 +43,10 @@
 //! first rid of the next leaf.
 
 use crate::traits::{IndexKind, OutOfCoreIndex};
+use std::mem::size_of;
+use std::rc::Rc;
 use std::sync::Arc;
-use windex_sim::{lockstep, Buffer, Gpu, SharedColumn, WARP_SIZE};
+use windex_sim::{lockstep, Buffer, Gpu, MemLocation, WARP_SIZE};
 
 /// Sentinel node id / rid.
 const NONE: u64 = u64::MAX;
@@ -89,14 +99,33 @@ impl Default for BPlusTreeConfig {
 
 /// Host-side build artifacts: a pure function of (key column, config),
 /// stored on a staged shared column like the Harmonia and RadixSpline fits
-/// (see [`Buffer::derived`]).
+/// (see [`Buffer::derived`]). The leaf level is not among them.
+#[derive(Debug)]
 struct TreeArtifacts {
-    nodes: SharedColumn<u64>,
+    /// Nodes `leaf_count .. allocated_nodes`: the internal levels.
+    internal: Vec<u64>,
+    leaf_count: usize,
     root: u64,
     height: u32,
     len: usize,
     allocated_nodes: usize,
     pool_nodes: usize,
+}
+
+/// Slot `j` of bulk-loaded leaf `leaf` over `keys`, of `leaf_count`.
+#[inline(always)]
+fn leaf_slot(keys: &[u64], g: Geometry, leaf_count: usize, leaf: usize, j: usize) -> u64 {
+    let start = leaf * g.per_leaf;
+    let count = g.per_leaf.min(keys.len() - start);
+    let key_cap = g.key_cap;
+    match j {
+        _ if j.wrapping_sub(1) < count => keys[start + j - 1],
+        0 => count as u64,
+        _ if j > key_cap && j - key_cap <= count => (start + j - key_cap - 1) as u64,
+        _ if j == 2 * key_cap + 1 && leaf + 1 < leaf_count => (leaf + 1) as u64,
+        _ if j == 2 * key_cap + 1 => NONE,
+        _ => 0,
+    }
 }
 
 /// Node geometry of one config: slots per node, key capacity, and the
@@ -124,12 +153,28 @@ impl Geometry {
     }
 }
 
+/// What the node pool's slots are read from.
+#[derive(Debug)]
+enum Pool {
+    /// The bulk load: leaves derived from the key column, internal levels
+    /// from the fit stored on it.
+    Fitted {
+        column: Rc<Buffer<u64>>,
+        fit: Arc<TreeArtifacts>,
+    },
+    /// The whole pool, owned, once `insert` or `remove` has written.
+    Edited(Vec<u64>),
+}
+
 /// A bulk-loaded B+tree over unique sorted keys, mapping key → rid.
 #[derive(Debug)]
 pub struct BPlusTree {
-    nodes: Buffer<u64>,
-    slots_per_node: usize,
-    key_cap: usize,
+    pool: Pool,
+    /// Simulated CPU-memory address of slot 0 of the pool.
+    pool_addr: u64,
+    geometry: Geometry,
+    /// Bulk-loaded leaves: nodes `0 .. leaf_count`.
+    leaf_count: usize,
     root: u64,
     /// Number of levels; 1 = root is a leaf.
     height: u32,
@@ -140,36 +185,38 @@ pub struct BPlusTree {
 }
 
 impl BPlusTree {
-    /// Bulk-load over the unique sorted column `data`; rid `i` is assigned
-    /// to its `i`-th key. The tree is stored in CPU memory and accessed
-    /// out-of-core.
+    /// Bulk-load over the unique sorted staged column `column`; rid `i` is
+    /// assigned to its `i`-th key. The tree is stored in CPU memory and
+    /// accessed out-of-core.
     ///
-    /// The node pool is the column's derived artifact for this config, and
-    /// `alloc_host_shared` assigns addresses and accounts like
-    /// `alloc_host_from_vec`, so reusing a fit changes wall time only.
-    /// `insert` and `remove` write through `host_mut`, which copies the
-    /// shared pool before the first write, so maintenance never reaches
-    /// the stored fit.
-    pub fn build(gpu: &mut Gpu, data: &Buffer<u64>, config: BPlusTreeConfig) -> Self {
+    /// The internal levels are the column's derived artifact for this
+    /// config, and the leaves are read from the column itself (see the
+    /// module docs). The pool's address range is reserved as
+    /// `alloc_host_from_vec` of the whole pool would reserve it, so
+    /// neither reusing a fit nor deriving the leaves changes anything the
+    /// simulation sees.
+    pub fn build(gpu: &mut Gpu, column: &Rc<Buffer<u64>>, config: BPlusTreeConfig) -> Self {
         let geometry = Geometry::new(&config);
-        let tree = data.derived(config, |keys| Self::fit(keys, geometry, config.spare_nodes));
+        let fit = column.derived(config, |keys| Self::fit(keys, geometry, config.spare_nodes));
         BPlusTree {
-            nodes: gpu.alloc_host_shared(tree.nodes.clone()),
-            slots_per_node: geometry.slots,
-            key_cap: geometry.key_cap,
-            root: tree.root,
-            height: tree.height,
-            len: tree.len,
-            allocated_nodes: tree.allocated_nodes,
-            pool_nodes: tree.pool_nodes,
+            pool_addr: gpu.reserve_host::<u64>(fit.pool_nodes * geometry.slots),
+            geometry,
+            leaf_count: fit.leaf_count,
+            root: fit.root,
+            height: fit.height,
+            len: fit.len,
+            allocated_nodes: fit.allocated_nodes,
+            pool_nodes: fit.pool_nodes,
             config,
+            pool: Pool::Fitted {
+                column: Rc::clone(column),
+                fit,
+            },
         }
     }
 
-    /// The pure fit. Node ids run leaves first, then the internal levels
-    /// bottom-up, then the spare nodes. The leaves are written by formula
-    /// straight into the shared pool; only the internal levels, a
-    /// `1 / per_internal` fraction of it, are staged first.
+    /// The pure fit of the internal levels. Node ids run leaves first,
+    /// then the internal levels bottom-up, then the spare nodes.
     fn fit(keys: &[u64], g: Geometry, spare_nodes: usize) -> TreeArtifacts {
         debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
         let Geometry {
@@ -180,7 +227,6 @@ impl BPlusTree {
         } = g;
         let leaf_count = keys.len().div_ceil(per_leaf).max(1);
 
-        // --- Internal levels, staged ---
         let mut internal: Vec<u64> = Vec::new();
         let mut level: Vec<(u64, u64)> = (0..leaf_count)
             .map(|leaf| (keys.get(leaf * per_leaf).copied().unwrap_or(0), leaf as u64))
@@ -218,37 +264,16 @@ impl BPlusTree {
             debug_assert_eq!(at, level.len());
             level = upper;
         }
-
-        // --- The pool, written once ---
-        let leaf_slots = leaf_count * slots;
-        let pool_nodes = next_node + spare_nodes;
-        let shift = slots.trailing_zeros();
-        let nodes: Arc<[u64]> = (0..pool_nodes * slots)
-            .map(|s| {
-                if s >= leaf_slots {
-                    return internal.get(s - leaf_slots).copied().unwrap_or(0);
-                }
-                let (leaf, j) = (s >> shift, s & (slots - 1));
-                let start = leaf * per_leaf;
-                let count = per_leaf.min(keys.len() - start);
-                match j {
-                    0 => count as u64,
-                    _ if j <= count => keys[start + j - 1],
-                    _ if j > key_cap && j - key_cap <= count => (start + j - key_cap - 1) as u64,
-                    _ if j == 2 * key_cap + 1 && leaf + 1 < leaf_count => (leaf + 1) as u64,
-                    _ if j == 2 * key_cap + 1 => NONE,
-                    _ => 0,
-                }
-            })
-            .collect();
+        internal.shrink_to_fit();
 
         TreeArtifacts {
-            nodes: nodes.into(),
+            internal,
+            leaf_count,
             root: level[0].1,
             height,
             len: keys.len(),
             allocated_nodes: next_node,
-            pool_nodes,
+            pool_nodes: next_node + spare_nodes,
         }
     }
 
@@ -267,33 +292,103 @@ impl BPlusTree {
         self.allocated_nodes
     }
 
+    /// Host bytes the tree holds beyond its key column: the stored
+    /// internal levels while it serves its bulk load, the whole pool once
+    /// `insert` or `remove` has written. [`OutOfCoreIndex::aux_bytes`] is
+    /// the pool's simulated size in CPU memory, the same either way.
+    pub fn host_bytes(&self) -> u64 {
+        let words = match &self.pool {
+            Pool::Fitted { fit, .. } => fit.internal.len(),
+            Pool::Edited(nodes) => nodes.len(),
+        };
+        (words * size_of::<u64>()) as u64
+    }
+
+    /// Host-side value of pool slot `s` (not counted).
+    fn slot(&self, s: usize) -> u64 {
+        let node = s >> self.geometry.slots.trailing_zeros();
+        let j = s & (self.geometry.slots - 1);
+        self.node_slot(node, j, node < self.leaf_count)
+    }
+
+    /// Host-side slot `j` of node `node` (not counted). `leaf` says
+    /// whether the node is a leaf, which the descent knows from its level;
+    /// an edited pool holds every slot and needs no telling.
+    #[inline(always)]
+    fn node_slot(&self, node: usize, j: usize, leaf: bool) -> u64 {
+        let g = self.geometry;
+        match &self.pool {
+            Pool::Edited(nodes) => nodes[node * g.slots + j],
+            Pool::Fitted { column, .. } if leaf => {
+                leaf_slot(column.host(), g, self.leaf_count, node, j)
+            }
+            // Internal levels, then spare nodes (zero).
+            Pool::Fitted { fit, .. } => {
+                let i = (node - self.leaf_count) * g.slots + j;
+                fit.internal.get(i).copied().unwrap_or(0)
+            }
+        }
+    }
+
+    /// Device-side read of slot `j` of node `node` on `level` (1 = leaf),
+    /// accounted at the slot's address in the pool.
+    #[inline(always)]
+    fn read(&self, gpu: &mut Gpu, node: u64, level: u32, j: usize) -> u64 {
+        const WORD: u64 = size_of::<u64>() as u64;
+        let s = self.base(node) + j;
+        gpu.touch_read(MemLocation::Cpu, self.pool_addr + s as u64 * WORD, WORD);
+        self.node_slot(node as usize, j, level == 1)
+    }
+
+    /// The pool for a host-side write: at the first, the bulk load is
+    /// copied out, leaves included, so the stored fit never changes.
+    fn pool_mut(&mut self) -> &mut [u64] {
+        if let Pool::Fitted { .. } = self.pool {
+            let words = self.pool_nodes * self.geometry.slots;
+            self.pool = Pool::Edited((0..words).map(|s| self.slot(s)).collect());
+        }
+        match &mut self.pool {
+            Pool::Edited(nodes) => nodes,
+            Pool::Fitted { .. } => unreachable!("copied out above"),
+        }
+    }
+
     // ----- host-side structural helpers (insert path) -----
 
     #[inline]
     fn base(&self, node: u64) -> usize {
-        node as usize * self.slots_per_node
+        node as usize * self.geometry.slots
     }
 
     fn count(&self, node: u64) -> usize {
-        self.nodes.host()[self.base(node)] as usize
+        self.slot(self.base(node)) as usize
     }
 
-    /// The node's keys (leaf) or separators (internal).
-    fn keys(&self, node: u64) -> &[u64] {
-        let base = self.base(node);
-        &self.nodes.host()[base + 1..base + 1 + self.count(node)]
+    /// How many of the node's keys (leaf) or separators (internal), which
+    /// are sorted, satisfy `below`.
+    fn partition_point(&self, node: u64, below: impl Fn(u64) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.count(node));
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if below(self.key_at(node, mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
     fn key_at(&self, node: u64, i: usize) -> u64 {
-        self.nodes.host()[self.base(node) + 1 + i]
+        self.slot(self.base(node) + 1 + i)
     }
 
     fn child_at(&self, node: u64, i: usize) -> u64 {
-        self.nodes.host()[self.base(node) + 1 + self.key_cap + i]
+        self.slot(self.base(node) + 1 + self.geometry.key_cap + i)
     }
 
     fn rid_at(&self, node: u64, i: usize) -> u64 {
-        self.nodes.host()[self.base(node) + 1 + self.key_cap + i]
+        self.slot(self.base(node) + 1 + self.geometry.key_cap + i)
     }
 
     fn alloc_node(&mut self) -> Result<u64, IndexError> {
@@ -302,8 +397,8 @@ impl BPlusTree {
         }
         let id = self.allocated_nodes as u64;
         self.allocated_nodes += 1;
-        let base = self.base(id);
-        self.nodes.host_mut()[base..base + self.slots_per_node].fill(0);
+        let (base, slots) = (self.base(id), self.geometry.slots);
+        self.pool_mut()[base..base + slots].fill(0);
         Ok(id)
     }
 
@@ -316,10 +411,10 @@ impl BPlusTree {
             Some((sep, new_node)) => {
                 // Root split: make a new root with two children.
                 let new_root = self.alloc_node()?;
-                let kc = self.key_cap;
+                let kc = self.geometry.key_cap;
                 let old_root = self.root;
                 let base = self.base(new_root);
-                let host = self.nodes.host_mut();
+                let host = self.pool_mut();
                 host[base] = 1;
                 host[base + 1] = sep;
                 host[base + 1 + kc] = old_root;
@@ -343,11 +438,11 @@ impl BPlusTree {
         let count = self.count(node);
         if level == 1 {
             // Leaf: find the slot.
-            let pos = self.keys(node).partition_point(|&k| k < key);
+            let pos = self.partition_point(node, |k| k < key);
             if pos < count && self.key_at(node, pos) == key {
                 return Err(IndexError::DuplicateKey(key));
             }
-            if count < self.key_cap {
+            if count < self.geometry.key_cap {
                 self.leaf_insert_at(node, pos, key, rid);
                 self.len += 1;
                 return Ok(None);
@@ -355,9 +450,9 @@ impl BPlusTree {
             // Split the leaf, then insert into the proper half.
             let right = self.alloc_node()?;
             let mid = count / 2;
-            let kc = self.key_cap;
+            let kc = self.geometry.key_cap;
             let (lb, rb) = (self.base(node), self.base(right));
-            let host = self.nodes.host_mut();
+            let host = self.pool_mut();
             for j in mid..count {
                 host[rb + 1 + (j - mid)] = host[lb + 1 + j];
                 host[rb + 1 + kc + (j - mid)] = host[lb + 1 + kc + j];
@@ -369,20 +464,20 @@ impl BPlusTree {
             host[lb + 2 * kc + 1] = right;
             let sep = self.key_at(right, 0);
             let half = if key < sep { node } else { right };
-            let pos = self.keys(half).partition_point(|&k| k < key);
+            let pos = self.partition_point(half, |k| k < key);
             self.leaf_insert_at(half, pos, key, rid);
             self.len += 1;
             return Ok(Some((sep, right)));
         }
 
         // Internal: route to the child.
-        let ci = self.keys(node).partition_point(|&k| k <= key);
+        let ci = self.partition_point(node, |k| k <= key);
         let child = self.child_at(node, ci);
         let Some((sep, new_child)) = self.insert_rec(child, level - 1, key, rid)? else {
             return Ok(None);
         };
         // Child split: insert (sep, new_child) after position ci.
-        if count < self.key_cap {
+        if count < self.geometry.key_cap {
             self.internal_insert_at(node, ci, sep, new_child);
             return Ok(None);
         }
@@ -395,9 +490,9 @@ impl BPlusTree {
         let right = self.alloc_node()?;
         let mid = seps.len() / 2; // separator promoted upward
         let up = seps[mid];
-        let kc = self.key_cap;
+        let kc = self.geometry.key_cap;
         let (lb, rb) = (self.base(node), self.base(right));
-        let host = self.nodes.host_mut();
+        let host = self.pool_mut();
         // Left keeps seps[..mid], children[..=mid].
         host[lb] = mid as u64;
         for (j, &s) in seps[..mid].iter().enumerate() {
@@ -420,10 +515,10 @@ impl BPlusTree {
 
     fn leaf_insert_at(&mut self, node: u64, pos: usize, key: u64, rid: u64) {
         let count = self.count(node);
-        debug_assert!(count < self.key_cap);
-        let kc = self.key_cap;
+        debug_assert!(count < self.geometry.key_cap);
+        let kc = self.geometry.key_cap;
         let base = self.base(node);
-        let host = self.nodes.host_mut();
+        let host = self.pool_mut();
         for j in (pos..count).rev() {
             host[base + 1 + j + 1] = host[base + 1 + j];
             host[base + 1 + kc + j + 1] = host[base + 1 + kc + j];
@@ -435,10 +530,10 @@ impl BPlusTree {
 
     fn internal_insert_at(&mut self, node: u64, pos: usize, sep: u64, child: u64) {
         let count = self.count(node);
-        debug_assert!(count < self.key_cap);
-        let kc = self.key_cap;
+        debug_assert!(count < self.geometry.key_cap);
+        let kc = self.geometry.key_cap;
         let base = self.base(node);
-        let host = self.nodes.host_mut();
+        let host = self.pool_mut();
         for j in (pos..count).rev() {
             host[base + 1 + j + 1] = host[base + 1 + j];
         }
@@ -466,7 +561,7 @@ impl BPlusTree {
 
     /// Minimum entries per non-root node.
     fn min_fill(&self) -> usize {
-        (self.key_cap / 2).max(1)
+        (self.geometry.key_cap / 2).max(1)
     }
 
     /// Recursive delete; restores the invariant for the visited child
@@ -474,14 +569,14 @@ impl BPlusTree {
     fn remove_rec(&mut self, node: u64, level: u32, key: u64) -> Result<u64, IndexError> {
         let count = self.count(node);
         if level == 1 {
-            let pos = self.keys(node).partition_point(|&k| k < key);
+            let pos = self.partition_point(node, |k| k < key);
             if pos >= count || self.key_at(node, pos) != key {
                 return Err(IndexError::KeyNotFound(key));
             }
             let rid = self.rid_at(node, pos);
-            let kc = self.key_cap;
+            let kc = self.geometry.key_cap;
             let base = self.base(node);
-            let host = self.nodes.host_mut();
+            let host = self.pool_mut();
             for j in pos..count - 1 {
                 host[base + 1 + j] = host[base + 1 + j + 1];
                 host[base + 1 + kc + j] = host[base + 1 + kc + j + 1];
@@ -490,7 +585,7 @@ impl BPlusTree {
             return Ok(rid);
         }
         // Route to the child, delete there, then fix any underflow.
-        let ci = self.keys(node).partition_point(|&k| k <= key);
+        let ci = self.partition_point(node, |k| k <= key);
         let child = self.child_at(node, ci);
         let rid = self.remove_rec(child, level - 1, key)?;
         if self.count(child) < self.min_fill() {
@@ -522,7 +617,7 @@ impl BPlusTree {
 
     /// Move the left sibling's last entry into the child's front.
     fn borrow_from_left(&mut self, parent: u64, ci: usize, leaf: bool) {
-        let kc = self.key_cap;
+        let kc = self.geometry.key_cap;
         let left = self.child_at(parent, ci - 1);
         let child = self.child_at(parent, ci);
         let lcount = self.count(left);
@@ -531,7 +626,7 @@ impl BPlusTree {
         if leaf {
             let k = self.key_at(left, lcount - 1);
             let r = self.rid_at(left, lcount - 1);
-            let host = self.nodes.host_mut();
+            let host = self.pool_mut();
             for j in (0..ccount).rev() {
                 host[cb + 1 + j + 1] = host[cb + 1 + j];
                 host[cb + 1 + kc + j + 1] = host[cb + 1 + kc + j];
@@ -547,7 +642,7 @@ impl BPlusTree {
             let sep = self.key_at(parent, ci - 1);
             let lk = self.key_at(left, lcount - 1);
             let lchild = self.child_at(left, lcount);
-            let host = self.nodes.host_mut();
+            let host = self.pool_mut();
             for j in (0..ccount).rev() {
                 host[cb + 1 + j + 1] = host[cb + 1 + j];
             }
@@ -564,7 +659,7 @@ impl BPlusTree {
 
     /// Move the right sibling's first entry into the child's back.
     fn borrow_from_right(&mut self, parent: u64, ci: usize, leaf: bool) {
-        let kc = self.key_cap;
+        let kc = self.geometry.key_cap;
         let right = self.child_at(parent, ci + 1);
         let child = self.child_at(parent, ci);
         let rcount = self.count(right);
@@ -573,7 +668,7 @@ impl BPlusTree {
         if leaf {
             let k = self.key_at(right, 0);
             let r = self.rid_at(right, 0);
-            let host = self.nodes.host_mut();
+            let host = self.pool_mut();
             host[cb + 1 + ccount] = k;
             host[cb + 1 + kc + ccount] = r;
             host[cb] = (ccount + 1) as u64;
@@ -587,7 +682,7 @@ impl BPlusTree {
             let sep = self.key_at(parent, ci);
             let rk = self.key_at(right, 0);
             let rchild = self.child_at(right, 0);
-            let host = self.nodes.host_mut();
+            let host = self.pool_mut();
             host[cb + 1 + ccount] = sep;
             host[cb + 1 + kc + ccount + 1] = rchild;
             host[cb] = (ccount + 1) as u64;
@@ -607,7 +702,7 @@ impl BPlusTree {
     /// leaked from the bump pool — acceptable for this workload's rare
     /// deletes; a production free-list is an easy extension.)
     fn merge_children(&mut self, parent: u64, li: usize, leaf: bool) {
-        let kc = self.key_cap;
+        let kc = self.geometry.key_cap;
         let left = self.child_at(parent, li);
         let right = self.child_at(parent, li + 1);
         let lcount = self.count(left);
@@ -615,7 +710,7 @@ impl BPlusTree {
         let (lb, rb, pb) = (self.base(left), self.base(right), self.base(parent));
         let sep = self.key_at(parent, li);
         {
-            let host = self.nodes.host_mut();
+            let host = self.pool_mut();
             if leaf {
                 for j in 0..rcount {
                     host[lb + 1 + lcount + j] = host[rb + 1 + j];
@@ -636,7 +731,7 @@ impl BPlusTree {
         }
         // Remove separator li and child li+1 from the parent.
         let pcount = self.count(parent);
-        let host = self.nodes.host_mut();
+        let host = self.pool_mut();
         for j in li..pcount - 1 {
             host[pb + 1 + j] = host[pb + 1 + j + 1];
         }
@@ -660,7 +755,7 @@ impl BPlusTree {
             for i in 0..count {
                 out.push((self.key_at(node, i), self.rid_at(node, i)));
             }
-            let next = self.nodes.host()[self.base(node) + 2 * self.key_cap + 1];
+            let next = self.slot(self.base(node) + 2 * self.geometry.key_cap + 1);
             if next == NONE {
                 break;
             }
@@ -700,9 +795,8 @@ impl BPlusTree {
     /// a read.
     #[inline(always)]
     fn step(&self, gpu: &mut Gpu, lane: &mut Lane) -> Option<usize> {
-        let base = self.base(lane.node);
         if lane.count.is_none() {
-            let count = self.nodes.read(gpu, base) as u32;
+            let count = self.read(gpu, lane.node, lane.level, 0) as u32;
             lane.count = Some(count);
             lane.lo = 0;
             lane.hi = count;
@@ -711,7 +805,7 @@ impl BPlusTree {
         if lane.lo < lane.hi {
             // One binary-search probe within the node.
             let mid = lane.lo + (lane.hi - lane.lo) / 2;
-            let k = self.nodes.read(gpu, base + 1 + mid as usize);
+            let k = self.read(gpu, lane.node, lane.level, 1 + mid as usize);
             let go_right = if lane.level > 1 {
                 k <= lane.key // upper bound over separators
             } else {
@@ -726,9 +820,8 @@ impl BPlusTree {
         }
         if lane.level > 1 {
             // Descend: child pointer at the lower-bound position.
-            lane.node = self
-                .nodes
-                .read(gpu, base + 1 + self.key_cap + lane.lo as usize);
+            let j = 1 + self.geometry.key_cap + lane.lo as usize;
+            lane.node = self.read(gpu, lane.node, lane.level, j);
             lane.level -= 1;
             lane.count = None;
             return None;
@@ -749,17 +842,16 @@ impl OutOfCoreIndex for BPlusTree {
     fn lookup_warp(&self, gpu: &mut Gpu, keys: &[u64], out: &mut [Option<u64>]) {
         assert!(keys.len() <= WARP_SIZE);
         assert!(out.len() >= keys.len());
-        let kc = self.key_cap;
+        let kc = self.geometry.key_cap;
         let mut lanes: Vec<Lane> = keys.iter().map(|&key| self.lane(key)).collect();
         lockstep(gpu, &mut lanes, |gpu, lane| {
             let Some(lo) = self.step(gpu, lane) else {
                 return false;
             };
             // Leaf: verify and fetch the rid.
-            let base = self.base(lane.node);
-            let count = self.nodes.read(gpu, base) as usize; // cached header line
-            if lo < count && self.nodes.read(gpu, base + 1 + lo) == lane.key {
-                lane.result = Some(self.nodes.read(gpu, base + 1 + kc + lo));
+            let count = self.read(gpu, lane.node, 1, 0) as usize; // cached header line
+            if lo < count && self.read(gpu, lane.node, 1, 1 + lo) == lane.key {
+                lane.result = Some(self.read(gpu, lane.node, 1, 1 + kc + lo));
             }
             true
         });
@@ -773,7 +865,7 @@ impl OutOfCoreIndex for BPlusTree {
         if self.len == 0 {
             return 0;
         }
-        let kc = self.key_cap;
+        let kc = self.geometry.key_cap;
         let mut lane = self.lane(key);
         let lo = loop {
             if let Some(lo) = self.step(gpu, &mut lane) {
@@ -781,20 +873,19 @@ impl OutOfCoreIndex for BPlusTree {
             }
         };
         // The lower-bound slot, possibly the first of the next leaf.
-        let base = self.base(lane.node);
         if lane.count.is_some_and(|count| lo < count as usize) {
-            return self.nodes.read(gpu, base + 1 + kc + lo);
+            return self.read(gpu, lane.node, 1, 1 + kc + lo);
         }
-        let next = self.nodes.read(gpu, base + 2 * kc + 1);
+        let next = self.read(gpu, lane.node, 1, 2 * kc + 1);
         if next == NONE {
             return self.len as u64;
         }
         // Non-empty by construction: splits leave >= 1 key per leaf.
-        self.nodes.read(gpu, self.base(next) + 1 + kc)
+        self.read(gpu, next, 1, 1 + kc)
     }
 
     fn aux_bytes(&self) -> u64 {
-        self.nodes.size_bytes()
+        (self.pool_nodes * self.geometry.slots * size_of::<u64>()) as u64
     }
 }
 
@@ -809,7 +900,7 @@ mod tests {
 
     /// Stage `keys` and build over them.
     fn load(g: &mut Gpu, keys: &[u64], config: BPlusTreeConfig) -> BPlusTree {
-        let col = g.alloc_host_from_vec(keys.to_vec());
+        let col = Rc::new(g.alloc_host_from_vec(keys.to_vec()));
         BPlusTree::build(g, &col, config)
     }
 
@@ -885,8 +976,10 @@ mod tests {
         (pool, level[0].1, height, next_node, pool_nodes)
     }
 
-    #[test]
-    fn write_once_fit_equals_the_loop_bulk_load() {
+    /// Configs of the fit reference tests, and key counts for each: empty,
+    /// one key, around one leaf, and at least three levels at 64-byte
+    /// nodes.
+    fn fit_cases() -> Vec<(BPlusTreeConfig, Vec<u64>)> {
         let small = |fill_factor, spare_nodes| BPlusTreeConfig {
             node_bytes: 64,
             fill_factor,
@@ -904,26 +997,54 @@ mod tests {
                 ..Default::default()
             },
         ];
+        let mut cases = Vec::new();
         for config in configs {
             let g = Geometry::new(&config);
             let per_leaf = g.per_leaf;
-            // Enough keys for at least three levels at 64-byte nodes.
             let deep = per_leaf * (g.per_internal + 1) * 3 + 1;
             for n in [0, 1, per_leaf - 1, per_leaf, per_leaf + 1, deep] {
-                let keys: Vec<u64> = (0..n as u64).map(|i| i * 3 + 7).collect();
-                let (pool, root, height, allocated, pool_nodes) = fit_reference(&keys, config);
-                let fit = BPlusTree::fit(&keys, g, config.spare_nodes);
-                let case = format!("{config:?} n={n}");
-                assert_eq!(&fit.nodes[..], &pool[..], "{case}: pool");
-                assert_eq!(fit.root, root, "{case}: root");
-                assert_eq!(fit.height, height, "{case}: height");
-                assert_eq!(fit.allocated_nodes, allocated, "{case}: allocated");
-                assert_eq!(fit.pool_nodes, pool_nodes, "{case}: pool nodes");
-                assert_eq!(fit.len, n, "{case}: len");
-                if config.node_bytes == 64 && n == deep {
-                    assert!(height >= 3, "{case}: height {height}");
-                }
+                cases.push((config, (0..n as u64).map(|i| i * 3 + 7).collect()));
             }
+        }
+        cases
+    }
+
+    #[test]
+    fn write_once_fit_equals_the_loop_bulk_load() {
+        for (config, keys) in fit_cases() {
+            let n = keys.len();
+            let (pool, root, height, allocated, pool_nodes) = fit_reference(&keys, config);
+            let (_, t) = tree_with(&keys, config);
+            let case = format!("{config:?} n={n}");
+            // Every slot the tree serves: derived leaves, stored internal
+            // levels and zeroed spare nodes.
+            let served: Vec<u64> = (0..pool.len()).map(|s| t.slot(s)).collect();
+            assert_eq!(served, pool, "{case}: pool");
+            assert_eq!(t.aux_bytes(), 8 * pool.len() as u64, "{case}: aux bytes");
+            assert_eq!(t.root, root, "{case}: root");
+            assert_eq!(t.height, height, "{case}: height");
+            assert_eq!(t.allocated_nodes, allocated, "{case}: allocated");
+            assert_eq!(t.pool_nodes, pool_nodes, "{case}: pool nodes");
+            assert_eq!(t.len, n, "{case}: len");
+            let g = Geometry::new(&config);
+            if config.node_bytes == 64 && n == g.per_leaf * (g.per_internal + 1) * 3 + 1 {
+                assert!(height >= 3, "{case}: height {height}");
+            }
+        }
+    }
+
+    #[test]
+    fn stored_fit_holds_no_leaf_level() {
+        for (config, keys) in fit_cases() {
+            let mut g = gpu();
+            let col = Rc::new(g.alloc_host_shared(keys.clone().into()));
+            let t = BPlusTree::build(&mut g, &col, config);
+            let fit: Arc<TreeArtifacts> =
+                col.derived(config, |_| unreachable!("the build stored its fit"));
+            let slots = config.node_bytes / 8;
+            let internal = (fit.allocated_nodes - fit.leaf_count) * slots;
+            assert_eq!(fit.internal.len(), internal, "{config:?} n={}", keys.len());
+            assert_eq!(t.host_bytes(), 8 * internal as u64);
         }
     }
 

@@ -21,14 +21,26 @@
 //! it to `lockstep` per sub-warp, and `lower_bound` drives it in a plain
 //! loop and returns the position.
 //!
+//! Layout: the key region holds `node_count × nk` keys in CPU memory, the
+//! internal levels first and then the leaves. The leaf level packs the
+//! relation `nk` keys per node, so leaf `j` is `R[j·nk ..][..nk]` and is
+//! never stored: a leaf search reads that run of the key column, which is
+//! shorter than `nk` only at the tail, where the region would hold
+//! padding. The fit stores the internal keys and the prefix array on the
+//! staged column; the region's addresses are reserved in the simulated
+//! CPU memory as if it were materialized, and every node search is
+//! accounted at its node's address.
+//!
 //! The paper configures 32 keys per node (§3.2). Inserts are supported as
 //! batched merge-rebuilds (§6 recommends Harmonia "if the index must
 //! support inserts and updates"; the original proposes lazy batched
 //! updates, which a rebuild models at the same interface).
 
 use crate::traits::{IndexKind, OutOfCoreIndex};
+use std::mem::size_of;
+use std::rc::Rc;
 use std::sync::Arc;
-use windex_sim::{lockstep, Buffer, Gpu, SharedColumn, SubWarp, WARP_SIZE};
+use windex_sim::{lockstep, Buffer, Gpu, MemLocation, SharedColumn, SubWarp, WARP_SIZE};
 
 /// Padding value for unused key slots. `u64::MAX` is therefore not an
 /// indexable key.
@@ -54,52 +66,85 @@ impl Default for HarmoniaConfig {
 
 /// Host-side build artifacts: a pure function of (key column, node width),
 /// stored on a staged shared column like the RadixSpline fit (see
-/// [`Buffer::derived`]).
+/// [`Buffer::derived`]). The leaf level is not among them.
+#[derive(Debug)]
 struct TreeArtifacts {
-    region: SharedColumn<u64>,
+    /// The internal nodes' keys, level-order, `PAD`-padded: nodes
+    /// `0 .. first_leaf` of the key region.
+    internal: Arc<[u64]>,
+    /// `prefix[i]` = node id of node `i`'s first child (0 for leaves).
     prefix: SharedColumn<u64>,
+    /// Node id of the first leaf (leaves are the last level, contiguous).
     first_leaf: u64,
+    node_count: usize,
     height: u32,
-    len: usize,
+}
+
+/// The keys the leaf level is read from.
+#[derive(Debug)]
+enum Leaves {
+    /// The staged column the tree was built over.
+    Column(Rc<Buffer<u64>>),
+    /// The merged keys of a batched insert, held on the host only.
+    Merged(Vec<u64>),
+}
+
+impl Leaves {
+    fn keys(&self) -> &[u64] {
+        match self {
+            Leaves::Column(column) => column.host(),
+            Leaves::Merged(keys) => keys,
+        }
+    }
 }
 
 /// The Harmonia index: key region + child prefix array, in CPU memory.
 #[derive(Debug)]
 pub struct Harmonia {
-    /// `node_count × keys_per_node` keys, level-order, `PAD`-padded.
-    key_region: Buffer<u64>,
-    /// `prefix[i]` = node id of node `i`'s first child (0 for leaves).
+    leaves: Leaves,
+    /// The fit's internal keys (see `TreeArtifacts`).
+    internal: Arc<[u64]>,
+    /// Simulated CPU-memory address of the key region.
+    region_addr: u64,
+    /// `node_count × nk` keys: the internal levels, then the leaves.
+    region_len: usize,
     prefix: Buffer<u64>,
-    nk: usize,
-    lanes_per_key: usize,
-    /// Node id of the first leaf (leaves are the last level, contiguous).
     first_leaf: u64,
     height: u32,
-    len: usize,
+    nk: usize,
+    lanes_per_key: usize,
 }
 
 impl Harmonia {
-    /// Build over the unique sorted column `data`; rid `i` is assigned to
-    /// its `i`-th key. The fitted tree is the column's derived artifact for
-    /// this node width, and `alloc_host_shared` assigns addresses and
-    /// accounts like `alloc_host_from_vec`, so reusing a fit changes wall
-    /// time only.
-    pub fn build(gpu: &mut Gpu, data: &Buffer<u64>, config: HarmoniaConfig) -> Self {
-        Self::validate(data.host(), &config);
+    /// Build over the unique sorted staged column `column`; rid `i` is
+    /// assigned to its `i`-th key. The internal keys and the prefix array
+    /// are the column's derived artifact for this node width, and the
+    /// leaves are read from the column itself (see the module docs). The
+    /// key region's address range is reserved as `alloc_host_from_vec`
+    /// would reserve it, and the prefix array is staged with
+    /// `alloc_host_shared`, so neither reusing a fit nor deriving the
+    /// leaves changes anything the simulation sees.
+    pub fn build(gpu: &mut Gpu, column: &Rc<Buffer<u64>>, config: HarmoniaConfig) -> Self {
+        Self::validate(column.host(), &config);
         let nk = config.keys_per_node;
-        let tree = data.derived(nk, |keys| Self::fit(keys, nk));
-        Self::from_tree(gpu, &tree, config)
+        let fit = column.derived(nk, |keys| Self::fit(keys, nk));
+        Self::serve(gpu, &fit, Leaves::Column(Rc::clone(column)), config)
     }
 
-    fn from_tree(gpu: &mut Gpu, tree: &TreeArtifacts, config: HarmoniaConfig) -> Self {
+    fn serve(gpu: &mut Gpu, fit: &TreeArtifacts, leaves: Leaves, config: HarmoniaConfig) -> Self {
+        let nk = config.keys_per_node;
+        let region_len = fit.node_count * nk;
+        let region_addr = gpu.reserve_host::<u64>(region_len);
         Harmonia {
-            key_region: gpu.alloc_host_shared(tree.region.clone()),
-            prefix: gpu.alloc_host_shared(tree.prefix.clone()),
-            nk: config.keys_per_node,
+            leaves,
+            internal: Arc::clone(&fit.internal),
+            region_addr,
+            region_len,
+            prefix: gpu.alloc_host_shared(fit.prefix.clone()),
+            first_leaf: fit.first_leaf,
+            height: fit.height,
+            nk,
             lanes_per_key: config.lanes_per_key,
-            first_leaf: tree.first_leaf,
-            height: tree.height,
-            len: tree.len,
         }
     }
 
@@ -113,8 +158,8 @@ impl Harmonia {
         debug_assert!(keys.iter().all(|&k| k != PAD), "u64::MAX is reserved");
     }
 
-    /// The pure fit: level geometry plus the key region and child prefix
-    /// array, each written once into its shared allocation.
+    /// The pure fit: level geometry plus the internal keys and the child
+    /// prefix array.
     fn fit(keys: &[u64], nk: usize) -> TreeArtifacts {
         // Level geometry, top-down node counts. The leaf level packs the
         // keys nk at a time; every level above holds the min key of each
@@ -142,11 +187,10 @@ impl Harmonia {
             })
             .collect();
 
-        // Internal node keys, staged bottom-up: each level's keys are the
-        // min keys of the level below (for the leaf level, the first key
-        // per node). They are a `1 / nk` fraction of the region.
-        let leaf_at = first_leaf * nk;
-        let mut internal = vec![PAD; leaf_at];
+        // Internal node keys, bottom-up: each level's keys are the min
+        // keys of the level below (for the leaf level, the first key per
+        // node).
+        let mut internal = vec![PAD; first_leaf * nk];
         let mut mins: Vec<u64> = if keys.is_empty() {
             vec![PAD]
         } else {
@@ -161,13 +205,6 @@ impl Harmonia {
             mins = (0..counts[li]).map(|j| mins[j * nk]).collect();
         }
 
-        // The internal levels, then the packed leaves, `PAD`-padded.
-        let region: Arc<[u64]> = (0..node_count * nk)
-            .map(|s| match s.checked_sub(leaf_at) {
-                None => internal[s],
-                Some(i) => keys.get(i).copied().unwrap_or(PAD),
-            })
-            .collect();
         // prefix[i] = id of node i's first child (0 for leaves). Every node
         // of a level but its last has nk children, so the j-th node's
         // children start at the next level's base plus j·nk.
@@ -182,12 +219,35 @@ impl Harmonia {
             .collect();
 
         TreeArtifacts {
-            region: region.into(),
+            internal: internal.into(),
             prefix: prefix.into(),
             first_leaf: first_leaf as u64,
+            node_count,
             height,
-            len: keys.len(),
         }
+    }
+
+    /// Node `node`'s keys, host-side: an internal node's stored slots, or,
+    /// given the key column `leaves` because the node is a leaf (the
+    /// descent knows from its level), the leaf's run of the column, short
+    /// at the tail where the region would hold padding.
+    #[inline(always)]
+    fn node_keys<'a>(&'a self, node: u64, leaves: Option<&'a [u64]>) -> &'a [u64] {
+        let nk = self.nk;
+        match leaves {
+            Some(keys) => {
+                let i = (node - self.first_leaf) as usize * nk;
+                &keys[i..(i + nk).min(keys.len())]
+            }
+            None => &self.internal[node as usize * nk..][..nk],
+        }
+    }
+
+    /// Host bytes of the fit the tree serves beyond its key column: the
+    /// internal keys and the prefix array. [`OutOfCoreIndex::aux_bytes`]
+    /// is the simulated size in CPU memory, leaves included.
+    pub fn host_bytes(&self) -> u64 {
+        ((self.internal.len() + self.prefix.len()) * size_of::<u64>()) as u64
     }
 
     /// Tree height in levels (1 = the root is a leaf).
@@ -207,13 +267,9 @@ impl Harmonia {
 
     /// Reconstruct all (key, rid) pairs host-side (tests / rebuild).
     pub fn scan_host(&self) -> Vec<(u64, u64)> {
-        let region = self.key_region.host();
-        let leaf_slots = &region[self.first_leaf as usize * self.nk..];
-        leaf_slots
-            .iter()
-            .take_while(|&&k| k != PAD)
-            .enumerate()
-            .map(|(i, &k)| (k, i as u64))
+        (0..)
+            .zip(self.leaves.keys())
+            .map(|(i, &k)| (k, i))
             .collect()
     }
 
@@ -222,7 +278,7 @@ impl Harmonia {
     /// maximum — callers appending to the base relation get matching
     /// positions. Duplicate keys are rejected.
     pub fn insert_batch(&mut self, gpu: &mut Gpu, new_keys: &[u64]) -> Result<(), String> {
-        let mut all: Vec<u64> = self.scan_host().into_iter().map(|(k, _)| k).collect();
+        let mut all = self.leaves.keys().to_vec();
         all.extend_from_slice(new_keys);
         all.sort_unstable();
         if all.windows(2).any(|w| w[0] == w[1]) {
@@ -233,7 +289,8 @@ impl Harmonia {
             lanes_per_key: self.lanes_per_key,
         };
         Self::validate(&all, &config);
-        *self = Self::from_tree(gpu, &Self::fit(&all, self.nk), config);
+        let fit = Self::fit(&all, self.nk);
+        *self = Self::serve(gpu, &fit, Leaves::Merged(all), config);
         Ok(())
     }
 
@@ -249,11 +306,17 @@ impl Harmonia {
     /// array; the leaf ends the descent with `key`'s lower-bound position
     /// (positional: leaves are packed) and whether `key` is present.
     #[inline(always)]
-    fn step(&self, gpu: &mut Gpu, at: &mut Descent, key: u64) -> Option<(u64, bool)> {
-        let found = self.search_node(gpu, at.node, key);
+    fn step(
+        &self,
+        gpu: &mut Gpu,
+        at: &mut Descent,
+        key: u64,
+        leaves: &[u64],
+    ) -> Option<(u64, bool)> {
+        let found = self.search_node(gpu, at, key, leaves);
         if at.level > 1 {
             let child_base = self.prefix.read(gpu, at.node as usize);
-            at.node = child_base + found.unwrap_or(0) as u64;
+            at.node = child_base + found.map_or(0, |(slot, _)| slot) as u64;
             at.level -= 1;
             return None;
         }
@@ -263,8 +326,8 @@ impl Harmonia {
             None => (rid_base, false),
             // Last key <= `key`: the bound is that key if it equals `key`,
             // else one past it (possibly the next leaf's first slot).
-            Some(slot) => {
-                let hit = self.key_region.host()[at.node as usize * self.nk + slot] == key;
+            Some((slot, at_most)) => {
+                let hit = at_most == key;
                 (rid_base + slot as u64 + u64::from(!hit), hit)
             }
         })
@@ -272,15 +335,22 @@ impl Harmonia {
 
     /// Cooperative node search: the sub-warp reads the node's key region
     /// (all its cachelines, coalesced into one access) and computes the
-    /// position of the last key ≤ `key`, or `None` if all keys exceed it.
+    /// position of the last key ≤ `key` and that key, or `None` if all
+    /// keys exceed it.
     #[inline]
-    fn search_node(&self, gpu: &mut Gpu, node: u64, key: u64) -> Option<usize> {
-        let slice = self
-            .key_region
-            .read_range(gpu, node as usize * self.nk, self.nk);
+    fn search_node(
+        &self,
+        gpu: &mut Gpu,
+        at: &Descent,
+        key: u64,
+        leaves: &[u64],
+    ) -> Option<(usize, u64)> {
+        let bytes = (self.nk * size_of::<u64>()) as u64;
+        gpu.touch_read(MemLocation::Cpu, self.region_addr + at.node * bytes, bytes);
         gpu.op(1); // parallel compare + reduction by the sub-warp
-        let at_most = slice.iter().take_while(|&&k| k != PAD && k <= key).count();
-        at_most.checked_sub(1)
+        let keys = self.node_keys(at.node, (at.level == 1).then_some(leaves));
+        let at_most = keys.iter().take_while(|&&k| k != PAD && k <= key).count();
+        at_most.checked_sub(1).map(|slot| (slot, keys[slot]))
     }
 }
 
@@ -306,7 +376,7 @@ impl OutOfCoreIndex for Harmonia {
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.leaves.keys().len()
     }
 
     fn lookup_warp(&self, gpu: &mut Gpu, keys: &[u64], out: &mut [Option<u64>]) {
@@ -324,11 +394,12 @@ impl OutOfCoreIndex for Harmonia {
             })
             .collect();
 
+        let leaves = self.leaves.keys();
         lockstep(gpu, &mut groups, |gpu, g| {
             if g.cursor >= g.keys.len() {
                 return true;
             }
-            let Some((pos, hit)) = self.step(gpu, &mut g.at, g.keys[g.cursor]) else {
+            let Some((pos, hit)) = self.step(gpu, &mut g.at, g.keys[g.cursor], leaves) else {
                 return false;
             };
             g.results.push(hit.then_some(pos));
@@ -346,19 +417,19 @@ impl OutOfCoreIndex for Harmonia {
     }
 
     fn lower_bound(&self, gpu: &mut Gpu, key: u64) -> u64 {
-        if self.len == 0 {
+        if self.is_empty() {
             return 0;
         }
-        let mut at = self.root();
+        let (mut at, leaves) = (self.root(), self.leaves.keys());
         loop {
-            if let Some((pos, _)) = self.step(gpu, &mut at, key) {
+            if let Some((pos, _)) = self.step(gpu, &mut at, key, leaves) {
                 return pos;
             }
         }
     }
 
     fn aux_bytes(&self) -> u64 {
-        self.key_region.size_bytes() + self.prefix.size_bytes()
+        (self.region_len * size_of::<u64>()) as u64 + self.prefix.size_bytes()
     }
 }
 
@@ -373,7 +444,7 @@ mod tests {
 
     fn build(keys: &[u64]) -> (Gpu, Harmonia) {
         let mut g = gpu();
-        let col = g.alloc_host_from_vec(keys.to_vec());
+        let col = Rc::new(g.alloc_host_from_vec(keys.to_vec()));
         let h = Harmonia::build(&mut g, &col, HarmoniaConfig::default());
         (g, h)
     }
@@ -428,11 +499,12 @@ mod tests {
         (region, prefix)
     }
 
-    #[test]
-    fn write_once_fit_equals_the_fill_in_place_fit() {
+    /// Node widths of the fit reference tests, and key counts for each:
+    /// sizes that are not multiples of nk, down to one partial leaf, up to
+    /// several levels with a partial last node on each.
+    fn fit_cases() -> Vec<(usize, Vec<u64>)> {
+        let mut cases = Vec::new();
         for nk in [2, 3, 16, 32] {
-            // Sizes that are not multiples of nk, down to one partial leaf,
-            // up to several levels with a partial last node on each.
             for n in [
                 0,
                 1,
@@ -442,12 +514,62 @@ mod tests {
                 nk * nk * 3 + nk / 2 + 1,
                 10_007,
             ] {
-                let keys: Vec<u64> = (0..n as u64).map(|i| i * 5 + 2).collect();
-                let (region, prefix) = fit_reference(&keys, nk);
-                let fit = Harmonia::fit(&keys, nk);
-                assert_eq!(&fit.region[..], &region[..], "nk={nk} n={n}: region");
-                assert_eq!(&fit.prefix[..], &prefix[..], "nk={nk} n={n}: prefix");
+                cases.push((nk, (0..n as u64).map(|i| i * 5 + 2).collect()));
             }
+        }
+        cases
+    }
+
+    fn build_nk(g: &mut Gpu, col: &Rc<Buffer<u64>>, nk: usize) -> Harmonia {
+        let config = HarmoniaConfig {
+            keys_per_node: nk,
+            ..HarmoniaConfig::default()
+        };
+        Harmonia::build(g, col, config)
+    }
+
+    #[test]
+    fn write_once_fit_equals_the_fill_in_place_fit() {
+        for (nk, keys) in fit_cases() {
+            let n = keys.len();
+            let (region, prefix) = fit_reference(&keys, nk);
+            let mut g = gpu();
+            let col = Rc::new(g.alloc_host_from_vec(keys));
+            let h = build_nk(&mut g, &col, nk);
+            // Every node the tree serves, padded as the region was: the
+            // stored internal nodes and the leaves read from the column.
+            let served: Vec<u64> = (0..region.len() / nk)
+                .flat_map(|node| {
+                    let node = node as u64;
+                    let slots = h.node_keys(node, (node >= h.first_leaf).then(|| h.leaves.keys()));
+                    slots
+                        .iter()
+                        .copied()
+                        .chain(std::iter::repeat_n(PAD, nk - slots.len()))
+                })
+                .collect();
+            assert_eq!(served, region, "nk={nk} n={n}: region");
+            assert_eq!(h.prefix.host(), &prefix[..], "nk={nk} n={n}: prefix");
+            let aux = 8 * (region.len() + prefix.len()) as u64;
+            assert_eq!(h.aux_bytes(), aux, "nk={nk} n={n}: aux bytes");
+        }
+    }
+
+    #[test]
+    fn stored_fit_holds_no_leaf_level() {
+        for (nk, keys) in fit_cases() {
+            let mut g = gpu();
+            let col = Rc::new(g.alloc_host_shared(keys.clone().into()));
+            let h = build_nk(&mut g, &col, nk);
+            let fit: Arc<TreeArtifacts> =
+                col.derived(nk, |_| unreachable!("the build stored its fit"));
+            let case = format!("nk={nk} n={}", keys.len());
+            assert_eq!(fit.internal.len(), fit.first_leaf as usize * nk, "{case}");
+            assert_eq!(fit.prefix.len(), fit.node_count, "{case}");
+            assert_eq!(
+                h.host_bytes(),
+                8 * (fit.internal.len() + fit.node_count) as u64
+            );
         }
     }
 
@@ -550,7 +672,7 @@ mod tests {
     fn custom_subwarp_width() {
         let keys: Vec<u64> = (0..5000).map(|i| i * 2 + 1).collect();
         let mut g = gpu();
-        let col = g.alloc_host_from_vec(keys.clone());
+        let col = Rc::new(g.alloc_host_from_vec(keys.clone()));
         let h = Harmonia::build(
             &mut g,
             &col,

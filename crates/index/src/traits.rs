@@ -102,8 +102,11 @@ pub trait OutOfCoreIndex {
         start..end.max(start)
     }
 
-    /// Bytes of auxiliary structure beyond the base relation itself
-    /// (0 for binary search).
+    /// Bytes of auxiliary structure beyond the base relation itself, as
+    /// laid out in simulated CPU memory (0 for binary search). This is
+    /// the structure's simulated size, not the host memory it takes: the
+    /// B+tree and Harmonia read their leaf levels from the key column and
+    /// hold only their internal levels on the host.
     fn aux_bytes(&self) -> u64;
 }
 

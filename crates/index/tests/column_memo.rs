@@ -6,7 +6,9 @@
 //! changes wall time only: buffer addresses, counters and lookup answers
 //! equal a cold build over a fresh copy of the keys on a fresh `Gpu`, for
 //! every config, under a racing first fit and after maintenance on a tree
-//! built from the fit, and the artifacts die with the column.
+//! built from the fit, and the artifacts die with the column. A stored
+//! B+tree or Harmonia fit holds only the internal levels: the leaves are
+//! read from the column.
 
 use std::rc::Rc;
 use std::sync::{Arc, Barrier};
@@ -165,7 +167,7 @@ fn maintenance_on_a_fitted_tree_leaves_the_fit_alone() {
     let r = relation();
     let keys = r.keys();
     let mut gpu = Gpu::new(GpuSpec::v100_nvlink2(Scale::PAPER));
-    let col = gpu.alloc_host_shared(r.keys_shared());
+    let col = Rc::new(gpu.alloc_host_shared(r.keys_shared()));
     let mut tree = BPlusTree::build(&mut gpu, &col, SMALL_TREE);
     // Keys absent from `r`, and keys to delete from it.
     let fresh: Vec<u64> = keys
@@ -191,6 +193,15 @@ fn maintenance_on_a_fitted_tree_leaves_the_fit_alone() {
         "a build after maintenance differs from cold"
     );
     assert_eq!(r.keys_shared().derived_len(), 1, "reused, not refitted");
+    // The edited tree owns its whole pool; a second build over the column
+    // serves the stored fit, which still holds no leaf level.
+    assert_eq!(tree.host_bytes(), tree.aux_bytes());
+    let second = BPlusTree::build(&mut gpu, &col, SMALL_TREE);
+    assert_eq!(
+        second.host_bytes(),
+        second.aux_bytes() - leaf_and_spare_bytes(keys.len(), SMALL_TREE),
+        "the stored fit holds only the internal levels"
+    );
     assert_eq!(tree.len(), keys.len() + fresh.len() - gone.len());
     for (rid, &k) in (1_000_000..).zip(&fresh) {
         assert_eq!(tree.lookup(&mut gpu, k), Some(rid), "inserted {k}");
@@ -198,6 +209,59 @@ fn maintenance_on_a_fitted_tree_leaves_the_fit_alone() {
     for &k in &gone {
         assert_eq!(tree.lookup(&mut gpu, k), None, "removed {k}");
     }
+}
+
+/// Bytes of a bulk-loaded pool's leaves and spare nodes over `n` keys.
+fn leaf_and_spare_bytes(n: usize, config: BPlusTreeConfig) -> u64 {
+    let slots = config.node_bytes / 8;
+    let per_leaf = ((slots - 2) / 2) as f64 * config.fill_factor;
+    let nodes = n.div_ceil(per_leaf as usize) + config.spare_nodes;
+    (nodes * config.node_bytes) as u64
+}
+
+#[test]
+fn batched_insert_on_a_fitted_harmonia_leaves_the_fit_alone() {
+    let r = relation();
+    let keys = r.keys();
+    let config = HarmoniaConfig::default();
+    let nk = config.keys_per_node;
+    let mut gpu = Gpu::new(GpuSpec::v100_nvlink2(Scale::PAPER));
+    let col = Rc::new(gpu.alloc_host_shared(r.keys_shared()));
+    let old = Harmonia::build(&mut gpu, &col, config);
+    let mut merged = Harmonia::build(&mut gpu, &col, config);
+    let fresh: Vec<u64> = keys
+        .windows(2)
+        .filter(|w| w[1] > w[0] + 1)
+        .map(|w| w[0] + 1)
+        .step_by(53)
+        .take(40)
+        .collect();
+    merged.insert_batch(&mut gpu, &fresh).unwrap();
+    let mut all = keys.to_vec();
+    all.extend(&fresh);
+    all.sort_unstable();
+    let expect: Vec<(u64, u64)> = (0..).zip(&all).map(|(i, &k)| (k, i)).collect();
+    assert_eq!(merged.scan_host(), expect, "merged keys");
+    assert_eq!(r.keys_shared().derived_len(), 1, "one stored fit");
+
+    assert_eq!(
+        old.host_bytes(),
+        old.aux_bytes() - (keys.len().div_ceil(nk) * nk * 8) as u64,
+        "the stored fit holds only the internal keys and the prefix"
+    );
+    for (rid, &k) in (0..).zip(keys).step_by(7) {
+        assert_eq!(old.lookup(&mut gpu, k), Some(rid), "old tree, key {k}");
+    }
+    for &k in &fresh {
+        assert_eq!(old.lookup(&mut gpu, k), None, "old tree, fresh key {k}");
+    }
+    let config = Config::Harmonia(config);
+    assert_eq!(
+        observe(&r, config),
+        cold(&r, config),
+        "a build after a batched insert differs from cold"
+    );
+    assert_eq!(r.keys_shared().derived_len(), 1, "reused, not refitted");
 }
 
 #[test]

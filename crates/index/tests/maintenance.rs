@@ -59,7 +59,7 @@ proptest! {
             fill_factor: 0.8,
             spare_nodes: 4096,
         };
-        let col = g.alloc_host_from_vec(sorted.clone());
+        let col = std::rc::Rc::new(g.alloc_host_from_vec(sorted.clone()));
         let mut tree = BPlusTree::build(&mut g, &col, cfg);
         let mut next_rid = 1_000_000u64;
 
@@ -109,7 +109,7 @@ proptest! {
         sorted.sort_unstable();
         sorted.dedup();
         let mut g = gpu();
-        let col = g.alloc_host_from_vec(sorted.clone());
+        let col = std::rc::Rc::new(g.alloc_host_from_vec(sorted.clone()));
         let mut h = Harmonia::build(&mut g, &col, HarmoniaConfig::default());
 
         let fresh: Vec<u64> = {

@@ -323,11 +323,22 @@ impl Gpu {
     /// [`Gpu::alloc_host_from_vec`]; a later device-side write converts the
     /// buffer to owned storage (copy-on-write).
     pub fn alloc_host_shared<T: Copy>(&mut self, data: SharedColumn<T>) -> Buffer<T> {
-        self.drain();
-        let reserved = self.reservation_bytes::<T>(data.len());
-        let base = self.next_addr;
-        self.next_addr = base + reserved;
+        let base = self.reserve_host::<T>(data.len());
         Buffer::from_shared(data, base, MemLocation::Cpu)
+    }
+
+    /// Reserve the host address range that [`Gpu::alloc_host_from_vec`]
+    /// of `len` elements would take (same base, same page rounding) and
+    /// return its base, with no host bytes behind it. A structure whose
+    /// contents are a pure function of data held elsewhere (an index leaf
+    /// level over its key column) derives each element on read and
+    /// accounts the read at `base + i · size_of::<T>()` through
+    /// [`Gpu::touch_read`], exactly as a buffer there would.
+    pub fn reserve_host<T>(&mut self, len: usize) -> u64 {
+        self.drain();
+        let base = self.next_addr;
+        self.next_addr = base + self.reservation_bytes::<T>(len);
+        base
     }
 
     /// Release a buffer. Device buffers return their reservation to the HBM
@@ -1310,5 +1321,25 @@ mod tests {
         let d = g.snapshot() - before;
         assert_eq!(d.ic_lines_random, 1);
         assert_eq!(d.tlb_misses, 1);
+    }
+
+    /// A reserved range takes the addresses of a buffer of that length,
+    /// and a read there is accounted like a read of that buffer.
+    #[test]
+    fn reserved_range_stands_in_for_a_buffer() {
+        let (mut a, mut b) = (gpu(), gpu());
+        for len in [0, 1, 511, 4096, 70_000] {
+            let buf = a.alloc_host_from_vec(vec![0u64; len]);
+            assert_eq!(b.reserve_host::<u64>(len), buf.base_addr(), "len {len}");
+        }
+        let buf = a.alloc_host_from_vec(vec![7u64; 64]);
+        let base = b.reserve_host::<u64>(64);
+        let _ = buf.read(&mut a, 17);
+        b.touch_read(MemLocation::Cpu, base + 17 * 8, 8);
+        assert_eq!(a.counters(), b.counters());
+        assert_eq!(
+            a.alloc_host::<u64>(1).base_addr(),
+            b.alloc_host::<u64>(1).base_addr()
+        );
     }
 }

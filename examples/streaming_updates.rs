@@ -15,6 +15,7 @@
 //! cargo run --release --example streaming_updates
 //! ```
 
+use std::rc::Rc;
 use windex::prelude::*;
 use windex_core::streams::StreamingWindowJoin;
 use windex_core::WindowConfig;
@@ -28,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // headroom.
     let n = 1 << 16;
     let initial: Vec<u64> = (0..n as u64).map(|i| i * 2).collect();
-    let column = gpu.alloc_host_from_vec(initial.clone());
+    let column = Rc::new(gpu.alloc_host_from_vec(initial.clone()));
     let mut tree = BPlusTree::build(
         &mut gpu,
         &column,
