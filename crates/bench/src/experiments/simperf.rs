@@ -8,7 +8,12 @@
 //!    times; the best wall-clock time (the least noisy estimator on a
 //!    shared machine) is normalized by the total simulated memory-system
 //!    accesses performed (L1 lookups plus TLB lookups — the unit of work
-//!    of the engine's hot path).
+//!    of the engine's hot path). This is the speed of one engine, not of
+//!    one thread: with fewer pool workers than cores (`--jobs 1`, the
+//!    default), a query's long calm access runs are accounted on a helper
+//!    thread on the idle core while its kernels run on the worker (see
+//!    `windex_sim::engine`), so the figure moves with the cores the
+//!    machine leaves idle.
 //! 2. **Serve axis** — a fixed multi-tenant trace served tenant-parallel
 //!    (one `Gpu` lane per tenant) at 1 and at 4 worker threads. The two
 //!    outcomes must serialize **byte-identically** — the run fails

@@ -2,23 +2,33 @@
 //! count that decides whether a kernel may borrow an idle core.
 //!
 //! Every parallel path — the experiment harness's sweeps, the serving
-//! layer's tenant lanes and the hash join's probe planner — runs on this
-//! module. The contract of [`par_map`] is what makes output byte-identical
-//! for any thread count: workers decide only *when* an item runs, never
-//! *what* it computes or where its result lands.
+//! layer's tenant lanes and the two helper threads — runs on this module.
+//! The contract of [`par_map`] is what makes output byte-identical for any
+//! thread count: workers decide only *when* an item runs, never *what* it
+//! computes or where its result lands.
 //!
 //! The pool counts the host threads it runs: each [`par_map`] worker
-//! (the calling thread included) and each granted [`HelperSlot`]. A kernel
-//! may start one helper thread only while that count is below
-//! [`std::thread::available_parallelism`], so a helper never competes
-//! with pool workers for a core.
+//! (the calling thread included) and each granted [`HelperSlot`]. A
+//! helper thread may start only while that count, plus the caller when it
+//! is not a pool worker, is below [`std::thread::available_parallelism`],
+//! so a helper never competes with pool workers or its own caller for a
+//! core. Two users take slots: the hash join's probe planner, and the
+//! engine, which moves the accountant of a long calm access run onto a
+//! helper (see [`engine`](crate::engine)).
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Host threads the pool currently runs: [`par_map`] workers plus granted
 /// helper slots.
 static RUNNING: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Whether this thread is running as a [`par_map`] worker (and so is
+    /// already in [`RUNNING`]).
+    static WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// One counted host thread; uncounts it on drop, also while unwinding.
 struct Counted;
@@ -36,6 +46,27 @@ impl Drop for Counted {
     }
 }
 
+/// A counted [`par_map`] worker: marks its thread as one while it runs.
+struct Worker {
+    _counted: Counted,
+    was_worker: bool,
+}
+
+impl Worker {
+    fn enter() -> Self {
+        Worker {
+            _counted: Counted::enter(),
+            was_worker: WORKER.with(|w| w.replace(true)),
+        }
+    }
+}
+
+impl Drop for Worker {
+    fn drop(&mut self) {
+        WORKER.with(|w| w.set(self.was_worker));
+    }
+}
+
 /// Cores this process may use (cached: the lookup reads the scheduler
 /// affinity and cgroup quota).
 fn cores() -> usize {
@@ -49,15 +80,18 @@ pub struct HelperSlot {
     _counted: Counted,
 }
 
-/// Grant a [`HelperSlot`] if the pool's threads leave a core idle, i.e.
-/// while the count of threads it runs is below
-/// [`std::thread::available_parallelism`]. The slot is counted until it
+/// Grant a [`HelperSlot`] if the pool's threads and the caller leave a
+/// core idle, i.e. while the count of threads the pool runs, plus the
+/// caller when it is not a [`par_map`] worker, is below
+/// [`std::thread::available_parallelism`]. A caller outside the pool
+/// therefore gets at most `cores - 1` slots. The slot is counted until it
 /// is dropped.
 pub fn try_helper_slot() -> Option<HelperSlot> {
     let cores = cores();
+    let caller = usize::from(!WORKER.with(Cell::get));
     RUNNING
         .fetch_update(Ordering::AcqRel, Ordering::Acquire, |running| {
-            (running < cores).then_some(running + 1)
+            (running + caller < cores).then_some(running + 1)
         })
         .ok()
         .map(|_| HelperSlot { _counted: Counted })
@@ -73,7 +107,7 @@ pub fn try_helper_slot() -> Option<HelperSlot> {
 pub fn par_map<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let next = AtomicUsize::new(0);
     let work = || {
-        let _counted = Counted::enter();
+        let _worker = Worker::enter();
         let mut mine = Vec::new();
         loop {
             // Relaxed: the counter only hands out indices; the results are
@@ -102,18 +136,24 @@ pub fn par_map<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Sync) ->
         .collect()
 }
 
+/// The count is process-wide: this crate's tests that start pool threads,
+/// take helper slots or read the count run one at a time under this lock.
+#[cfg(test)]
+pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The pool's current count of host threads (for this crate's tests).
+#[cfg(test)]
+pub(crate) fn running() -> usize {
+    RUNNING.load(Ordering::Acquire)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Barrier, Mutex};
-
-    /// The count is process-wide: tests that start pool threads or read
-    /// the count run one at a time.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use std::sync::Barrier;
 
     #[test]
     fn par_map_merges_in_index_order_for_any_job_count() {
@@ -215,5 +255,34 @@ mod tests {
         assert_eq!(dropped, 1, "a dropped slot is uncounted");
         assert_eq!(after_panic, 1, "a slot dropped by unwinding is uncounted");
         assert_eq!(RUNNING.load(Ordering::Acquire), 0);
+    }
+
+    /// A thread outside the pool counts itself: it may take slots only for
+    /// the other cores, and dropping them restores the count.
+    #[test]
+    fn a_lone_caller_gets_at_most_cores_minus_one_slots() {
+        let _serial = serial();
+        let cores = cores();
+        let before = RUNNING.load(Ordering::Acquire);
+        let slots: Vec<HelperSlot> = std::iter::from_fn(try_helper_slot).take(cores).collect();
+        assert!(
+            slots.len() < cores,
+            "a lone caller took {} slots on {cores} cores",
+            slots.len()
+        );
+        if before == 0 {
+            assert_eq!(slots.len(), cores - 1, "every other core is idle");
+        }
+        drop(slots);
+        assert_eq!(RUNNING.load(Ordering::Acquire), before);
+        // Inside the pool the worker is already counted: one worker may
+        // take the same `cores - 1` slots.
+        let inside = par_map(1, 1, |_| {
+            std::iter::from_fn(try_helper_slot)
+                .take(cores)
+                .collect::<Vec<_>>()
+                .len()
+        });
+        assert!(inside[0] < cores);
     }
 }

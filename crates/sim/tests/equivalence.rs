@@ -14,10 +14,14 @@
 //! snapshot after every op (its queue never holds more than one access), a
 //! *lazy* twin observed only at the observation ops and at the end (its
 //! queue drains when full or at the next other entry point), and a *batch*
-//! twin that groups reads into `touch_read_batch` calls. They run calm and
-//! under chaos windows and fault plans, and the twins may never diverge.
-//! All paths share one line-walk kernel, so `line_walk_oracle.rs` checks
-//! that kernel against an independent reference model.
+//! twin that groups reads into `touch_read_batch` calls, and a *helper*
+//! twin whose accountant is forced onto a helper thread whenever the engine
+//! is calm, shipping its queue in blocks of a few records (so runs cross
+//! many blocks, with writes and streams between them). They run calm and
+//! under chaos windows and fault plans, and the twins may never diverge;
+//! under chaos, faults or a trace the helper twin must stay inline. All
+//! paths share one line-walk kernel, so `line_walk_oracle.rs` checks that
+//! kernel against an independent reference model.
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -29,11 +33,16 @@ const N: usize = 1 << 14;
 /// Trace capacity comfortably above the maximum events a case can emit.
 const TRACE_CAP: usize = 1 << 14;
 
-/// What the twins run under: calm, or one chaos window or fault plan that
-/// stays active for the whole case.
+/// Records per block the helper twin ships: small, so runs cross blocks.
+const HELPER_BLOCK: usize = 5;
+
+/// What the twins run under: calm (at the preset's pages, or at 4 KiB
+/// pages so a buffer spans many pages and the TLB thrashes), or one chaos
+/// window or fault plan that stays active for the whole case.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Env {
     Calm,
+    CalmSmallPages,
     EccStorm,
     Brownout,
     LinkFlap,
@@ -51,7 +60,7 @@ impl Env {
         let mut gpu = Gpu::new(spec);
         let window = |kind| ChaosSchedule::seeded(11).with_window(kind, 0.0, 1.0);
         match self {
-            Env::Calm => {}
+            Env::Calm | Env::CalmSmallPages => {}
             Env::EccStorm => gpu
                 .set_chaos_schedule(window(ChaosKind::EccStorm { page_rate: 0.5 }))
                 .unwrap(),
@@ -135,13 +144,15 @@ fn replay_sized(env: Env, elems: usize, traced: bool, ops: &[(u8, usize, u64)]) 
     let mut eager = twin(env, elems);
     let mut lazy = twin(env, elems);
     let mut bat = twin(env, elems);
+    let mut helper = twin(env, elems);
+    helper.gpu.force_helper_accounting(HELPER_BLOCK);
     assert_eq!(
         (eager.cpu_base, eager.gpu_base),
         (lazy.cpu_base, lazy.gpu_base),
         "twin allocators must agree on addresses"
     );
     if traced {
-        for t in [&mut eager, &mut lazy, &mut bat] {
+        for t in [&mut eager, &mut lazy, &mut bat, &mut helper] {
             t.gpu.start_trace(TRACE_CAP);
         }
     }
@@ -166,17 +177,20 @@ fn replay_sized(env: Env, elems: usize, traced: bool, ops: &[(u8, usize, u64)]) 
             0..=69 => {
                 eager.gpu.touch_read(loc, addr, bytes);
                 lazy.gpu.touch_read(loc, addr, bytes);
+                helper.gpu.touch_read(loc, addr, bytes);
                 batch.push(&mut bat.gpu, loc, bytes, addr);
             }
             70..=79 => {
                 eager.gpu.touch_write(loc, addr, bytes);
                 lazy.gpu.touch_write(loc, addr, bytes);
+                helper.gpu.stream_write(loc, addr, bytes);
                 batch.flush(&mut bat.gpu);
                 bat.gpu.touch_write(loc, addr, bytes);
             }
             80..=86 => {
                 eager.gpu.stream_read(loc, addr, bytes);
                 lazy.gpu.stream_read(loc, addr, bytes);
+                helper.gpu.stream_read(loc, addr, bytes);
                 batch.flush(&mut bat.gpu);
                 bat.gpu.stream_read(loc, addr, bytes);
             }
@@ -184,10 +198,15 @@ fn replay_sized(env: Env, elems: usize, traced: bool, ops: &[(u8, usize, u64)]) 
                 batch.flush(&mut bat.gpu);
                 assert_eq!(seen, lazy.gpu.counters(), "lazy twin diverged ({env:?})");
                 assert_eq!(seen, bat.gpu.counters(), "batch twin diverged ({env:?})");
+                assert_eq!(
+                    seen,
+                    helper.gpu.counters(),
+                    "helper twin diverged ({env:?})"
+                );
             }
             _ => {
                 batch.flush(&mut bat.gpu);
-                for t in [&mut eager, &mut lazy, &mut bat] {
+                for t in [&mut eager, &mut lazy, &mut bat, &mut helper] {
                     t.gpu.reset_memory_system();
                 }
             }
@@ -201,9 +220,27 @@ fn replay_sized(env: Env, elems: usize, traced: bool, ops: &[(u8, usize, u64)]) 
     assert_eq!(c, seen);
     assert_eq!(c, lazy.gpu.counters(), "lazy twin diverged ({env:?})");
     assert_eq!(c, bat.gpu.counters(), "batch twin diverged ({env:?})");
+    assert_eq!(c, helper.gpu.counters(), "helper twin diverged ({env:?})");
+    // A calm untraced twin accounts on a helper from its first queued
+    // access on; a storm, a fault plan or a trace keeps it inline.
+    let queued = ops.iter().any(|&(sel, ..)| sel < 80);
+    let episodes = helper.gpu.helper_episodes();
+    if matches!(env, Env::Calm | Env::CalmSmallPages) && !traced {
+        assert_eq!(
+            episodes > 0,
+            queued,
+            "calm helper twin: {episodes} episodes"
+        );
+    } else {
+        assert_eq!(episodes, 0, "{env:?} (traced {traced}) must stay inline");
+    }
     if traced {
         let ta = eager.gpu.stop_trace();
-        for (name, t) in [("lazy", &mut lazy), ("batch", &mut bat)] {
+        for (name, t) in [
+            ("lazy", &mut lazy),
+            ("batch", &mut bat),
+            ("helper", &mut helper),
+        ] {
             let tb = t.gpu.stop_trace();
             assert_eq!(ta.offered(), tb.offered(), "{name} ({env:?})");
             assert_eq!(ta.events(), tb.events(), "{name} trace differs ({env:?})");
@@ -290,7 +327,7 @@ fn chaos_and_fault_plans_match_on_every_path() {
                 Env::Brownout => c.chaos_stall_ns > 0,
                 Env::LinkFlap => c.faults_link_flap > 0,
                 Env::Faults => c.faults_transfer > 0 && c.faults_link_flap == 0,
-                Env::Calm => true,
+                Env::Calm | Env::CalmSmallPages => true,
             };
             assert!(felt, "{env:?} left no trace in the counters: {c:?}");
         }
@@ -334,6 +371,37 @@ fn runs_past_the_queue_bound_match() {
     replay(true, &mixed);
     let c = replay_sized(Env::Faults, N, false, &mixed);
     assert!(c.faults_transfer > 0, "writes and reads must draw faults");
+}
+
+/// Long calm runs on the helper twin: hundreds of blocks, with stream
+/// reads and writes at both locations between the reads, observed rarely
+/// (and compared at each observation), over a CPU buffer of 128 pages of
+/// 4 KiB, four times the TLB, so TLB and page-stamp state depend on the
+/// order of reads, writes and streams; then once more at the preset's
+/// pages, traced, and under a fault plan, where the helper twin stays
+/// inline.
+#[test]
+fn helper_runs_across_many_blocks_match() {
+    const ELEMS: usize = 128 * 4096 / 8;
+    let ops: Vec<(u8, usize, u64)> = (0..3000)
+        .map(|k| {
+            let sel = match k % 11 {
+                0 => 80 + (k % 7) as u8,
+                4 => 70 + (k % 10) as u8,
+                7 => 60 + (k % 10) as u8,
+                _ if k % 997 == 0 => 87,
+                _ if k % 1499 == 0 => 95,
+                _ => (k % 60) as u8,
+            };
+            (sel, (k * 3989) % (ELEMS - 8), [8u64, 16, 64][k % 3])
+        })
+        .collect();
+    let c = replay_sized(Env::CalmSmallPages, ELEMS, false, &ops);
+    assert!(c.ic_bytes_streamed > 0 && c.ic_bytes_written > 0 && c.gpu_bytes_written > 0);
+    assert!(c.tlb_misses > c.tlb_sweep_misses, "the TLB must thrash");
+    replay_sized(Env::Calm, ELEMS, false, &ops);
+    replay_sized(Env::Calm, ELEMS, true, &ops);
+    replay_sized(Env::Faults, ELEMS, false, &ops);
 }
 
 /// Edge lanes of the batched classifier, pinned as fixed anchors: the same

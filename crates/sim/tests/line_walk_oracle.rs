@@ -2,8 +2,9 @@
 //!
 //! `equivalence.rs` compares the engine's read paths with each other; since
 //! they share one line-walk kernel, a kernel bug would pass it. This suite
-//! compares both read paths — queued single reads, drained by the queue
-//! bound and by observations, and the batch entry point — with an
+//! compares every read path — queued single reads, drained by the queue
+//! bound and by observations, the same reads accounted on a helper thread
+//! (forced by the engine's test hook), and the batch entry point — with an
 //! independent model written from the
 //! accounting rules: stamp-based LRU for L1, L2 and the TLB, and the
 //! per-line counter rules (L1 hit, L2 hit, device-memory read, or a remote
@@ -218,6 +219,8 @@ fn stream(seed: u64, steps: usize) -> Vec<Step> {
 #[derive(Clone, Copy, Debug)]
 enum Path {
     Queued,
+    /// Queued, with the accountant forced onto a helper thread.
+    Helper,
     Batch,
 }
 
@@ -226,6 +229,10 @@ fn run_engine(path: Path, steps: &[Step]) -> Counters {
     let mut gpu = Gpu::new(spec());
     let dev: Buffer<u64> = gpu.alloc(MemLocation::Gpu, ELEMS).unwrap();
     let host: Buffer<u64> = gpu.alloc_host(ELEMS);
+    if let Path::Helper = path {
+        // Blocks of 7 records: runs cross blocks at odd offsets.
+        gpu.force_helper_accounting(7);
+    }
     for (k, step) in steps.iter().enumerate() {
         match step {
             Step::Reset => gpu.reset_memory_system(),
@@ -236,7 +243,7 @@ fn run_engine(path: Path, steps: &[Step]) -> Counters {
             } => {
                 let buf = if *gpu_side { &dev } else { &host };
                 match path {
-                    Path::Queued => {
+                    Path::Queued | Path::Helper => {
                         for &i in starts {
                             buf.read_range(&mut gpu, i, *width);
                         }
@@ -251,7 +258,11 @@ fn run_engine(path: Path, steps: &[Step]) -> Counters {
             }
         }
     }
-    gpu.counters()
+    let c = gpu.counters();
+    if let Path::Helper = path {
+        assert!(gpu.helper_episodes() > 0, "the helper path ran inline");
+    }
+    c
 }
 
 /// The model's counters for the same stream over the same addresses.
@@ -296,7 +307,7 @@ fn every_read_path_matches_the_reference_model() {
             "stream must thrash the TLB"
         );
         assert!(expected.l2_hits > 0 && expected.gpu_bytes_read > 0);
-        for path in [Path::Queued, Path::Batch] {
+        for path in [Path::Queued, Path::Helper, Path::Batch] {
             assert_eq!(
                 run_engine(path, &steps),
                 expected,
@@ -332,7 +343,7 @@ fn single_line_reads_match_the_reference_model() {
         })
         .collect();
     let expected = run_model(&steps);
-    for path in [Path::Queued, Path::Batch] {
+    for path in [Path::Queued, Path::Helper, Path::Batch] {
         assert_eq!(run_engine(path, &steps), expected, "{path:?}");
     }
 }
